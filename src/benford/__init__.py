@@ -45,8 +45,10 @@ from .nb_core import (
 )
 from .significand import (
     Base,
+    SignificandArray,
     SignificandDecomposition,
     decompose,
+    decompose_array,
     first_digit,
     log_map,
     mul_mod_b,
@@ -87,8 +89,10 @@ __all__ = [
     "UnsupportedRatio",
     # significand arithmetic
     "Base",
+    "SignificandArray",
     "SignificandDecomposition",
     "decompose",
+    "decompose_array",
     "first_digit",
     "log_map",
     "mul_mod_b",

@@ -10,6 +10,7 @@ powers never overflow.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -18,7 +19,13 @@ import numpy as np
 from ._special import chi2_sf
 from .errors import DomainError, EmptyData, InsufficientData, NonPositiveInput, UnsupportedRatio
 from .nb_core import NBDistribution, first_digit_prob
-from .significand import Base, SignificandDecomposition, decompose, first_digit, log_map
+from .significand import (
+    Base,
+    SignificandArray,
+    SignificandDecomposition,
+    _power_table,
+    decompose_array,
+)
 from .wrapping import LogNormalParams
 
 __all__ = [
@@ -71,37 +78,48 @@ class ConformanceReport:
     n_skipped_nonfinite: int
 
 
-def _split_usable(data: Iterable[float]) -> tuple[list[float], int, int]:
+def _split_usable(data: np.ndarray | Iterable[float]) -> tuple[np.ndarray, int, int]:
     """Partition raw data into usable positives and skip counters."""
-    usable: list[float] = []
-    n_nonpos = 0
-    n_nonfinite = 0
-    for v in data:
-        v = float(v)
-        if not math.isfinite(v):
-            n_nonfinite += 1
-        elif v <= 0.0:
-            n_nonpos += 1
-        else:
-            usable.append(v)
-    return usable, n_nonpos, n_nonfinite
+    if isinstance(data, (np.ndarray, list, tuple)):
+        x = np.asarray(data, dtype=np.float64)
+    else:
+        x = np.fromiter(data, dtype=np.float64)
+    finite = np.isfinite(x)
+    usable = x[finite & (x > 0.0)]
+    n_finite = int(np.count_nonzero(finite))
+    return usable, n_finite - usable.size, x.size - n_finite
+
+
+def _usable_significands(
+    data: np.ndarray | Iterable[float], base: Base
+) -> tuple[SignificandArray, int, int]:
+    usable, n_nonpos, n_nonfinite = _split_usable(data)
+    if not usable.size:
+        raise EmptyData("no usable entries after skipping nonpositive/nonfinite")
+    return decompose_array(usable, base), n_nonpos, n_nonfinite
+
+
+def _histogram(sig: SignificandArray) -> DigitHistogram:
+    counts = np.bincount(sig.digit, minlength=sig.base.b)[1:]
+    return DigitHistogram(sig.base, tuple(counts.tolist()), sig.digit.size)
+
+
+def _ks(u: np.ndarray) -> float:
+    u = np.sort(u)
+    n = len(u)
+    i = np.arange(1, n + 1)
+    return float(max((i / n - u).max(), (u - (i - 1) / n).max()))
 
 
 def digit_histogram(
-    data: Iterable[float], base: Base
+    data: np.ndarray | Iterable[float], base: Base
 ) -> tuple[DigitHistogram, int, int]:
-    """Bin data by first digit; junk entries are counted, never dropped.
+    """Bin data by exact first digit; junk entries are counted, never dropped.
 
     Returns (histogram, n_skipped_nonpositive, n_skipped_nonfinite).
     """
-    usable, n_nonpos, n_nonfinite = _split_usable(data)
-    if not usable:
-        raise EmptyData("no usable entries after skipping nonpositive/nonfinite")
-    counts = [0] * (base.b - 1)
-    for v in usable:
-        counts[first_digit(v, base) - 1] += 1
-    hist = DigitHistogram(base, tuple(counts), len(usable))
-    return hist, n_nonpos, n_nonfinite
+    sig, n_nonpos, n_nonfinite = _usable_significands(data, base)
+    return _histogram(sig), n_nonpos, n_nonfinite
 
 
 def chi_square(hist: DigitHistogram) -> tuple[float, float]:
@@ -125,21 +143,14 @@ def chi_square(hist: DigitHistogram) -> tuple[float, float]:
     return stat, chi2_sf(stat, b - 2)
 
 
-def ks_uniform(data: Iterable[float], base: Base) -> float:
+def ks_uniform(data: np.ndarray | Iterable[float], base: Base) -> float:
     """Kolmogorov-Smirnov distance of log-mapped significands from uniform.
 
     Exact sorted-sample form: max over i of max(i/n - u_(i), u_(i) - (i-1)/n).
     Nonpositive and nonfinite entries are skipped as in digit_histogram.
     """
-    usable, _, _ = _split_usable(data)
-    if not usable:
-        raise EmptyData("no usable entries for the KS statistic")
-    u = np.sort(
-        np.array([log_map(decompose(v, base).significand, base) for v in usable])
-    )
-    n = len(u)
-    i = np.arange(1, n + 1)
-    return float(max((i / n - u).max(), (u - (i - 1) / n).max()))
+    sig, _, _ = _usable_significands(data, base)
+    return _ks(sig.log_map())
 
 
 def tv_to_nb(hist: DigitHistogram) -> float:
@@ -151,18 +162,20 @@ def tv_to_nb(hist: DigitHistogram) -> float:
     )
 
 
-def analyze(data: Iterable[float], base: Base) -> ConformanceReport:
-    """Full conformance pipeline: histogram, chi-square, KS, TV, skips."""
-    usable, n_nonpos, n_nonfinite = _split_usable(data)
-    if not usable:
-        raise EmptyData("no usable entries after skipping nonpositive/nonfinite")
-    hist, _, _ = digit_histogram(usable, base)
+def analyze(data: np.ndarray | Iterable[float], base: Base) -> ConformanceReport:
+    """Full conformance pipeline: histogram, chi-square, KS, TV, skips.
+
+    The data are filtered and decomposed once; the histogram and the KS
+    statistic both read that one decomposition.
+    """
+    sig, n_nonpos, n_nonfinite = _usable_significands(data, base)
+    hist = _histogram(sig)
     stat, pvalue = chi_square(hist)
     return ConformanceReport(
         histogram=hist,
         chi_square=stat,
         chi_square_pvalue=pvalue,
-        ks_stat=ks_uniform(usable, base),
+        ks_stat=_ks(sig.log_map()),
         tv_distance=tv_to_nb(hist),
         n_skipped_nonpositive=n_nonpos,
         n_skipped_nonfinite=n_nonfinite,
@@ -188,26 +201,94 @@ def sample_lognormal(n: int, p: LogNormalParams, seed: int) -> np.ndarray:
     return np.exp(p.M + p.s * rng.standard_normal(n))
 
 
-def _check_ratio(ratio: float, base: Base) -> None:
+def _ratio_factor(ratio: float, base: Base) -> tuple[float, int]:
+    """The ratio as the generators multiply by it: (s, k), ratio ~ s * b**k.
+
+    k starts from the log estimate and is corrected at most twice, each
+    time recomputing s = ratio / float(b)**k.  This is the most accurate
+    quotient float division gives; it is not clamped to the exact leading
+    digit as decompose's significand is, since a clamped factor would bias
+    every step of a carried product by up to an ulp.  A ratio whose s ends
+    at 1.0 or outside [1, b) cannot be told from a power of b and is
+    rejected: 1e-6 is, although its double lies just below 10**-6.
+    """
     if not math.isfinite(ratio) or ratio <= 0.0:
         raise NonPositiveInput(f"geometric ratio must be positive, got {ratio!r}")
-    if decompose(ratio, base).significand == 1.0:
+    b = base.b
+    kmin, powers, _ = _power_table(b)
+    k = math.floor(math.log(ratio) / base.ln)
+    with np.errstate(divide="ignore"):
+        s = float(ratio / powers[k - kmin])
+        for _ in range(2):
+            if 1.0 <= s < b:
+                break
+            k += 1 if s >= b else -1
+            s = float(ratio / powers[k - kmin])
+    if s == 1.0 or not 1.0 <= s < b:
         raise UnsupportedRatio(
-            f"ratio {ratio!r} is an integer power of {base.b}; its sequence "
-            "has a constant significand"
+            f"ratio {ratio!r} is an integer power of {base.b} to float "
+            "precision; its sequence has a constant significand"
         )
+    return s, k
 
 
-def _mul_step(
-    s: float, e: int, fs: float, fe: int, b: float
-) -> tuple[float, int]:
-    """Multiply a carried (significand, exponent) pair by a decomposed factor."""
-    p = s * fs
-    e += fe
-    while p >= b:
-        p /= b
-        e += 1
-    return p, e
+def _carry(
+    kind: str, n: int, base: Base, ratio: float | None
+) -> tuple[np.ndarray, np.ndarray, bytearray]:
+    """Significands of the first n terms, plus what their exponents need.
+
+    One loop carries the significand of the running product (pow2,
+    geometric, factorial) or sum (fibonacci) and stores nothing per term
+    but the significand and, where it wrapped past b, how often.  Term i
+    has exponent ``(steps + wraps)[:i+1].sum()``: ``steps`` holds the
+    exponents of the factors, or zeros for fibonacci.
+    """
+    if n < 1:
+        raise DomainError(f"sequence length must be >= 1, got {n!r}")
+    if kind not in SEQUENCE_KINDS:
+        raise DomainError(f"unknown sequence kind {kind!r}; expected one of {SEQUENCE_KINDS}")
+    b = float(base.b)
+    sig = array("d", bytes(8 * n))
+    wraps = bytearray(n)
+
+    if kind != "fibonacci":
+        if kind == "factorial":
+            if n > _FACTORIAL_CAP:
+                raise DomainError(f"factorial sequences are capped at n = {_FACTORIAL_CAP}")
+            factors = decompose_array(np.arange(1, n + 1, dtype=np.float64), base)
+            fsig, steps = factors.significand.tolist(), factors.exponent
+        else:
+            r = 2.0 if kind == "pow2" else ratio
+            if r is None:
+                raise DomainError("geometric sequences need a ratio")
+            fs, fe = _ratio_factor(r, base)
+            fsig, steps = [fs] * n, np.full(n, fe, dtype=np.int64)
+        s = 1.0
+        for i, fs in enumerate(fsig):
+            s *= fs
+            while s >= b:
+                s /= b
+                wraps[i] += 1
+            sig[i] = s
+        return np.frombuffer(sig), steps, wraps
+
+    # consecutive terms differ by a factor below 2 <= b, so the older
+    # significand is divided by b exactly when the newer one wrapped
+    s_prev = s_cur = 1.0
+    sig[0] = 1.0
+    if n > 1:
+        sig[1] = 1.0
+    w = 0
+    for i in range(2, n):
+        s_new = s_cur + (s_prev / b if w else s_prev)
+        w = 0
+        while s_new >= b:
+            s_new /= b
+            w += 1
+        wraps[i] = w
+        sig[i] = s_new
+        s_prev, s_cur = s_cur, s_new
+    return np.frombuffer(sig), np.zeros(n, dtype=np.int64), wraps
 
 
 def gen_sequence_terms(
@@ -219,57 +300,16 @@ def gen_sequence_terms(
     large powers cannot overflow; only the significand matters for digit
     statistics anyway.
     """
-    if n < 1:
-        raise DomainError(f"sequence length must be >= 1, got {n!r}")
-    if kind not in SEQUENCE_KINDS:
-        raise DomainError(f"unknown sequence kind {kind!r}; expected one of {SEQUENCE_KINDS}")
-    b = float(base.b)
-    out: list[SignificandDecomposition] = []
-
-    if kind in ("pow2", "geometric"):
-        r = 2.0 if kind == "pow2" else ratio
-        if r is None:
-            raise DomainError("geometric sequences need a ratio")
-        _check_ratio(r, base)
-        d0 = decompose(r, base)
-        s, e = d0.significand, d0.exponent
-        for _ in range(n):
-            out.append(SignificandDecomposition(s, e, base))
-            s, e = _mul_step(s, e, d0.significand, d0.exponent, b)
-        return out
-
-    if kind == "factorial":
-        if n > _FACTORIAL_CAP:
-            raise DomainError(f"factorial sequences are capped at n = {_FACTORIAL_CAP}")
-        s, e = 1.0, 0
-        out.append(SignificandDecomposition(s, e, base))  # 1!
-        for i in range(2, n + 1):
-            di = decompose(float(i), base)
-            s, e = _mul_step(s, e, di.significand, di.exponent, b)
-            out.append(SignificandDecomposition(s, e, base))
-        return out
-
-    # fibonacci: add the carried pairs after aligning exponents
-    s_prev, e_prev = 1.0, 0
-    s_cur, e_cur = 1.0, 0
-    out.append(SignificandDecomposition(s_prev, e_prev, base))
-    if n > 1:
-        out.append(SignificandDecomposition(s_cur, e_cur, base))
-    for _ in range(n - 2):
-        shift = e_cur - e_prev  # 0 or 1: consecutive terms within one decade
-        s_new = s_cur + s_prev / b**shift
-        e_new = e_cur
-        while s_new >= b:
-            s_new /= b
-            e_new += 1
-        s_prev, e_prev = s_cur, e_cur
-        s_cur, e_cur = s_new, e_new
-        out.append(SignificandDecomposition(s_cur, e_cur, base))
-    return out[:n]
+    sig, steps, wraps = _carry(kind, n, base, ratio)
+    exps = np.cumsum(steps + np.frombuffer(wraps, dtype=np.uint8))
+    return [
+        SignificandDecomposition(s, e, base)
+        for s, e in zip(sig.tolist(), exps.tolist())
+    ]
 
 
 def gen_sequence(
     kind: str, n: int, base: Base, ratio: float | None = None
-) -> list[float]:
+) -> np.ndarray:
     """Significands of the first n sequence terms; see gen_sequence_terms."""
-    return [t.significand for t in gen_sequence_terms(kind, n, base, ratio)]
+    return _carry(kind, n, base, ratio)[0]

@@ -8,15 +8,21 @@ mod 1.  All functions here are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NonPositiveInput
 
 __all__ = [
     "Base",
+    "SignificandArray",
     "SignificandDecomposition",
     "decompose",
+    "decompose_array",
     "first_digit",
     "log_map",
     "mul_mod_b",
@@ -52,49 +58,133 @@ class SignificandDecomposition:
     base: Base
 
 
-def _require_positive_finite(value: float) -> None:
-    if not math.isfinite(value) or value <= 0.0:
-        raise NonPositiveInput(f"expected a positive finite real, got {value!r}")
+# Significands this close (relative) to an integer may sit on the wrong
+# side of it after rounding; they, and every value whose scale b**k is not
+# a normal float, take the exact integer path.  The fast path's quotient
+# errs by at most about 2 ulps: one from rounding b**k, one from dividing.
+_NEAR_INTEGER = 8 * sys.float_info.epsilon
+_DBL_MIN = sys.float_info.min
 
 
-def _bpow(base: Base, k: int) -> float:
-    # float(b)**k mirrors how callers typically build powers of b, so exact
-    # powers of the base decompose to significand exactly 1.0.
-    return float(base.b) ** k
+@functools.lru_cache(maxsize=64)
+def _power_table(b: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(kmin, P, normal): P[j] = float(b)**(kmin + j) for every exponent a
+    positive double can need, with a margin of 3; ``normal`` marks entries
+    that are normal floats (not 0, subnormal or overflowed to inf).
+
+    Python's ``float ** int`` is used, not numpy's pow, which can differ in
+    the last ulp; these are the scales significands have always used.
+    """
+    lnb = math.log(b)
+    kmin = math.floor(math.log(5e-324) / lnb) - 3
+    kmax = math.floor(math.log(sys.float_info.max) / lnb) + 3
+    powers = []
+    for k in range(kmin, kmax + 1):
+        try:
+            powers.append(float(b) ** k)
+        except OverflowError:
+            powers.append(math.inf)
+    P = np.array(powers)
+    normal = (P >= _DBL_MIN) & (P < math.inf)
+    P.setflags(write=False)
+    normal.setflags(write=False)
+    return kmin, P, normal
+
+
+def _exact(v: float, b: int, k: int) -> tuple[int, int, float]:
+    """(exponent, digit, significand) of one value by integer arithmetic.
+
+    ``k`` is an estimate within a few steps of the exponent.  The digit is
+    the leading digit of the double's exact binary value; the significand
+    is the correctly rounded exact quotient v / b**k.
+    """
+    num, den = v.as_integer_ratio()
+    while True:
+        n = num * b**-k if k < 0 else num
+        d = den * b**k if k > 0 else den
+        if n < d:
+            k -= 1
+        elif n >= b * d:
+            k += 1
+        else:
+            return k, n // d, n / d
+
+
+@dataclass(frozen=True)
+class SignificandArray:
+    """Elementwise decomposition of an array: ``significand * b**exponent``.
+
+    ``digit`` is the exact leading digit, and ``significand`` lies in
+    [digit, digit + 1).
+    """
+
+    exponent: np.ndarray  # int64
+    significand: np.ndarray  # float64
+    digit: np.ndarray  # int64
+    base: Base
+
+    def log_map(self) -> np.ndarray:
+        """u = ln(s)/ln(b) per element: the significands on the circle [0, 1)."""
+        return np.log(self.significand) / self.base.ln
+
+
+def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:
+    """Decompose every element of a 1-d float64 array of positive finite reals.
+
+    The exponent starts from a base-b logarithm estimate and is corrected
+    by at most two recomputations s = v / float(b)**k that pin s into
+    [1, b).  Values whose significand lands within a few ulps of an
+    integer, subnormal values and values whose scale is not a normal float
+    are then redone exactly, so every digit is the exact leading digit.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    ok = (v > 0.0) & (v < math.inf)
+    if not ok.all():
+        bad = float(v[~ok][0])
+        raise NonPositiveInput(f"expected a positive finite real, got {bad!r}")
+    b = base.b
+    kmin, P, normal = _power_table(b)
+    j = np.floor(np.log(v) / base.ln).astype(np.int64) - kmin
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = v / P[j]
+        for _ in range(2):
+            step = (s >= b).astype(np.int64) - (s < 1.0)
+            moved = np.flatnonzero(step)
+            if not moved.size:
+                break
+            j[moved] = np.clip(j[moved] + step[moved], 0, len(P) - 1)
+            s[moved] = v[moved] / P[j[moved]]
+        flagged = np.flatnonzero(
+            (np.abs(s - np.rint(s)) <= _NEAR_INTEGER * s)
+            | ~((s >= 1.0) & (s < b))
+            | (v < _DBL_MIN)
+            | ~normal[j]
+        )
+        digit = s.astype(np.int64)
+    for i, x in zip(flagged.tolist(), v[flagged].tolist()):
+        k, d, exact_s = _exact(x, b, int(j[i]) + kmin)
+        jj = k - kmin
+        # the usual quotient where it is accurate, clamped to the exact digit
+        si = x / float(P[jj]) if normal[jj] and x >= _DBL_MIN else exact_s
+        s[i] = min(max(si, float(d)), math.nextafter(d + 1.0, 0.0))
+        j[i], digit[i] = jj, d
+    j += kmin
+    return SignificandArray(j, s, digit, base)
 
 
 def decompose(value: float, base: Base) -> SignificandDecomposition:
     """Split ``value`` as significand in [1, b) times an integer power of b.
 
-    The exponent starts from a base-b logarithm estimate; because logs of
-    exact powers of b round unpredictably, the estimate is corrected by at
-    most two recomputations that pin the significand into [1, b).
+    Scalar form of :func:`decompose_array`.  The digit ``int(significand)``
+    is the exact leading digit of the double, so a float just below b**k
+    (``1e-6`` is) decomposes to digit b-1 and exponent k-1.
     """
-    _require_positive_finite(value)
-    k = math.floor(math.log(value) / base.ln)
-    s = value / _bpow(base, k)
-    for _ in range(2):
-        if s >= base.b:
-            k += 1
-        elif s < 1.0:
-            k -= 1
-        else:
-            break
-        # recompute from the corrected exponent rather than rescaling s, so
-        # exact powers of b land on significand 1.0 with no residual rounding
-        s = value / _bpow(base, k)
-    if s >= base.b:
-        # reachable only when rounding pins the quotient at the right
-        # endpoint; the value is then a power of b to within one ulp
-        k += 1
-        s = 1.0
-    elif s < 1.0:
-        s = 1.0
-    return SignificandDecomposition(s, k, base)
+    d = decompose_array(np.array([value], dtype=np.float64), base)
+    return SignificandDecomposition(float(d.significand[0]), int(d.exponent[0]), base)
 
 
 def first_digit(value: float, base: Base) -> int:
-    """Leading digit of ``value`` in base b; always in [1, b-1]."""
+    """Exact leading digit of ``value`` in base b; always in [1, b-1]."""
     return int(decompose(value, base).significand)
 
 

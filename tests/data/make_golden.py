@@ -1,0 +1,128 @@
+"""Write the byte-identity corpus checked by tests/test_golden.py.
+
+    PYTHONPATH=src python tests/data/make_golden.py
+
+Writes two small seeded input files (CSV and JSONL, with negatives and
+junk cells), the ``--format records`` output of every call in
+``GOLDEN_CALLS``, and which ratios near powers of the base the geometric
+generator rejects (``ratio_rejections.json``), into ``tests/data/golden/``.
+Rerun it only when a change to these outputs is intended; the tests exist
+to catch unintended ones.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+from benford import Base, UnsupportedRatio, gen_sequence
+from benford.cli import main as cli_main
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+
+# (output name, argv relative to GOLDEN); fit paths are relative so the
+# echoed ``param input`` does not depend on the checkout location
+GOLDEN_CALLS = [
+    ("fit_csv_b10", ["fit", "fit.csv", "--column", "amount", "--base", "10"]),
+    ("fit_csv_abs_b16", ["fit", "fit.csv", "--column", "amount", "--base", "16",
+                         "--absolute-value"]),
+    ("fit_jsonl_b16", ["fit", "fit.jsonl", "--column", "amount", "--input-format",
+                       "jsonl", "--base", "16"]),
+]
+for _b in (10, 16, 1000):
+    for _kind in ("pow2", "fibonacci", "factorial"):
+        GOLDEN_CALLS.append(
+            (f"sequence_{_kind}_b{_b}", ["sequence", _kind, "--n", "10000", "--base", str(_b)])
+        )
+    for _tag, _ratio in (("1.1", 1.1), ("3root7", 3.0 ** (1.0 / 7.0))):
+        GOLDEN_CALLS.append(
+            (f"sequence_geometric{_tag}_b{_b}",
+             ["sequence", "geometric", "--n", "10000", "--base", str(_b),
+              "--ratio", repr(_ratio)])
+        )
+
+
+RATIO_BASES = (3, 10, 16, 1000)
+RATIO_EXPONENTS = range(-40, 41)
+RATIO_ULPS = 4
+
+
+def ratio_corpus(b: int) -> list[float]:
+    """float(b)**k, the correctly rounded b**k, and their neighbours."""
+    out: set[float] = set()
+    for k in RATIO_EXPONENTS:
+        for x in (float(b) ** k, float(Fraction(b) ** k)):
+            for direction in (0.0, math.inf):
+                y = x
+                for _ in range(RATIO_ULPS + 1):
+                    out.add(y)
+                    y = math.nextafter(y, direction)
+    return sorted(out)
+
+
+def ratio_rejections() -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {}
+    for b in RATIO_BASES:
+        rejected = []
+        for x in ratio_corpus(b):
+            try:
+                gen_sequence("geometric", 1, Base(b), ratio=x)
+            except UnsupportedRatio:
+                rejected.append(x.hex())
+        out[str(b)] = rejected
+    return out
+
+
+def write_inputs(n: int = 3000, seed: int = 20261018) -> None:
+    rng = np.random.default_rng(seed)
+    values = np.exp(rng.uniform(-8.0, 8.0, n) + 2.0 * rng.standard_normal(n))
+    cells = [repr(v) for v in values.tolist()]
+    for j in rng.choice(n, 60, replace=False):
+        cells[j] = repr(-float(values[j]))
+    csv_junk = ("nan", "inf", "-inf", "", "oops", "0", "-0.0")
+    json_junk = ("NaN", "Infinity", '""', '"oops"', "null", "true", "[1]", '"2.5e3"', "0")
+    csv_cells, json_cells = list(cells), list(cells)
+    for t, j in enumerate(rng.choice(n, 40, replace=False)):
+        csv_cells[j] = csv_junk[t % len(csv_junk)]
+        json_cells[j] = json_junk[t % len(json_junk)]
+    (GOLDEN / "fit.csv").write_text(
+        "id,amount\n" + "".join(f"{i},{c}\n" for i, c in enumerate(csv_cells)),
+        encoding="utf-8",
+    )
+    (GOLDEN / "fit.jsonl").write_text(
+        "".join(f'{{"id": {i}, "amount": {c}}}\n' for i, c in enumerate(json_cells))
+        + "not json\n",
+        encoding="utf-8",
+    )
+
+
+def records(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv + ["--format", "records"])
+    if code != 0:
+        raise SystemExit(f"{argv}: exit {code}")
+    return out.getvalue()
+
+
+def main() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    write_inputs()
+    (GOLDEN / "ratio_rejections.json").write_text(
+        json.dumps(ratio_rejections(), indent=0) + "\n", encoding="utf-8"
+    )
+    os.chdir(GOLDEN)
+    for name, argv in GOLDEN_CALLS:
+        (GOLDEN / f"{name}.records").write_text(records(argv), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

@@ -5,6 +5,7 @@ import pytest
 
 from benford import Base, gen_sequence, nb_entropy_closed, sample_nb
 from benford.cli import emit_records, main, parse_records
+from test_significand import FULL_RANGE_BASES, FULL_RANGE_VALUES, exact_decomposition
 
 
 def run(capsys, *argv):
@@ -182,6 +183,20 @@ class TestFit:
         code, out, _ = run(capsys, "fit", str(f), "--format", "records")
         assert code == 0
         assert field(records_of(out), "tv_distance")[0] < 0.005
+
+    @pytest.mark.parametrize("b", FULL_RANGE_BASES)
+    def test_full_float_range(self, capsys, tmp_path, b):
+        # repeated so the chi-square minimum of 5 (b - 1) entries is met
+        reps = -(-5 * (b - 1) // len(FULL_RANGE_VALUES))
+        f = tmp_path / "extremes.csv"
+        write_csv(f, [repr(v) for v in FULL_RANGE_VALUES] * reps)
+        code, out, err = run(capsys, "fit", str(f), "--base", str(b), "--format", "records")
+        assert code == 0, err
+        want = [0] * (b - 1)
+        for v in FULL_RANGE_VALUES:
+            want[exact_decomposition(v, b)[1] - 1] += reps
+        bins = [rec for rec in records_of(out) if rec[0] == "bin"]
+        assert [rec[2] for rec in bins] == want
 
 
 class TestWrap:

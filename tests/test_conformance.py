@@ -181,7 +181,8 @@ class TestSequences:
         assert recon == pytest.approx(math.lgamma(2001.0), abs=1e-8)
 
     def test_geometric_rejects_powers_of_base(self):
-        for r in (10.0, 100.0, 0.01, 1.0):
+        # the doubles 1e-6 and 1e-7 lie just below their powers of 10
+        for r in (10.0, 100.0, 0.01, 1.0, 1e-6, 1e-7):
             with pytest.raises(UnsupportedRatio):
                 gen_sequence("geometric", 5, B10, ratio=r)
 

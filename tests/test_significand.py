@@ -1,13 +1,18 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benford import (
     Base,
     DomainError,
     NonPositiveInput,
     decompose,
+    decompose_array,
     first_digit,
     log_map,
     mul_mod_b,
@@ -50,12 +55,22 @@ class TestDecompose:
                 decompose(bad, base)
 
     def test_exact_powers_decompose_exactly(self):
+        # float(b)**k is b**k rounded: at or above b**k it decomposes to
+        # significand 1.0 and exponent k; below it, to digit b-1 at k-1
+        below = []
         for b in (2, 3, 10, 16):
             base = Base(b)
             for k in range(-20, 21):
-                d = decompose(float(b) ** k, base)
-                assert d.significand == 1.0, (b, k, d)
-                assert d.exponent == k
+                x = float(b) ** k
+                d = decompose(x, base)
+                if Fraction(x) >= Fraction(b) ** k:
+                    assert (d.significand, d.exponent) == (1.0, k), (b, k, d)
+                else:
+                    below.append((b, k))
+                    assert int(d.significand) == b - 1 and d.exponent == k - 1, (b, k, d)
+        below_3 = (-19, -18, -16, -15, -14, -11, -10, -9, -7, -6, -4, -3, -2, -1)
+        below_10 = (-20, -19, -16, -14, -12, -11, -7, -6)
+        assert below == [(3, k) for k in below_3] + [(10, k) for k in below_10]
 
     def test_reconstruction_bulk(self):
         # 1e5 random reals across exponents -30..30, four bases
@@ -161,3 +176,79 @@ def test_log_map_is_group_homomorphism():
             rhs = (log_map(s1, base) + log_map(s2, base)) % 1.0
             diff = abs(lhs - rhs)
             assert min(diff, 1.0 - diff) < 1e-12
+
+
+# --------------------------------------------------------------------------
+# the whole float range, against exact rational arithmetic
+# --------------------------------------------------------------------------
+
+DBL_MAX = sys.float_info.max
+DBL_MIN = sys.float_info.min
+FULL_RANGE_VALUES = (
+    5e-324,
+    1e-323,
+    DBL_MIN,
+    math.nextafter(DBL_MIN, 0.0),
+    math.nextafter(DBL_MIN, 1.0),
+    DBL_MAX,
+    math.nextafter(DBL_MAX, 0.0),
+)
+FULL_RANGE_BASES = (2, 3, 10, 16, 1000)
+
+
+def exact_decomposition(x: float, b: int) -> tuple[int, int]:
+    """(exponent, digit) of x in base b, exactly: b**k <= x < b**(k+1)."""
+    fx, fb = Fraction(x), Fraction(b)
+    k = math.floor(math.log(x) / math.log(b))
+    while fb**k > fx:
+        k -= 1
+    while fb ** (k + 1) <= fx:
+        k += 1
+    return k, math.floor(fx / fb**k)
+
+
+def assert_exact(x: float, b: int, s: float, k: int) -> None:
+    assert (k, int(s)) == exact_decomposition(x, b), (x, b, s, k)
+    assert 1.0 <= s < b
+    err = abs(Fraction(s) * Fraction(b) ** k - Fraction(x))
+    assert err <= 4 * Fraction(EPS) * Fraction(x), (x, b, s, k)
+
+
+@pytest.mark.parametrize("b", FULL_RANGE_BASES)
+@pytest.mark.parametrize("x", FULL_RANGE_VALUES)
+def test_full_range_decomposes_exactly(x, b):
+    d = decompose(x, Base(b))
+    assert_exact(x, b, d.significand, d.exponent)
+    assert first_digit(x, Base(b)) == exact_decomposition(x, b)[1]
+
+
+def test_first_digit_is_the_digit_of_the_double():
+    # the double 1e-6 is 9.99999999999999954748e-7; 1e-5 lies above 10**-5
+    assert first_digit(1e-6, Base(10)) == 9
+    assert first_digit(1e-28, Base(10)) == 9
+    assert first_digit(9.999999999999999e151, Base(10)) == 9
+    assert first_digit(1e-5, Base(10)) == 1
+
+
+POSITIVE_DOUBLES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+PROPERTY_BASES = st.sampled_from(list(range(2, 37)) + [1000, 10**6])
+
+
+@settings(deadline=None)
+@given(POSITIVE_DOUBLES, PROPERTY_BASES)
+def test_property_scalar_matches_exact_oracle(x, b):
+    d = decompose(x, Base(b))
+    assert_exact(x, b, d.significand, d.exponent)
+
+
+@settings(deadline=None)
+@given(st.lists(POSITIVE_DOUBLES, min_size=1, max_size=40), PROPERTY_BASES)
+def test_property_array_matches_scalar_bitwise(xs, b):
+    base = Base(b)
+    arr = decompose_array(np.array(xs), base)
+    for i, x in enumerate(xs):
+        d = decompose(x, base)
+        assert arr.significand[i].tobytes() == np.float64(d.significand).tobytes()
+        assert arr.exponent[i] == d.exponent
+        assert arr.digit[i] == int(d.significand)
+        assert_exact(x, b, float(arr.significand[i]), int(arr.exponent[i]))
