@@ -3,12 +3,17 @@
 Panels are bisected worst-error-first until the summed error estimate drops
 below the absolute tolerance.  Evaluation order is deterministic, so results
 are bit-reproducible run to run.
+
+The integrand maps a float64 array of nodes to an array of values, one call
+per panel; a scalar result is taken as constant over the panel.
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import Callable
+
+import numpy as np
 
 from .errors import QuadratureError
 
@@ -33,16 +38,19 @@ _GK15 = (
     (+0.9914553711208126, 0.0, 0.0229353220105292),
     (-0.9914553711208126, 0.0, 0.0229353220105292),
 )
+_NODES = np.array([x for x, _, _ in _GK15])
+
+Integrand = Callable[[np.ndarray], "np.ndarray | float"]
 
 
-def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+def _panel(f: Integrand, a: float, b: float) -> tuple[float, float]:
     """Integral and error estimate for one panel."""
     mid = 0.5 * (a + b)
     h = 0.5 * (b - a)
+    values = np.broadcast_to(f(mid + h * _NODES), _NODES.shape).tolist()
     g7 = 0.0
     k15 = 0.0
-    for x, wg, wk in _GK15:
-        fx = f(mid + h * x)
+    for fx, (_, wg, wk) in zip(values, _GK15):
         k15 += wk * fx
         if wg != 0.0:
             g7 += wg * fx
@@ -52,7 +60,7 @@ def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, floa
 
 
 def integrate(
-    f: Callable[[float], float],
+    f: Integrand,
     a: float,
     b: float,
     abs_tol: float = 1e-9,

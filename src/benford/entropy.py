@@ -4,6 +4,10 @@ For any density rho on the significand interval, H[rho] <= ln(ln b) +
 <ln x>_rho, with equality exactly at the scale-invariant density; that
 density therefore has maximum entropy among all densities whose mean log
 does not exceed (ln b)/2.  Entropies are in nats throughout.
+
+A density is a callable from a float64 array of points in [1, b) to an
+array of values (a scalar result means a constant density); it is
+evaluated on the quadrature nodes of one panel per call.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from ._quadrature import integrate
 from .errors import NotNormalized
@@ -23,7 +29,7 @@ _CONSTRAINT_SLACK = 1e-9  # keeps quadrature noise from flipping the boolean
 _QUAD_TOL = 1e-9
 _NOISE_FLOOR = 1e-12
 
-Pdf = Callable[[float], float]
+Pdf = Callable[[np.ndarray], "np.ndarray | float"]
 
 
 @dataclass(frozen=True)
@@ -49,16 +55,17 @@ def _check_normalized(pdf: Pdf, base: Base) -> None:
 
 
 def _entropy_integral(pdf: Pdf, base: Base) -> tuple[float, float]:
-    def integrand(x: float) -> float:
-        p = pdf(x)
-        return -p * math.log(p) if p > 0.0 else 0.0  # 0 ln 0 := 0
+    def integrand(x: np.ndarray) -> np.ndarray:
+        p = np.asarray(pdf(x), dtype=np.float64)
+        positive = p > 0.0
+        return np.where(positive, -p * np.log(np.where(positive, p, 1.0)), 0.0)  # 0 ln 0 := 0
 
     return integrate(integrand, 1.0, float(base.b), abs_tol=_QUAD_TOL)
 
 
 def _mean_log_integral(pdf: Pdf, base: Base) -> tuple[float, float]:
     return integrate(
-        lambda x: pdf(x) * math.log(x), 1.0, float(base.b), abs_tol=_QUAD_TOL
+        lambda x: pdf(x) * np.log(x), 1.0, float(base.b), abs_tol=_QUAD_TOL
     )
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .significand import Base
 
@@ -79,12 +81,27 @@ class IntervalSet:
                 raise DomainError("total interval length exceeds b - 1")
 
 
-def nb_pdf(x: float, dist: NBDistribution) -> float:
-    """Density 1/(x ln b) at a significand x in [1, b)."""
-    b = dist.base.b
-    if not 1.0 <= x < b:
-        raise DomainError(f"x={x!r} outside [1, {b})")
-    return 1.0 / (x * dist.base.ln)
+def _significand_array(x, base: Base) -> np.ndarray:
+    """x as a float64 array (0-d for a scalar); any element outside [1, b)
+    raises DomainError."""
+    xs = np.asarray(x, dtype=np.float64)
+    inside = (xs >= 1.0) & (xs < base.b)
+    if not inside.all():
+        bad = float(xs[~inside].flat[0])
+        raise DomainError(f"x={bad!r} outside [1, {base.b})")
+    return xs
+
+
+def _like_input(values: np.ndarray, xs: np.ndarray) -> float | np.ndarray:
+    """Values computed on xs flattened, shaped like xs; a float for 0-d xs."""
+    return float(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
+
+
+def nb_pdf(x: float | np.ndarray, dist: NBDistribution) -> float | np.ndarray:
+    """Density 1/(x ln b) at significands x in [1, b): a float or a float64
+    array, and a float for a float."""
+    xs = _significand_array(x, dist.base)
+    return _like_input(1.0 / (xs.reshape(-1) * dist.base.ln), xs)
 
 
 def nb_cdf(x: float, dist: NBDistribution) -> float:

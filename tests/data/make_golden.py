@@ -4,8 +4,11 @@
 
 Writes two small seeded input files (CSV and JSONL, with negatives and
 junk cells), the ``--format records`` output of every call in
-``GOLDEN_CALLS``, and which ratios near powers of the base the geometric
-generator rejects (``ratio_rejections.json``), into ``tests/data/golden/``.
+``GOLDEN_CALLS`` and ``DENSITY_CALLS``, the exit codes of the density
+calls (``density_exit_codes.json``), and which ratios near powers of the
+base the geometric generator rejects (``ratio_rejections.json``), into
+``tests/data/golden/``.  Density streams are compared with tolerances
+(see tests/test_golden.py), the others byte for byte.
 Rerun it only when a change to these outputs is intended; the tests exist
 to catch unintended ones.
 """
@@ -48,6 +51,36 @@ for _b in (10, 16, 1000):
              ["sequence", "geometric", "--n", "10000", "--base", str(_b),
               "--ratio", repr(_ratio)])
         )
+
+# wrap and entropy: log-normals at small, medium and large s, and 2- and
+# 3-component mixtures, in each base
+DENSITY_BASES = (2, 10, 16, 1000)
+DENSITY_GRID_POINTS = 64
+DENSITY_DISTS = [
+    ("ln_small", ["lognormal", "0.3", "0.05"]),
+    ("ln_medium", ["lognormal", "-1.7", "0.8"]),
+    ("ln_large", ["lognormal", "3.2", "5.0"]),
+    ("mix2", ["mixture", "0.35", "-1.3", "0.4", "0.65", "2.1", "1.5"]),
+    ("mix3", ["mixture", "0.2", "0.4", "0.1", "0.5", "-2.2", "0.9", "0.3", "5.0", "3.0"]),
+]
+DENSITY_CALLS = []
+for _b in DENSITY_BASES:
+    for _tag, _dist in DENSITY_DISTS:
+        DENSITY_CALLS.append(
+            (f"wrap_{_tag}_b{_b}",
+             ["wrap", *_dist, "--base", str(_b), "--grid-points", str(DENSITY_GRID_POINTS)])
+        )
+        DENSITY_CALLS.append((f"entropy_{_tag}_b{_b}", ["entropy", *_dist, "--base", str(_b)]))
+# numeric failures (exit 4): a scale past the truncation cap, and a narrow
+# peak the initial quadrature panels miss; and a narrow peak whose entropy
+# is inaccurate although it exits 0 (ROADMAP: quadrature defects)
+DENSITY_CALLS += [
+    ("wrap_ln_huge_b10", ["wrap", "lognormal", "0", "1e5", "--grid-points", "8"]),
+    ("entropy_ln_missed_b1000", ["entropy", "lognormal", "1.066357757671799", "0.05",
+                                 "--base", "1000"]),
+    ("entropy_ln_inaccurate_b1000", ["entropy", "lognormal", "-0.2659741224283465", "0.05",
+                                     "--base", "1000"]),
+]
 
 
 RATIO_BASES = (3, 10, 16, 1000)
@@ -104,13 +137,19 @@ def write_inputs(n: int = 3000, seed: int = 20261018) -> None:
     )
 
 
-def records(argv: list[str]) -> str:
+def run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and ``--format records`` stdout of one CLI call."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli_main(argv + ["--format", "records"])
+    return code, out.getvalue()
+
+
+def records(argv: list[str]) -> str:
+    code, out = run(argv)
     if code != 0:
         raise SystemExit(f"{argv}: exit {code}")
-    return out.getvalue()
+    return out
 
 
 def main() -> None:
@@ -122,6 +161,13 @@ def main() -> None:
     os.chdir(GOLDEN)
     for name, argv in GOLDEN_CALLS:
         (GOLDEN / f"{name}.records").write_text(records(argv), encoding="utf-8")
+    codes = {}
+    for name, argv in DENSITY_CALLS:
+        codes[name], out = run(argv)
+        (GOLDEN / f"{name}.records").write_text(out, encoding="utf-8")
+    (GOLDEN / "density_exit_codes.json").write_text(
+        json.dumps(codes, indent=0) + "\n", encoding="utf-8"
+    )
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from scipy import integrate as sint
 
 from benford import (
     Base,
@@ -63,7 +65,7 @@ class TestEntropy:
     def test_zero_regions_are_fine(self):
         # 0 ln 0 is taken as 0
         def patch(x):
-            return 2.0 / 9.0 if x < 5.5 else 0.0
+            return np.where(x < 5.5, 2.0 / 9.0, 0.0)
 
         val = entropy(patch, B10)
         assert val == pytest.approx(-math.log(2.0 / 9.0), abs=1e-9)
@@ -121,3 +123,30 @@ class TestAnalyze:
         assert rep.entropy <= rep.gibbs_bound + rep.quadrature_error_estimate
         # well away from the law, so the bound is strict
         assert rep.gibbs_bound - rep.entropy > 1e-6
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known quadrature defect (ROADMAP): the initial panels under-resolve a "
+    "narrow peak, so the error estimate misses the true error by about 2500x",
+)
+def test_narrow_peak_entropy_within_reported_error():
+    # benford entropy lognormal -0.2659741224283465 0.05 --base 1000: reports an
+    # error of 2.8e-10 and is off by 6.8e-7 from scipy in u = ln x
+    base = Base(1000)
+    L, M, s = base.ln, -0.2659741224283465, 0.05
+    p = LogNormalParams(M, s)
+    rep = analyze_entropy(lambda x: wrapped_lognormal_pdf(x, p, base), base)
+    m = M % L
+    k = np.arange(-3, 4)
+
+    def g(u):  # density of u = ln x on [0, L): a wrapped Gaussian
+        return float(np.exp(-((u + k * L - m) ** 2) / (2 * s * s)).sum()) / (
+            s * math.sqrt(2.0 * math.pi)
+        )
+
+    opts = dict(points=[m], epsabs=1e-13, epsrel=1e-12, limit=500)
+    h_u, _ = sint.quad(lambda u: -g(u) * math.log(g(u)) if g(u) > 0 else 0.0, 0.0, L, **opts)
+    mean_u, _ = sint.quad(lambda u: g(u) * u, 0.0, L, **opts)
+    # H[rho] = H[g] + E[ln x]
+    assert abs(rep.entropy - (h_u + mean_u)) <= rep.quadrature_error_estimate

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from benford import (
     wrap_pdf,
     wrapped_lognormal_pdf,
 )
+from benford.wrapping import _lognormal_trunc
 
 B10 = Base(10)
 B2 = Base(2)
@@ -43,6 +45,32 @@ def brute_wrapped_lognormal(x, M, s, b=10.0, kmax=400):
 
 def brute_wrap(source_pdf, x, b, kmax=60):
     return sum(b**k * source_pdf(x * b**k) for k in range(-kmax, kmax + 1))
+
+
+BASES = (2, 10, 16, 1000)
+SCALES = np.geomspace(0.05, 6.0, 16)
+GRID = 2048  # distance_to_nb's grid
+
+
+def log_grid(b, n=GRID):
+    return np.array([float(b) ** ((i + 0.5) / n) for i in range(n)])
+
+
+def dual_weights(s, L):
+    """exp(-2 pi^2 k^2 s^2 / L^2) for k = 1.. until the terms fall below 1e-40."""
+    kmax = math.ceil(math.sqrt(92.0) * L / (math.pi * s * math.sqrt(2.0))) + 1
+    k = np.arange(1, kmax + 1)
+    return k, np.exp(-2.0 * math.pi**2 * k**2 * s**2 / L**2)
+
+
+def dual_wrapped_lognormal(x, M, s, L):
+    """Poisson-summation dual of the wrapped log-normal sum:
+    (1/(x L)) [1 + 2 sum_{k>=1} exp(-2 pi^2 k^2 s^2 / L^2) cos(2 pi k (ln x - M) / L)].
+    """
+    k, q = dual_weights(s, L)
+    phase = np.mod(np.log(x) - M, L) / L
+    series = np.cos(2.0 * math.pi * np.outer(phase, k)) @ q
+    return (1.0 + 2.0 * series) / (x * L)
 
 
 class TestParams:
@@ -336,3 +364,90 @@ class TestMixture:
                 0.7 * brute_wrapped_lognormal(x, 1.0, 1.5)
             )
             assert wrap_mixture_pdf(x, mix, B10) == pytest.approx(expected, abs=1e-11)
+
+
+class TestPoissonDual:
+    """The direct Gaussian sum against its Poisson-summation dual, an
+    independent series for the same density."""
+
+    @pytest.mark.parametrize("b", BASES)
+    def test_direct_sum_matches_dual(self, b):
+        base, tol = Base(b), 1e-9
+        x = log_grid(b)
+        for j, s in enumerate(SCALES):
+            M = -2.0 + 0.37 * j
+            rho = wrapped_lognormal_pdf(x, LogNormalParams(M, float(s)), base, tol)
+            dual = dual_wrapped_lognormal(x, M, s, base.ln)
+            assert np.all(np.abs(rho - dual) <= 2 * tol * np.maximum(1.0, rho)), (b, s)
+
+    @pytest.mark.parametrize("b", BASES)
+    def test_sup_distance_within_dual_bound(self, b):
+        # acceptance criterion 3 as an analytic bound: for x >= 1 the dual gives
+        # |rho - 1/(x L)| <= (2/L) sum_{k>=1} exp(-2 pi^2 k^2 s^2 / L^2)
+        base, tol = Base(b), 1e-9
+        for s in SCALES:
+            sup, _ = distance_to_nb(LogNormalParams(0.3, float(s)), base, tol)
+            _, q = dual_weights(s, base.ln)
+            assert sup <= (2.0 / base.ln) * q.sum() + 2 * tol, (b, s)
+
+
+class TestArrayContract:
+    P = LogNormalParams(0.7, 0.9)
+    MIX = MixtureParams(
+        ((0.3, LogNormalParams(-1.0, 0.2)), (0.7, LogNormalParams(2.0, 3.0)))
+    )
+
+    def densities(self, base):
+        dist = NBDistribution(base)
+        return [
+            lambda x: nb_pdf(x, dist),
+            lambda x: wrapped_lognormal_pdf(x, self.P, base),
+            lambda x: wrap_mixture_pdf(x, self.MIX, base),
+        ]
+
+    @pytest.mark.parametrize("b", BASES)
+    def test_array_equals_scalar_calls_bitwise(self, b):
+        x = np.append(log_grid(b), [1.0, math.nextafter(float(b), 0.0)])
+        for f in self.densities(Base(b)):
+            arr = f(x)
+            assert arr.dtype == np.float64 and arr.shape == x.shape
+            scalars = np.array([f(v) for v in x.tolist()])
+            assert np.array_equal(arr.view(np.int64), scalars.view(np.int64))
+
+    def test_float_in_float_out(self):
+        for f in self.densities(B10):
+            assert type(f(2.0)) is float
+            assert type(f(np.float64(2.0))) is float
+
+    def test_empty_array_in_empty_array_out(self):
+        for f in self.densities(B10):
+            out = f(np.array([]))
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.5, 0.0, -1.0, 10.0, 11.0, math.inf, math.nan])
+    def test_any_out_of_range_element_raises(self, bad):
+        x = np.array([1.5, 2.0, bad, 3.0])
+        for f in self.densities(B10):
+            with pytest.raises(DomainError):
+                f(x)
+
+    def test_single_component_mixture_distance_equals_lognormal(self):
+        for b in BASES:
+            for s in (0.1, 1.0, 5.0):
+                p = LogNormalParams(0.4, s)
+                mix = MixtureParams(((1.0, p),))
+                assert distance_to_nb(mix, Base(b)) == distance_to_nb(p, Base(b))
+
+    def test_memory_bounded_for_large_truncation(self):
+        # base 2 at s = 1000 needs K ~ 9300: a full (2K+1) x 2048 term matrix
+        # would take about 300 MB
+        p = LogNormalParams(0.0, 1000.0)
+        assert _lognormal_trunc(p.s, B2.ln, 1e-9) > 9000
+        tracemalloc.start()
+        try:
+            sup, tv = distance_to_nb(p, B2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert sup < 1e-8 and tv < 1e-8
