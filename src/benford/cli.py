@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 from typing import Sequence
-
-import numpy as np
 
 from .conformance import ConformanceReport, SEQUENCE_KINDS, analyze, gen_sequence
 from .entropy import analyze_entropy
@@ -41,6 +40,7 @@ from .significand import Base
 from .wrapping import (
     LogNormalParams,
     MixtureParams,
+    _log_grid,
     distance_to_nb,
     wrap_mixture_pdf,
     wrapped_lognormal_pdf,
@@ -97,9 +97,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_KIND_FORMATS = {"str": "%s", "int": "%s", "float": "%.12g"}
+
+# one %-template per record name whose fields all render without _fmt's
+# per-value dispatch; "%.12g" renders a float exactly as _fmt does
+_TEMPLATES: dict[str, tuple[int, str]] = {
+    name: (len(kinds) + 1, " ".join([name, *(_KIND_FORMATS[k] for k in kinds)]) + "\n")
+    for name, kinds in _RECORD_FIELDS.items()
+    if "bool" not in kinds
+}
+
+
 def emit_records(records: Sequence[tuple]) -> str:
-    """Render records as the line-oriented stream, one record per line."""
-    return "".join(" ".join(_fmt(v) for v in rec) + "\n" for rec in records)
+    """Render records as the line-oriented stream, one record per line.
+
+    Field values are of the kinds listed in _RECORD_FIELDS, as parse_records
+    returns them; boolean records and unknown names are rendered by _fmt.
+    """
+    lines = []
+    for rec in records:
+        arity, template = _TEMPLATES.get(rec[0], (0, ""))
+        if len(rec) == arity:
+            lines.append(template % rec[1:])
+        else:
+            lines.append(" ".join(_fmt(v) for v in rec) + "\n")
+    return "".join(lines)
 
 
 def parse_records(text: str) -> list[tuple]:
@@ -184,65 +206,85 @@ def _render_human(records: Sequence[tuple]) -> str:
 # --------------------------------------------------------------------------
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> IngestError:
+    return IngestError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 def _read_csv(path: str, column: str) -> list[float]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyData(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if column in header:
-            idx = header.index(column)
-        else:
-            try:
-                idx = int(column)
-            except ValueError:
-                raise IngestError(f"{path}: no column named {column!r}") from None
-            if not 0 <= idx < len(header):
-                raise IngestError(
-                    f"{path}: column index {idx} out of range (file has "
-                    f"{len(header)} columns)"
-                )
-        values: list[float] = []
-        for row in reader:
-            cell = row[idx].strip() if idx < len(row) else ""
-            try:
-                values.append(float(cell))
-            except ValueError:
-                values.append(math.nan)  # unparseable cells skip as nonfinite
+            return _parse_csv(reader, path, column)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+        except csv.Error as exc:
+            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _parse_csv(reader, path: str, column: str) -> list[float]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyData(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if column in header:
+        idx = header.index(column)
+    else:
+        try:
+            idx = int(column)
+        except ValueError:
+            raise IngestError(f"{path}: no column named {column!r}") from None
+        if not 0 <= idx < len(header):
+            raise IngestError(
+                f"{path}: column index {idx} out of range (file has "
+                f"{len(header)} columns)"
+            )
+    values: list[float] = []
+    for row in reader:
+        cell = row[idx].strip() if idx < len(row) else ""
+        try:
+            values.append(float(cell))
+        except ValueError:
+            values.append(math.nan)  # unparseable cells skip as nonfinite
     return values
 
 
 def _read_jsonl(path: str, column: str) -> list[float]:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return _parse_jsonl(fh, path, column)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+
+
+def _parse_jsonl(lines, path: str, column: str) -> list[float]:
     values: list[float] = []
     seen = False
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            values.append(math.nan)
+            continue
+        v = obj.get(column) if isinstance(obj, dict) else None
+        if v is None:
+            values.append(math.nan)
+            continue
+        seen = True
+        if isinstance(v, bool):
+            values.append(math.nan)
+        elif isinstance(v, (int, float)):
+            values.append(float(v))
+        elif isinstance(v, str):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                values.append(math.nan)
-                continue
-            v = obj.get(column) if isinstance(obj, dict) else None
-            if v is None:
-                values.append(math.nan)
-                continue
-            seen = True
-            if isinstance(v, bool):
-                values.append(math.nan)
-            elif isinstance(v, (int, float)):
                 values.append(float(v))
-            elif isinstance(v, str):
-                try:
-                    values.append(float(v))
-                except ValueError:
-                    values.append(math.nan)
-            else:
+            except ValueError:
                 values.append(math.nan)
+        else:
+            values.append(math.nan)
     if values and not seen:
         raise IngestError(f"{path}: no field named {column!r} in any record")
     return values
@@ -371,10 +413,7 @@ def _cmd_wrap(args) -> list[tuple]:
         ("param", "grid_points", str(args.grid_points)),
         ("param", "dist", " ".join(args.dist)),
     ]
-    n = args.grid_points
-    b = float(base.b)
-    # Python's pow, not numpy's, which differs from it in the last ulp
-    x = np.array([b ** ((i + 0.5) / n) for i in range(n)])
+    x = _log_grid(base, args.grid_points)
     w = pdf(x, params, base, args.tol)
     r = nb_pdf(x, NBDistribution(base))
     recs.extend(
@@ -447,9 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=1e-9, help="series/quadrature tolerance"
     )
     common.add_argument(
-        "--seed", type=int, default=0, help="seed for sampling-based inputs"
-    )
-    common.add_argument(
         "--format",
         choices=("human", "records"),
         default="human",
@@ -510,10 +546,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses on every call, built on the first."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -7,7 +7,9 @@ does not exceed (ln b)/2.  Entropies are in nats throughout.
 
 A density is a callable from a float64 array of points in [1, b) to an
 array of values (a scalar result means a constant density); it is
-evaluated on the quadrature nodes of one panel per call.
+evaluated on the quadrature nodes of one panel per call.  The integrals
+of one call share those evaluations: a panel that recurs across them is
+evaluated once.
 """
 
 from __future__ import annotations
@@ -48,6 +50,29 @@ class EntropyReport:
     quadrature_error_estimate: float
 
 
+def _shared(pdf: Pdf) -> Pdf:
+    """pdf memoized on the bytes of the node array.
+
+    The normalization, entropy and mean-log integrals start from the same
+    panels and bisect them alike, so most panels recur; their panel trees
+    and results are unchanged.  Cached arrays are made read-only so that
+    no integrand can alter a value another one reads.
+    """
+    memo: dict[bytes, np.ndarray | float] = {}
+
+    def shared(x: np.ndarray) -> np.ndarray | float:
+        key = x.tobytes()
+        value = memo.get(key)
+        if value is None:
+            value = pdf(x)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            memo[key] = value
+        return value
+
+    return shared
+
+
 def _check_normalized(pdf: Pdf, base: Base) -> None:
     norm, _ = integrate(pdf, 1.0, float(base.b), abs_tol=_QUAD_TOL)
     if abs(norm - 1.0) > _NORM_TOL:
@@ -71,6 +96,7 @@ def _mean_log_integral(pdf: Pdf, base: Base) -> tuple[float, float]:
 
 def entropy(pdf: Pdf, base: Base) -> float:
     """Differential entropy -integral of rho ln rho over [1, b), in nats."""
+    pdf = _shared(pdf)
     _check_normalized(pdf, base)
     return _entropy_integral(pdf, base)[0]
 
@@ -82,12 +108,14 @@ def nb_entropy_closed(base: Base) -> float:
 
 def mean_log(pdf: Pdf, base: Base) -> float:
     """Expected value of ln x under the density; lies in [0, ln b)."""
+    pdf = _shared(pdf)
     _check_normalized(pdf, base)
     return _mean_log_integral(pdf, base)[0]
 
 
 def analyze_entropy(pdf: Pdf, base: Base) -> EntropyReport:
     """Entropy report with the reference bound and the mean-log constraint."""
+    pdf = _shared(pdf)
     _check_normalized(pdf, base)
     h, err_h = _entropy_integral(pdf, base)
     ml, err_ml = _mean_log_integral(pdf, base)

@@ -18,6 +18,7 @@ thread-safe, and wrapped densities can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -341,6 +342,30 @@ def euler_maclaurin_leading(x: float, p: LogNormalParams, base: Base) -> float:
     return 1.0 / (x * base.ln)
 
 
+def _build_log_grid(b: int, n: int) -> np.ndarray:
+    fb = float(b)
+    # Python's pow, not numpy's, which differs from it in the last ulp
+    x = np.array([fb ** ((i + 0.5) / n) for i in range(n)])
+    x.setflags(write=False)
+    return x
+
+
+# at most 64 grids of at most _DISTANCE_GRID points: 1 MiB
+_cached_log_grid = functools.lru_cache(maxsize=64)(_build_log_grid)
+
+
+def _log_grid(base: Base, n: int) -> np.ndarray:
+    """The n points b**((i + 0.5) / n), i = 0..n-1, as a read-only array:
+    the midpoints of n equal cells of the log-map coordinate on [1, b).
+
+    Grids of at most _DISTANCE_GRID points are cached per (b, n), so
+    repeat calls return the same array; larger ones are built per call.
+    """
+    if n <= _DISTANCE_GRID:
+        return _cached_log_grid(base.b, n)
+    return _build_log_grid(base.b, n)
+
+
 def distance_to_nb(
     params: LogNormalParams | MixtureParams, base: Base, tol: float = 1e-9
 ) -> tuple[float, float]:
@@ -352,9 +377,8 @@ def distance_to_nb(
     midpoint rule in that coordinate.
     """
     components = params.components if isinstance(params, MixtureParams) else ((1.0, params),)
-    b = float(base.b)
     n = _DISTANCE_GRID
-    x = np.array([b ** ((i + 0.5) / n) for i in range(n)])
+    x = _log_grid(base, n)
     diff = np.abs(_mixture_at(x, components, base, tol) - nb_pdf(x, NBDistribution(base)))
     return float(diff.max()), float(np.sum(diff * x)) * 0.5 * base.ln / n
 

@@ -2,9 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from benford import Base, gen_sequence, nb_entropy_closed, sample_nb
-from benford.cli import emit_records, main, parse_records
+from benford import Base, cli, gen_sequence, nb_entropy_closed, sample_nb
+from benford.cli import _RECORD_FIELDS, emit_records, main, parse_records
 from test_significand import FULL_RANGE_BASES, FULL_RANGE_VALUES, exact_decomposition
 
 
@@ -197,6 +199,112 @@ class TestFit:
             want[exact_decomposition(v, b)[1] - 1] += reps
         bins = [rec for rec in records_of(out) if rec[0] == "bin"]
         assert [rec[2] for rec in bins] == want
+
+
+class TestIngestErrors:
+    @pytest.mark.parametrize(
+        "fmt, body",
+        [("csv", b"a\n1.5\n2\xff\n3\n"), ("jsonl", b'{"a": 1.5}\n{"a": "2\xff"}\n')],
+    )
+    def test_non_utf8_file_is_data_error(self, capsys, tmp_path, fmt, body):
+        f = tmp_path / f"latin1.{fmt}"
+        f.write_bytes(body)
+        code, out, err = run(capsys, "fit", str(f), "--column", "a", "--input-format", fmt)
+        assert code == 3
+        assert out == ""
+        assert "not UTF-8" in err and str(f) in err
+        assert "Traceback" not in err
+
+    def test_csv_field_over_the_field_limit_is_data_error(self, capsys, tmp_path):
+        f = tmp_path / "wide.csv"
+        f.write_text('a\n1\n"' + "7" * 200_000 + '"\n', encoding="utf-8")
+        code, out, err = run(capsys, "fit", str(f), "--column", "a")
+        assert code == 3
+        assert out == ""
+        assert "field larger than field limit" in err and "line 3" in err
+
+
+class TestParser:
+    def test_seed_flag_is_gone(self, capsys):
+        code, out, err = run(capsys, "digits", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch, tmp_path):
+        f = tmp_path / "signed.csv"
+        write_csv(f, [(-1) ** i * v for i, v in enumerate(sample_nb(90, Base(10), seed=4))])
+        calls = [
+            ("digits", "--no-such-flag"),
+            ("fit", str(f), "--absolute-value", "--format", "records"),
+            ("fit", str(f), "--format", "records"),
+            ("digits", "--base", "16", "--format", "records"),
+            ("wrap", "lognormal", "0", "2", "--grid-points", "16", "--format", "records"),
+            ("entropy", "mixture", "0.5", "0", "0.5", "0.5", "1", "1", "--format", "records"),
+            ("sequence", "geometric", "--n", "300", "--ratio", "1.1", "--format", "records"),
+            ("sequence", "pow2", "--n", "300"),
+            ("digits",),
+        ]
+        reused = [run(capsys, *argv) for argv in calls]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run(capsys, *argv) for argv in calls]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2] + [0] * (len(calls) - 1)
+        assert "param absolute_value false" in reused[2][1]
+
+
+def _fmt_oracle(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def _emit_oracle(records) -> str:
+    """The per-value renderer emit_records must reproduce byte for byte."""
+    return "".join(" ".join(_fmt_oracle(v) for v in rec) + "\n" for rec in records)
+
+
+# st.floats() draws NaN, infinities and subnormals too; the list pins the
+# edge cases of 12-digit rendering
+_FLOATS = st.floats() | st.sampled_from(
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        -0.0,
+        0.0,
+        5e-324,
+        2.2250738585072014e-308,
+        1.7976931348623157e308,
+        0.1 + 0.2,
+        -1.2345678901234567e-05,
+        9.99999999999949e-6,
+        999999999999.5,
+    ]
+)
+_KIND_VALUES = {
+    "int": st.integers(),
+    "float": _FLOATS,
+    "bool": st.booleans(),
+    "str": st.text(),
+}
+
+
+class TestRenderer:
+    @pytest.mark.parametrize("name", sorted(_RECORD_FIELDS))
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_matches_per_value_renderer(self, name, data):
+        record = st.tuples(st.just(name), *(_KIND_VALUES[k] for k in _RECORD_FIELDS[name]))
+        records = data.draw(st.lists(record, max_size=5))
+        assert emit_records(records) == _emit_oracle(records)
+
+    def test_other_records_use_the_per_value_renderer(self):
+        records = [("custom", 1, 0.1 + 0.2, True, "x y"), ("entropy",), ("param", "a", "b", 2.5)]
+        assert emit_records(records) == _emit_oracle(records)
 
 
 class TestWrap:

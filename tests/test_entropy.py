@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from benford import (
     wrap_mixture_pdf,
     wrapped_lognormal_pdf,
 )
+from benford._quadrature import integrate
 
 B10 = Base(10)
 D10 = NBDistribution(B10)
@@ -123,6 +125,82 @@ class TestAnalyze:
         assert rep.entropy <= rep.gibbs_bound + rep.quadrature_error_estimate
         # well away from the law, so the bound is strict
         assert rep.gibbs_bound - rep.entropy > 1e-6
+
+
+def _unshared_report(pdf, base):
+    """The three integrals of analyze_entropy, each evaluating pdf itself."""
+    b = float(base.b)
+    norm, _ = integrate(pdf, 1.0, b, abs_tol=1e-9)
+    assert abs(norm - 1.0) <= 1e-6
+
+    def h_integrand(x):
+        p = np.asarray(pdf(x), dtype=np.float64)
+        positive = p > 0.0
+        return np.where(positive, -p * np.log(np.where(positive, p, 1.0)), 0.0)
+
+    h, err_h = integrate(h_integrand, 1.0, b, abs_tol=1e-9)
+    ml, err_ml = integrate(lambda x: pdf(x) * np.log(x), 1.0, b, abs_tol=1e-9)
+    return (h, ml, math.log(base.ln) + ml, ml <= 0.5 * base.ln + 1e-9, err_h + err_ml + 1e-12)
+
+
+_SHARED_CASES = [
+    ("nb_b10", B10, lambda x: nb_pdf(x, D10)),
+    ("lognormal_b10", B10, lambda x: wrapped_lognormal_pdf(x, LogNormalParams(0.3, 0.4), B10)),
+    ("lognormal_b2", Base(2), lambda x: wrapped_lognormal_pdf(x, LogNormalParams(0.1, 0.2), Base(2))),
+    (
+        "mixture_b16",
+        Base(16),
+        lambda x: wrap_mixture_pdf(
+            x,
+            MixtureParams(((0.3, LogNormalParams(0.0, 0.3)), (0.7, LogNormalParams(1.5, 0.6)))),
+            Base(16),
+        ),
+    ),
+]
+
+
+class TestSharedEvaluations:
+    @pytest.mark.parametrize("name, base, pdf", _SHARED_CASES, ids=[c[0] for c in _SHARED_CASES])
+    def test_one_evaluation_per_distinct_panel(self, name, base, pdf):
+        calls = 0
+
+        def counting(x):
+            nonlocal calls
+            calls += 1
+            return pdf(x)
+
+        rep = analyze_entropy(counting, base)
+
+        panels = []
+
+        def recording(x):
+            panels.append(x.tobytes())
+            return pdf(x)
+
+        expect = _unshared_report(recording, base)
+        assert calls == len(set(panels))
+        assert calls < len(panels)
+        # bit for bit: repr round-trips every float exactly
+        assert repr(dataclasses.astuple(rep)) == repr(expect)
+
+    def test_cached_values_are_read_only(self):
+        returned = []
+
+        def pdf(x):
+            v = nb_pdf(x, D10)
+            returned.append(v)
+            return v
+
+        analyze_entropy(pdf, B10)
+        assert returned
+        assert not any(v.flags.writeable for v in returned)
+
+    def test_entropy_and_mean_log_match_the_report(self):
+        p = LogNormalParams(0.3, 0.4)
+        pdf = lambda x: wrapped_lognormal_pdf(x, p, B10)
+        rep = analyze_entropy(pdf, B10)
+        assert entropy(pdf, B10) == rep.entropy
+        assert mean_log(pdf, B10) == rep.mean_log
 
 
 @pytest.mark.xfail(

@@ -26,7 +26,7 @@ from benford import (
     wrap_pdf,
     wrapped_lognormal_pdf,
 )
-from benford.wrapping import _lognormal_trunc
+from benford.wrapping import _DISTANCE_GRID, _cached_log_grid, _log_grid, _lognormal_trunc
 
 B10 = Base(10)
 B2 = Base(2)
@@ -451,3 +451,25 @@ class TestArrayContract:
             tracemalloc.stop()
         assert peak < 8 * 2**20
         assert sup < 1e-8 and tv < 1e-8
+
+
+class TestLogGrid:
+    @pytest.mark.parametrize("b, n", [(2, 1), (10, 256), (16, GRID), (1000, 64), (10**6, 7)])
+    def test_equals_python_pow_and_is_shared(self, b, n):
+        x = _log_grid(Base(b), n)
+        assert x.dtype == np.float64
+        assert x.tolist() == log_grid(b, n).tolist()
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+        assert _log_grid(Base(b), n) is x
+
+    def test_grid_larger_than_distance_grid_is_not_retained(self):
+        n = _DISTANCE_GRID + 1
+        before = _cached_log_grid.cache_info().currsize
+        x = _log_grid(Base(10), n)
+        y = _log_grid(Base(10), n)
+        assert x is not y
+        assert x.tolist() == y.tolist() == log_grid(10, n).tolist()
+        assert not x.flags.writeable
+        assert _cached_log_grid.cache_info().currsize == before
