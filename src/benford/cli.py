@@ -18,9 +18,12 @@ import argparse
 import csv
 import functools
 import json
+import json.scanner
 import math
 import sys
 from typing import Sequence
+
+import numpy as np
 
 from .conformance import ConformanceReport, SEQUENCE_KINDS, analyze, gen_sequence
 from .entropy import analyze_entropy
@@ -210,7 +213,96 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> IngestError:
     return IngestError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
-def _read_csv(path: str, column: str) -> list[float]:
+def _floats(cells) -> list[float]:
+    """float(cell) for every cell, NaN where that fails."""
+    out: list[float] = []
+    it = iter(cells)
+    while True:
+        try:
+            out.extend(map(float, it))  # keeps what it appended before a failure
+            return out
+        except ValueError:
+            out.append(math.nan)  # unparseable cells skip as nonfinite
+
+
+def _column_index(header: list[str], path: str, column: str) -> int:
+    header = [h.strip() for h in header]
+    if column in header:
+        return header.index(column)
+    try:
+        idx = int(column)
+    except ValueError:
+        raise IngestError(f"{path}: no column named {column!r}") from None
+    if not 0 <= idx < len(header):
+        raise IngestError(
+            f"{path}: column index {idx} out of range (file has "
+            f"{len(header)} columns)"
+        )
+    return idx
+
+
+# The block reader reads this many bytes at a time; a block and the
+# unfinished line carried over from the last one make at most two.
+_CSV_BLOCK = 1 << 18
+# Bytes on which csv.reader and plain comma splitting could disagree:
+# quotes, carriage returns and NUL change how csv.reader splits, and
+# 0x1c-0x1f are stripped by str.strip but rejected by float.
+_CSV_UNSAFE = b'"\r\x00\x1c\x1d\x1e\x1f'
+
+
+def _read_csv_blocks(fh, path: str, column: str) -> np.ndarray | None:
+    """The column as float64, parsed a block at a time by comma splitting.
+
+    Returns None unless csv.reader provably splits every line as plain
+    comma splitting does: UTF-8 text without a byte of _CSV_UNSAFE, every
+    line ending in a newline within two blocks and none over
+    csv.field_size_limit(), a non-empty header line that resolves the
+    column, and on every line as many commas as on the header.
+    """
+    limit = csv.field_size_limit()
+    parts = [np.empty(0)]  # a header-only file reads as no values
+    ncols = idx = None
+    tail = b""
+    while chunk := fh.read(_CSV_BLOCK):
+        block = tail + chunk
+        cut = block.rfind(b"\n") + 1
+        block, tail = block[:cut], block[cut:]
+        if not cut or any(c in block for c in _CSV_UNSAFE):
+            return None
+        a = np.frombuffer(block, dtype=np.uint8)
+        ends = np.flatnonzero(a == 10)
+        if np.diff(ends, prepend=-1).max() > limit + 1:
+            return None
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        # commas before each line end, then commas on each line
+        commas = np.diff(np.searchsorted(np.flatnonzero(a == 44), ends), prepend=0)
+        if ncols is None:  # the block starts with the header
+            if ends[0] == 0:
+                return None
+            head, text = text.split("\n", 1)
+            try:
+                idx = _column_index(head.split(","), path, column)
+            except IngestError:
+                return None  # csv.reader raises it, unless it fails first
+            ncols = int(commas[0]) + 1
+            commas = commas[1:]
+        if (commas != ncols - 1).any():
+            return None
+        cells = text.replace("\n", ",").split(",")[idx:-1:ncols]
+        parts.append(np.array(_floats(cells), dtype=np.float64))
+    if tail or ncols is None:
+        return None
+    return np.concatenate(parts)
+
+
+def _read_csv(path: str, column: str) -> np.ndarray:
+    with open(path, "rb") as fh:
+        values = _read_csv_blocks(fh, path, column)
+    if values is not None:
+        return values
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -221,35 +313,29 @@ def _read_csv(path: str, column: str) -> list[float]:
             raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _parse_csv(reader, path: str, column: str) -> list[float]:
+def _parse_csv(reader, path: str, column: str) -> np.ndarray:
+    """The reference reader, for every file the block reader declines."""
     try:
         header = next(reader)
     except StopIteration:
         raise EmptyData(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
-    if column in header:
-        idx = header.index(column)
-    else:
-        try:
-            idx = int(column)
-        except ValueError:
-            raise IngestError(f"{path}: no column named {column!r}") from None
-        if not 0 <= idx < len(header):
-            raise IngestError(
-                f"{path}: column index {idx} out of range (file has "
-                f"{len(header)} columns)"
-            )
-    values: list[float] = []
-    for row in reader:
-        cell = row[idx].strip() if idx < len(row) else ""
-        try:
-            values.append(float(cell))
-        except ValueError:
-            values.append(math.nan)  # unparseable cells skip as nonfinite
-    return values
+    idx = _column_index(header, path, column)
+    cells = (row[idx].strip() if idx < len(row) else "" for row in reader)
+    return np.array(_floats(cells), dtype=np.float64)
 
 
-def _read_jsonl(path: str, column: str) -> list[float]:
+def _json_int(text: str) -> float:
+    """An integer literal as float(int(text)), without building the int:
+    no digit limit, and +-inf past the double range."""
+    return float(text) or 0.0  # "-0" is the int 0
+
+
+# One scanner for every line; integers come out as floats, so no literal
+# raises on its size.
+_SCAN = json.scanner.make_scanner(json.JSONDecoder(parse_int=_json_int))
+
+
+def _read_jsonl(path: str, column: str) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         try:
             return _parse_jsonl(fh, path, column)
@@ -257,7 +343,9 @@ def _read_jsonl(path: str, column: str) -> list[float]:
             raise _not_utf8(path, exc) from None
 
 
-def _parse_jsonl(lines, path: str, column: str) -> list[float]:
+def _parse_jsonl(lines, path: str, column: str) -> np.ndarray:
+    """One float per non-blank line: the ``column`` field of a line that is
+    exactly one JSON object, else NaN."""
     values: list[float] = []
     seen = False
     for line in lines:
@@ -265,38 +353,36 @@ def _parse_jsonl(lines, path: str, column: str) -> list[float]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
+            obj, end = _SCAN(line, 0)
+        except (StopIteration, json.JSONDecodeError, RecursionError):
+            # no value, malformed, or nested deeper than the scanner recurses
             values.append(math.nan)
             continue
-        v = obj.get(column) if isinstance(obj, dict) else None
+        v = obj.get(column) if end == len(line) and type(obj) is dict else None
         if v is None:
             values.append(math.nan)
             continue
         seen = True
-        if isinstance(v, bool):
-            values.append(math.nan)
-        elif isinstance(v, (int, float)):
-            values.append(float(v))
-        elif isinstance(v, str):
+        t = type(v)
+        if t is float:
+            values.append(v)
+        elif t is str:
             try:
                 values.append(float(v))
             except ValueError:
                 values.append(math.nan)
-        else:
+        else:  # bool, array or object
             values.append(math.nan)
     if values and not seen:
         raise IngestError(f"{path}: no field named {column!r} in any record")
-    return values
+    return np.array(values, dtype=np.float64)
 
 
-def _read_values(args) -> list[float]:
-    if args.input_format == "csv":
-        values = _read_csv(args.path, args.column)
-    else:
-        values = _read_jsonl(args.path, args.column)
+def _read_values(args) -> np.ndarray:
+    read = _read_csv if args.input_format == "csv" else _read_jsonl
+    values = read(args.path, args.column)
     if args.absolute_value:
-        values = [abs(v) for v in values]
+        values = np.abs(values)
     return values
 
 

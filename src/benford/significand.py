@@ -131,7 +131,9 @@ class SignificandArray:
 def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:
     """Decompose every element of a 1-d float64 array of positive finite reals.
 
-    The exponent starts from a base-b logarithm estimate and is corrected
+    In a base that is a power of two, exponent and significand come
+    exactly from the binary exponent.  In any other base, the exponent
+    starts from a base-b logarithm estimate and is corrected
     by at most two recomputations s = v / float(b)**k that pin s into
     [1, b).  Values whose significand lands within a few ulps of an
     integer, subnormal values and values whose scale is not a normal float
@@ -143,6 +145,15 @@ def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:
         bad = float(v[~ok][0])
         raise NonPositiveInput(f"expected a positive finite real, got {bad!r}")
     b = base.b
+    if b & (b - 1) == 0:
+        # b = 2**p: v = f * 2**e with f in [1/2, 1), so k = floor((e-1)/p),
+        # and scaling by 2**(-p*k) is exact, subnormals and DBL_MAX included
+        p = b.bit_length() - 1
+        k = np.frexp(v)[1].astype(np.int64)
+        k -= 1  # in place: few large temporaries per call
+        k //= p
+        s = np.ldexp(v, k * -p)
+        return SignificandArray(k, s, s.astype(np.int64), base)
     kmin, P, normal = _power_table(b)
     j = np.floor(np.log(v) / base.ln).astype(np.int64) - kmin
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

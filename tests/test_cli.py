@@ -1,12 +1,16 @@
+import csv
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from benford import Base, cli, gen_sequence, nb_entropy_closed, sample_nb
 from benford.cli import _RECORD_FIELDS, emit_records, main, parse_records
+from benford.errors import BenfordError
 from test_significand import FULL_RANGE_BASES, FULL_RANGE_VALUES, exact_decomposition
 
 
@@ -222,6 +226,249 @@ class TestIngestErrors:
         assert code == 3
         assert out == ""
         assert "field larger than field limit" in err and "line 3" in err
+
+
+class TestJsonlCrashes:
+    """Lines that used to end `fit --input-format jsonl` with a traceback
+    count as skipped_nonfinite, as a 400-digit CSV cell does."""
+
+    def fit_with(self, capsys, tmp_path, bad_line):
+        good = [json.dumps({"a": float(x)}) for x in sample_nb(60, Base(10), seed=6)]
+        f = tmp_path / "crash.jsonl"
+        f.write_text("\n".join(good[:30] + [bad_line] + good[30:]) + "\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "fit", str(f), "--column", "a", "--input-format", "jsonl",
+            "--format", "records",
+        )
+        assert code == 0, err
+        recs = records_of(out)
+        assert field(recs, "total") == (60,)
+        assert field(recs, "skipped_nonfinite") == (1,)
+
+    def test_integer_too_large_for_a_double(self, capsys, tmp_path):
+        self.fit_with(capsys, tmp_path, '{"a": ' + "1" * 400 + "}")
+
+    def test_integer_over_the_int_digit_limit(self, capsys, tmp_path):
+        self.fit_with(capsys, tmp_path, '{"a": ' + "7" * 5000 + "}")
+
+    def test_deeply_nested_array(self, capsys, tmp_path):
+        self.fit_with(capsys, tmp_path, "[" * 100_000)
+
+
+def outcome(read, *args):
+    """A reader's float64 bits, or the error it raised."""
+    try:
+        return read(*args).tobytes()
+    except BenfordError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def reference_csv(path, column):
+    """_read_csv with the block reader declining: the csv.reader path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_read_csv_blocks", lambda fh, path, column: None)
+        return cli._read_csv(path, column)
+
+
+# cells csv.reader and comma splitting read alike, and cells on which
+# they may not; the latter make the block reader decline the file
+_SAFE_CELLS = (
+    st.floats().map(repr)
+    | st.integers(-(10**30), 10**30).map(str)
+    | st.text(alphabet=" \t.-_e0123456789nafix\xa0\u0661\u3000\xe9", max_size=8)
+    | st.sampled_from(["1.5", " 2.5 ", "\t3", "1_000", "nan", "-inf", "oops", ""])
+)
+_UNSAFE_CELLS = st.sampled_from(
+    ['"8,5"', '"9.5"', '""', "\x00", "\x1c4.5", "4.5\x1f", "\r", "7" * 80]
+)
+_DEFECTS = st.lists(
+    st.sampled_from(["cell", "short", "long", "blank", "crlf", "no_eol", "latin1"]),
+    max_size=2,
+)
+
+
+class TestCsvBlockReader:
+    """The block reader returns the csv.reader path's bits, or declines."""
+
+    @settings(
+        deadline=None, max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        data=st.data(),
+        ncols=st.integers(1, 4),
+        block=st.integers(16, 128),
+    )
+    def test_matches_csv_reader(self, tmp_path, data, ncols, block):
+        header = ["a", "b", " c ", "d"][:ncols]
+        names = [h.strip() for h in header] + [str(i) for i in range(ncols)]
+        column = data.draw(st.sampled_from(names + ["x", " c ", str(ncols), "-1"]))
+        rows = data.draw(
+            st.lists(st.lists(_SAFE_CELLS, min_size=ncols, max_size=ncols), max_size=12)
+        )
+        # no defect in about half the files, so that those take the block path
+        defects = data.draw(st.just([]) | _DEFECTS)
+        if rows and "cell" in defects:
+            rows[-1][-1] = data.draw(_UNSAFE_CELLS)
+        if rows and "short" in defects:
+            rows[0] = rows[0][:-1]
+        if rows and "long" in defects:
+            rows[-1] = rows[-1] + ["9"]
+        if "blank" in defects:
+            rows.insert(len(rows) // 2, [])
+        eol = "\r\n" if "crlf" in defects else "\n"
+        text = eol.join([",".join(header)] + [",".join(r) for r in rows])
+        if "no_eol" not in defects:
+            text += eol
+        f = tmp_path / "prop.csv"
+        f.write_bytes(text.encode("utf-8") + (b"\xe9,1\n" if "latin1" in defects else b""))
+        limit = csv.field_size_limit(64)  # so that "7" * 80 is oversized
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "_CSV_BLOCK", block)
+                got = outcome(cli._read_csv, str(f), column)
+            assert got == outcome(reference_csv, str(f), column)
+        finally:
+            csv.field_size_limit(limit)
+
+    def blocks(self, path, column="v"):
+        with open(path, "rb") as fh:
+            return cli._read_csv_blocks(fh, str(path), column)
+
+    def test_reads_plain_files_across_block_boundaries(self, tmp_path, monkeypatch):
+        f = tmp_path / "plain.csv"
+        cells = ["1.5", " 2 ", "", "oops", "1_000", "١", "-inf", "\xa03e-5"] * 20
+        text = "id, v \n" + "".join(f"{i},{c}\n" for i, c in enumerate(cells))
+        f.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 16)
+        got = self.blocks(f)
+        assert got is not None and got.size == len(cells)
+        assert got.tobytes() == reference_csv(str(f), "v").tobytes()
+        assert self.blocks(f, "1").tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize(
+        "body, column",
+        [
+            ('v\n"1.5"\n', "v"),  # quote
+            ("v\r\n1.5\r\n", "v"),  # carriage return
+            ("v\n1.5\x00\n", "v"),  # NUL
+            ("v\n\x1c1.5\n", "v"),  # stripped by str.strip, rejected by float
+            ("a,v\n1,2\n3\n", "v"),  # short row
+            ("a,v\n1,2\n3,4,5\n", "v"),  # long row
+            ("a,v\n1,2\n\n", "v"),  # blank line in a two-column file
+            ("v\n1.5", "v"),  # no final newline
+            ("\nv\n1.5\n", "0"),  # empty header line: csv.reader sees no column
+            ("v\n" + "7" * (csv.field_size_limit() + 1) + "\n", "v"),  # over the field limit
+            ("a,b\n1,2\n", "v"),  # no such column
+            ("", "v"),  # empty file
+        ],
+    )
+    def test_declines_what_it_cannot_prove(self, tmp_path, body, column):
+        f = tmp_path / "odd.csv"
+        f.write_text(body, encoding="utf-8", newline="")
+        assert self.blocks(f, column) is None
+
+    def test_declines_non_utf8(self, tmp_path):
+        f = tmp_path / "latin1.csv"
+        f.write_bytes(b"v\n1.5\n2\xff\n")
+        assert self.blocks(f) is None
+
+    def test_declines_a_line_that_two_blocks_cannot_hold(self, tmp_path, monkeypatch):
+        f = tmp_path / "long.csv"
+        f.write_text("v\n1.5\n" + "2" * 100 + "\n")
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 32)  # no read of 64 bytes ends the line
+        assert self.blocks(f) is None
+
+
+def jsonl_oracle(lines, column):
+    """json.loads per line, as the reader did before it scanned lines; an
+    integer that float() cannot hold is +-inf (call with Python's int digit
+    limit lifted)."""
+    out, seen = [], False
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            out.append(math.nan)
+            continue
+        v = obj.get(column) if isinstance(obj, dict) else None
+        if v is None:
+            out.append(math.nan)
+            continue
+        seen = True
+        if isinstance(v, bool):
+            out.append(math.nan)
+        elif isinstance(v, int):
+            try:
+                out.append(float(v))
+            except OverflowError:
+                out.append(math.inf if v > 0 else -math.inf)
+        elif isinstance(v, float):
+            out.append(v)
+        elif isinstance(v, str):
+            try:
+                out.append(float(v))
+            except ValueError:
+                out.append(math.nan)
+        else:
+            out.append(math.nan)
+    if out and not seen:
+        raise cli.IngestError(f"p: no field named {column!r} in any record")
+    return np.array(out, dtype=np.float64)
+
+
+_JSON_VALUES = st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats() | st.text(
+    alphabet=" .-_e0123456789naifx١", max_size=8
+) | st.lists(st.integers(), max_size=2) | st.sampled_from([0, -0.0, "-0", " 1.5 ", "1_000"])
+_JSON_LINES = (
+    st.dictionaries(st.sampled_from(["a", "b"]), _JSON_VALUES, max_size=2).map(json.dumps)
+    | _JSON_VALUES.map(json.dumps)
+    | st.sampled_from(
+        [
+            '{"a":1}, {"a":2',  # with the next line, one valid JSON text
+            '"x":3}',
+            "{broken",
+            "",
+            "   ",
+            '  {"a": 1} ',
+            '﻿{"a": 1}',
+            '{"a": -0}',
+            '{"a": -0.0}',
+            '{"a": 1e400}',
+            '{"a": NaN}',
+            '{"a": 1} x',
+            "[" * 50,
+            '{"a": ' + "9" * 400 + "}",
+            '{"a": -' + "9" * 4400 + "}",
+        ]
+    )
+)
+
+
+class TestJsonlScanner:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(_JSON_LINES, max_size=10), st.sampled_from(["a", "b"]))
+    def test_matches_json_loads_per_line(self, lines, column):
+        got = outcome(cli._parse_jsonl, lines, "p", column)
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert got == outcome(jsonl_oracle, lines, column)
+        finally:
+            sys.set_int_max_str_digits(digits)
+
+    def test_lines_are_not_joined(self, tmp_path):
+        # batched into one array the lines are valid JSON; each alone is not
+        lines = ['{"a":1}, {"a":2', '"x":3}', '{"a": 4}']
+        batch = json.loads("[" + ",".join(lines) + "]")
+        assert batch == [{"a": 1}, {"a": 2, "x": 3}, {"a": 4}]
+        f = tmp_path / "split.jsonl"
+        f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = cli._read_jsonl(str(f), "a")
+        assert np.isnan(got[:2]).all() and got[2] == 4.0
 
 
 class TestParser:

@@ -16,6 +16,7 @@ from benford import (
     first_digit,
     log_map,
     mul_mod_b,
+    significand,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -73,18 +74,23 @@ class TestDecompose:
         assert below == [(3, k) for k in below_3] + [(10, k) for k in below_10]
 
     def test_reconstruction_bulk(self):
-        # 1e5 random reals across exponents -30..30, four bases
+        # 1e5 random reals across exponents -30..30, four bases, one array
+        # call per base; every 100th value is also decomposed on its own
         rng = np.random.default_rng(42)
         for b in (2, 3, 10, 16):
             base = Base(b)
             mantissas = rng.uniform(0.1, 1.0, 25_000)
             exps = rng.integers(-30, 31, 25_000)
-            for m, e in zip(mantissas, exps):
-                v = float(m * 10.0**e)
-                d = decompose(v, base)
-                recon = d.significand * float(b) ** d.exponent
-                assert abs(recon - v) <= 4 * EPS * v
-                assert 1.0 <= d.significand < b
+            v = mantissas * 10.0**exps
+            d = decompose_array(v, base)
+            scale = np.array([float(b) ** k for k in d.exponent.tolist()])
+            recon = d.significand * scale
+            assert (np.abs(recon - v) <= 4 * EPS * v).all()
+            assert ((1.0 <= d.significand) & (d.significand < b)).all()
+            for i in range(0, v.size, 100):
+                one = decompose(float(v[i]), base)
+                assert np.float64(one.significand).tobytes() == d.significand[i].tobytes()
+                assert one.exponent == d.exponent[i]
 
 
 class TestFirstDigit:
@@ -252,3 +258,55 @@ def test_property_array_matches_scalar_bitwise(xs, b):
         assert arr.exponent[i] == d.exponent
         assert arr.digit[i] == int(d.significand)
         assert_exact(x, b, float(arr.significand[i]), int(arr.exponent[i]))
+
+
+# --------------------------------------------------------------------------
+# power-of-two bases: exact from the binary exponent
+# --------------------------------------------------------------------------
+
+POW2_BASES = (2, 4, 8, 16, 32)
+
+
+def pow2_corpus(b: int) -> np.ndarray:
+    """d * b**k and both float neighbours over the whole double range,
+    plus subnormals and DBL_MAX."""
+    with np.errstate(over="ignore"):
+        exact = np.ldexp(np.arange(1.0, b)[:, None], np.arange(-1074, 1024)[None, :])
+        x = np.concatenate([exact.ravel(), [DBL_MAX, 3 * 5e-324, 1000 * 5e-324]])
+        x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+    return np.unique(x[(x > 0.0) & (x < np.inf)])
+
+
+def assert_pow2_exact(x: np.ndarray, b: int, oracle_every: int = 1) -> None:
+    """s * b**k == x exactly, 1 <= s < b and digit == floor(s); every
+    ``oracle_every``-th value is also checked against exact_decomposition."""
+    d = decompose_array(x, Base(b))
+    assert ((1.0 <= d.significand) & (d.significand < b)).all()
+    assert (d.digit == np.floor(d.significand)).all()
+    # scaling a double by a power of two into the normal range is exact
+    p = b.bit_length() - 1
+    assert (np.ldexp(d.significand, p * d.exponent) == x).all()
+    assert (np.ldexp(x, -p * d.exponent) == d.significand).all()
+    sample = zip(
+        x[::oracle_every].tolist(),
+        d.significand[::oracle_every].tolist(),
+        d.exponent[::oracle_every].tolist(),
+    )
+    for xi, s, k in sample:
+        assert (k, int(s)) == exact_decomposition(xi, b), (xi, b, s, k)
+        assert Fraction(s) * Fraction(b) ** k == Fraction(xi), (xi, b, s, k)
+
+
+@pytest.mark.parametrize("b", POW2_BASES)
+def test_power_of_two_base_corpus_is_exact(b, monkeypatch):
+    def no_exact(*args):
+        raise AssertionError("a power-of-two base took the per-value path")
+
+    monkeypatch.setattr(significand, "_exact", no_exact)
+    assert_pow2_exact(pow2_corpus(b), b, oracle_every=97)
+
+
+@settings(deadline=None)
+@given(st.lists(POSITIVE_DOUBLES, min_size=1, max_size=40), st.sampled_from(POW2_BASES))
+def test_property_power_of_two_bases_are_exact(xs, b):
+    assert_pow2_exact(np.array(xs), b)
