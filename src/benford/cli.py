@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import json.scanner
 import math
@@ -213,7 +214,7 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> IngestError:
     return IngestError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
-def _floats(cells) -> list[float]:
+def _floats(cells: list[str]) -> list[float]:
     """float(cell) for every cell, NaN where that fails."""
     out: list[float] = []
     it = iter(cells)
@@ -250,78 +251,104 @@ _CSV_BLOCK = 1 << 18
 _CSV_UNSAFE = b'"\r\x00\x1c\x1d\x1e\x1f'
 
 
-def _read_csv_blocks(fh, path: str, column: str) -> np.ndarray | None:
-    """The column as float64, parsed a block at a time by comma splitting.
+def _read_csv_blocks(
+    fh, path: str, column: str
+) -> tuple[list[np.ndarray], int | None, int]:
+    """Parse the column a block at a time by comma splitting, for as long
+    as csv.reader provably splits every line of the block the same way.
 
-    Returns None unless csv.reader provably splits every line as plain
-    comma splitting does: UTF-8 text without a byte of _CSV_UNSAFE, every
-    line ending in a newline within two blocks and none over
-    csv.field_size_limit(), a non-empty header line that resolves the
-    column, and on every line as many commas as on the header.
+    A block qualifies if it is UTF-8 text without a byte of _CSV_UNSAFE,
+    every line in it ends within two blocks and is no longer than
+    csv.field_size_limit(), and every line has as many commas as the
+    header, a non-empty first line that resolves the column. The last
+    line of the file may lack its newline, as it may for csv.reader.
+
+    Returns the values of the blocks parsed, the column index and the
+    number of lines parsed; when that is 0 the index means nothing. The
+    first block that does not qualify stops the reader, and ``fh`` is
+    left at its first byte, a line boundary from which csv.reader reads
+    the rest.
     """
     limit = csv.field_size_limit()
-    parts = [np.empty(0)]  # a header-only file reads as no values
+    parts: list[np.ndarray] = []
     ncols = idx = None
+    nlines = start = 0  # lines and bytes parsed
     tail = b""
-    while chunk := fh.read(_CSV_BLOCK):
+    while True:
+        chunk = fh.read(_CSV_BLOCK)
+        if not chunk:
+            if not tail:
+                return parts, idx, nlines
+            chunk = b"\n"  # csv.reader ends the last line at EOF as at a newline
         block = tail + chunk
         cut = block.rfind(b"\n") + 1
         block, tail = block[:cut], block[cut:]
         if not cut or any(c in block for c in _CSV_UNSAFE):
-            return None
+            break
         a = np.frombuffer(block, dtype=np.uint8)
         ends = np.flatnonzero(a == 10)
         if np.diff(ends, prepend=-1).max() > limit + 1:
-            return None
+            break
         try:
             text = block.decode("utf-8")
         except UnicodeDecodeError:
-            return None
+            break
         # commas before each line end, then commas on each line
         commas = np.diff(np.searchsorted(np.flatnonzero(a == 44), ends), prepend=0)
         if ncols is None:  # the block starts with the header
             if ends[0] == 0:
-                return None
+                break
             head, text = text.split("\n", 1)
             try:
                 idx = _column_index(head.split(","), path, column)
             except IngestError:
-                return None  # csv.reader raises it, unless it fails first
+                break  # csv.reader raises it, unless it fails first
             ncols = int(commas[0]) + 1
             commas = commas[1:]
         if (commas != ncols - 1).any():
-            return None
+            break
         cells = text.replace("\n", ",").split(",")[idx:-1:ncols]
         parts.append(np.array(_floats(cells), dtype=np.float64))
-    if tail or ncols is None:
-        return None
-    return np.concatenate(parts)
+        nlines += ends.size
+        start += len(block)
+    fh.seek(start)
+    return parts, idx, nlines
 
 
 def _read_csv(path: str, column: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        values = _read_csv_blocks(fh, path, column)
-    if values is not None:
-        return values
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        parts, idx, nlines = _read_csv_blocks(fh, path, column)
+        reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
         try:
-            return _parse_csv(reader, path, column)
+            if not nlines:
+                return _parse_csv(reader, path, column)
+            parts.append(_csv_column(reader, idx))
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
         except csv.Error as exc:
-            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+            line = nlines + reader.line_num
+            raise IngestError(f"{path}: line {line}: {exc}") from None
+    return np.concatenate(parts)
 
 
 def _parse_csv(reader, path: str, column: str) -> np.ndarray:
-    """The reference reader, for every file the block reader declines."""
+    """The reference reader: a header row, then the column of every row."""
     try:
         header = next(reader)
     except StopIteration:
         raise EmptyData(f"{path}: empty file") from None
-    idx = _column_index(header, path, column)
-    cells = (row[idx].strip() if idx < len(row) else "" for row in reader)
-    return np.array(_floats(cells), dtype=np.float64)
+    return _csv_column(reader, _column_index(header, path, column))
+
+
+def _csv_column(reader, idx: int) -> np.ndarray:
+    values: list[float] = []
+    for row in reader:
+        cell = row[idx].strip() if idx < len(row) else ""
+        try:
+            values.append(float(cell))
+        except ValueError:
+            values.append(math.nan)  # unparseable cells skip as nonfinite
+    return np.array(values, dtype=np.float64)
 
 
 def _json_int(text: str) -> float:

@@ -227,6 +227,30 @@ class TestIngestErrors:
         assert out == ""
         assert "field larger than field limit" in err and "line 3" in err
 
+    @pytest.mark.parametrize("block", [cli._CSV_BLOCK, 1024])
+    def test_non_utf8_byte_past_the_first_text_chunk(
+        self, capsys, tmp_path, monkeypatch, block
+    ):
+        # csv.reader decodes its text 8 KiB at a time, so the bad byte is
+        # met while rows are read, not with the header
+        f = tmp_path / "late_latin1.csv"
+        f.write_bytes(b"a\n" + b"1.5\n" * 5000 + b"caf\xe9\n2\n")
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        code, out, err = run(capsys, "fit", str(f), "--column", "a")
+        assert code == 3
+        assert out == ""
+        assert "not UTF-8" in err and str(f) in err
+
+    def test_field_over_the_limit_in_a_late_block_names_its_line(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        f = tmp_path / "late_wide.csv"
+        f.write_text("a\n" + "1\n" * 40 + "7" * 200_000 + "\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 16)  # blocks parse lines 1-41 first
+        code, out, err = run(capsys, "fit", str(f), "--column", "a")
+        assert code == 3
+        assert "field larger than field limit" in err and "line 42" in err
+
 
 class TestJsonlCrashes:
     """Lines that used to end `fit --input-format jsonl` with a traceback
@@ -266,12 +290,12 @@ def outcome(read, *args):
 def reference_csv(path, column):
     """_read_csv with the block reader declining: the csv.reader path."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_read_csv_blocks", lambda fh, path, column: None)
+        mp.setattr(cli, "_read_csv_blocks", lambda fh, path, column: ([], None, 0))
         return cli._read_csv(path, column)
 
 
 # cells csv.reader and comma splitting read alike, and cells on which
-# they may not; the latter make the block reader decline the file
+# they may not; the latter stop the block reader at their block
 _SAFE_CELLS = (
     st.floats().map(repr)
     | st.integers(-(10**30), 10**30).map(str)
@@ -332,8 +356,12 @@ class TestCsvBlockReader:
             csv.field_size_limit(limit)
 
     def blocks(self, path, column="v"):
+        """The values the block reader parsed, the lines it parsed and the
+        byte it stopped at."""
         with open(path, "rb") as fh:
-            return cli._read_csv_blocks(fh, str(path), column)
+            parts, idx, nlines = cli._read_csv_blocks(fh, str(path), column)
+            values = np.concatenate(parts) if parts else np.empty(0)
+            return values, nlines, fh.tell()
 
     def test_reads_plain_files_across_block_boundaries(self, tmp_path, monkeypatch):
         f = tmp_path / "plain.csv"
@@ -341,10 +369,20 @@ class TestCsvBlockReader:
         text = "id, v \n" + "".join(f"{i},{c}\n" for i, c in enumerate(cells))
         f.write_text(text, encoding="utf-8")
         monkeypatch.setattr(cli, "_CSV_BLOCK", 16)
-        got = self.blocks(f)
-        assert got is not None and got.size == len(cells)
+        got, nlines, _ = self.blocks(f)
+        assert nlines == len(cells) + 1
         assert got.tobytes() == reference_csv(str(f), "v").tobytes()
-        assert self.blocks(f, "1").tobytes() == got.tobytes()
+        assert self.blocks(f, "1")[0].tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("block", [16, cli._CSV_BLOCK])
+    def test_reads_a_last_line_without_a_newline(self, tmp_path, monkeypatch, block):
+        f = tmp_path / "no_eol.csv"
+        f.write_text("a,v\n1,1.5\n2,2.5\n3,oops\n4,7", encoding="utf-8")
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        got, nlines, _ = self.blocks(f)
+        assert nlines == 5
+        assert got.tobytes() == reference_csv(str(f), "v").tobytes()
+        assert got[-1] == 7.0
 
     @pytest.mark.parametrize(
         "body, column",
@@ -356,7 +394,6 @@ class TestCsvBlockReader:
             ("a,v\n1,2\n3\n", "v"),  # short row
             ("a,v\n1,2\n3,4,5\n", "v"),  # long row
             ("a,v\n1,2\n\n", "v"),  # blank line in a two-column file
-            ("v\n1.5", "v"),  # no final newline
             ("\nv\n1.5\n", "0"),  # empty header line: csv.reader sees no column
             ("v\n" + "7" * (csv.field_size_limit() + 1) + "\n", "v"),  # over the field limit
             ("a,b\n1,2\n", "v"),  # no such column
@@ -366,18 +403,33 @@ class TestCsvBlockReader:
     def test_declines_what_it_cannot_prove(self, tmp_path, body, column):
         f = tmp_path / "odd.csv"
         f.write_text(body, encoding="utf-8", newline="")
-        assert self.blocks(f, column) is None
+        assert self.blocks(f, column)[1:] == (0, 0)
 
     def test_declines_non_utf8(self, tmp_path):
         f = tmp_path / "latin1.csv"
         f.write_bytes(b"v\n1.5\n2\xff\n")
-        assert self.blocks(f) is None
+        assert self.blocks(f)[1:] == (0, 0)
 
-    def test_declines_a_line_that_two_blocks_cannot_hold(self, tmp_path, monkeypatch):
+    def test_stops_at_a_late_block_and_csv_reader_reads_on(self, tmp_path, monkeypatch):
+        f = tmp_path / "late_quote.csv"
+        body = "v\n" + "1.5\n" * 20 + '"2.5"\n' + "3.5\n" * 5
+        f.write_text(body, encoding="utf-8")
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 16)
+        got, nlines, stop = self.blocks(f)
+        # stopped on a line boundary before the quote, with every line before it parsed
+        assert 0 < nlines <= 21 and got.size == nlines - 1
+        assert stop == len("v\n" + "1.5\n" * (nlines - 1))
+        want = reference_csv(str(f), "v")
+        assert want.size == 26
+        assert cli._read_csv(str(f), "v").tobytes() == want.tobytes()
+
+    def test_stops_at_a_line_that_two_blocks_cannot_hold(self, tmp_path, monkeypatch):
         f = tmp_path / "long.csv"
-        f.write_text("v\n1.5\n" + "2" * 100 + "\n")
+        f.write_text("v\n1.5\n" + "2" * 100 + "\n3\n")
         monkeypatch.setattr(cli, "_CSV_BLOCK", 32)  # no read of 64 bytes ends the line
-        assert self.blocks(f) is None
+        got, nlines, stop = self.blocks(f)
+        assert (got.tolist(), nlines, stop) == ([1.5], 2, 6)
+        assert cli._read_csv(str(f), "v").tolist() == [1.5, float("2" * 100), 3.0]
 
 
 def jsonl_oracle(lines, column):
