@@ -1,11 +1,13 @@
 """Adaptive composite Gauss-Kronrod (G7/K15) quadrature on a finite interval.
 
-Panels are bisected worst-error-first until the summed error estimate drops
-below the absolute tolerance.  Evaluation order is deterministic, so results
-are bit-reproducible run to run.
-
-The integrand maps a float64 array of nodes to an array of values, one call
-per panel; a scalar result is taken as constant over the panel.
+The integrand maps a float64 array of the 15 nodes of one panel to values
+on them, one call per panel: an array of shape (15,) for one integral, or
+(m, 15) for m integrals of the same panel tree, one row each; a scalar or
+a size-1 last axis is taken as constant over the panel.  Panels are
+bisected worst-first, ranked by the sum of their row error estimates,
+until every row's summed error is below the absolute tolerance.
+Evaluation order is deterministic, so results are bit-reproducible run to
+run.
 """
 
 from __future__ import annotations
@@ -38,25 +40,21 @@ _GK15 = (
     (+0.9914553711208126, 0.0, 0.0229353220105292),
     (-0.9914553711208126, 0.0, 0.0229353220105292),
 )
-_NODES = np.array([x for x, _, _ in _GK15])
+_NODES, _G7, _K15 = np.array(_GK15).T.copy()
 
 Integrand = Callable[[np.ndarray], "np.ndarray | float"]
 
 
-def _panel(f: Integrand, a: float, b: float) -> tuple[float, float]:
-    """Integral and error estimate for one panel."""
-    mid = 0.5 * (a + b)
+def _panel(f: Integrand, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integral and error estimate of each row on one panel."""
     h = 0.5 * (b - a)
-    values = np.broadcast_to(f(mid + h * _NODES), _NODES.shape).tolist()
-    g7 = 0.0
-    k15 = 0.0
-    for fx, (_, wg, wk) in zip(values, _GK15):
-        k15 += wk * fx
-        if wg != 0.0:
-            g7 += wg * fx
+    fx = np.asarray(f(0.5 * (a + b) + h * _NODES), dtype=np.float64)
+    # weighted sums along the node axis, not matmul: BLAS may round a row
+    # differently depending on how many rows it is given
+    k15 = (fx * _K15).sum(axis=-1)
     # |K15 - G7| badly overestimates the K15 error on smooth integrands,
     # which only costs a few extra bisections
-    return k15 * h, abs(k15 - g7) * h
+    return k15 * h, np.abs(k15 - (fx * _G7).sum(axis=-1)) * h
 
 
 def integrate(
@@ -65,36 +63,44 @@ def integrate(
     b: float,
     abs_tol: float = 1e-9,
     max_panels: int = 4096,
-) -> tuple[float, float]:
-    """Integrate f over [a, b] to the given absolute tolerance.
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Integrate each row of f over [a, b] to the given absolute tolerance.
 
-    Returns (value, error_estimate).  Raises QuadratureError if the panel
-    budget is exhausted before the tolerance is met.
+    Returns (values, error_estimates): floats for a scalar or 1-D integrand,
+    arrays of shape (m,) for m rows.  Raises QuadratureError if the panel
+    budget, shared by all rows, is exhausted before every row meets the
+    tolerance.
     """
     if b <= a:
         raise QuadratureError(f"empty integration interval [{a!r}, {b!r}]")
-    n_init = 8
-    panels = []  # entries (-err, tiebreak, a, b, val, err)
-    tick = 0
-    for i in range(n_init):
-        lo = a + (b - a) * i / n_init
-        hi = a + (b - a) * (i + 1) / n_init
+    n = 8  # initial panels; live panel i keeps its sums in vals[i], errs[i]
+    heap = []  # entries (-summed row error, slot, lo, hi)
+    for i in range(n):
+        lo = a + (b - a) * i / n
+        hi = a + (b - a) * (i + 1) / n
         val, err = _panel(f, lo, hi)
-        panels.append((-err, tick, lo, hi, val, err))
-        tick += 1
-    heapq.heapify(panels)
+        if i == 0:
+            vals = np.empty((max(max_panels, n), *val.shape))
+            errs = np.empty_like(vals)
+        vals[i], errs[i] = val, err
+        heap.append((-err.sum(), i, lo, hi))
+    heapq.heapify(heap)
     while True:
-        total_err = sum(p[5] for p in panels)
-        if total_err <= abs_tol:
-            return sum(p[4] for p in panels), total_err
-        if len(panels) >= max_panels:
+        total_err = errs[:n].sum(axis=0)
+        if (total_err <= abs_tol).all():
+            total = vals[:n].sum(axis=0)
+            if total.ndim:
+                return total, total_err
+            return float(total), float(total_err)
+        if n >= max_panels:
             raise QuadratureError(
                 f"tolerance {abs_tol:g} not reached with {max_panels} panels "
-                f"(error estimate {total_err:g})"
+                f"(error estimate {total_err.max():g})"
             )
-        _, _, lo, hi, _, _ = heapq.heappop(panels)
+        # the halves take the popped panel's slot and the next free one
+        _, slot, lo, hi = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            val, err = _panel(f, seg[0], seg[1])
-            heapq.heappush(panels, (-err, tick, seg[0], seg[1], val, err))
-            tick += 1
+        for i, seg in ((slot, (lo, mid)), (n, (mid, hi))):
+            vals[i], errs[i] = _panel(f, *seg)
+            heapq.heappush(heap, (-errs[i].sum(), i, *seg))
+        n += 1

@@ -587,6 +587,27 @@ def _cmd_sequence(args) -> list[tuple]:
 # --------------------------------------------------------------------------
 
 
+# Caps on the arguments that size what the CLI allocates and loops over,
+# so that no argument can make it run out of memory or time; the library
+# takes any size.
+_MAX_BASE = 10**6
+_MAX_N = 10**7
+_MAX_GRID_POINTS = 10**6
+
+
+def _int_at_most(cap: int):
+    """An argparse type: an integer no greater than cap."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"{value} is above the limit of {cap}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="benford",
@@ -594,9 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
         "dataset conformance, wrapped densities, and entropy reports.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--base", type=int, default=10, help="radix, default 10")
     common.add_argument(
-        "--tol", type=float, default=1e-9, help="series/quadrature tolerance"
+        "--base", type=_int_at_most(_MAX_BASE), default=10, help="radix, default 10"
     )
     common.add_argument(
         "--format",
@@ -631,7 +651,9 @@ def build_parser() -> argparse.ArgumentParser:
     wrap.add_argument(
         "dist", nargs="+", help="lognormal M s | mixture w M s [w M s ...]"
     )
-    wrap.add_argument("--grid-points", type=int, default=256, dest="grid_points")
+    wrap.add_argument(
+        "--grid-points", type=_int_at_most(_MAX_GRID_POINTS), default=256, dest="grid_points"
+    )
 
     ent = sub.add_parser(
         "entropy", parents=[common], help="entropy report for a significand density"
@@ -639,12 +661,18 @@ def build_parser() -> argparse.ArgumentParser:
     ent.add_argument(
         "dist", nargs="+", help="nb | uniform | lognormal M s | mixture w M s ..."
     )
+    for verb in (wrap, ent):
+        verb.add_argument(
+            "--tol", type=float, default=1e-9, help="series truncation tolerance"
+        )
 
     seq = sub.add_parser(
         "sequence", parents=[common], help="conformance of a deterministic sequence"
     )
     seq.add_argument("kind", choices=SEQUENCE_KINDS)
-    seq.add_argument("--n", type=int, default=10000, help="number of terms")
+    seq.add_argument(
+        "--n", type=_int_at_most(_MAX_N), default=10000, help="number of terms"
+    )
     seq.add_argument("--ratio", type=float, default=None, help="geometric ratio")
 
     return parser

@@ -247,6 +247,8 @@ def _carry(
         raise DomainError(f"sequence length must be >= 1, got {n!r}")
     if kind not in SEQUENCE_KINDS:
         raise DomainError(f"unknown sequence kind {kind!r}; expected one of {SEQUENCE_KINDS}")
+    if ratio is not None and kind != "geometric":
+        raise DomainError(f"{kind} sequences take no ratio, got {ratio!r}")
     b = float(base.b)
     sig = array("d", bytes(8 * n))
     wraps = bytearray(n)

@@ -7,9 +7,9 @@ does not exceed (ln b)/2.  Entropies are in nats throughout.
 
 A density is a callable from a float64 array of points in [1, b) to an
 array of values (a scalar result means a constant density); it is
-evaluated on the quadrature nodes of one panel per call.  The integrals
-of one call share those evaluations: a panel that recurs across them is
-evaluated once.
+evaluated on the quadrature nodes of one panel per call.  The
+normalization, the entropy and the mean log are the rows of one
+vector-valued integral, so each panel is evaluated once for all three.
 """
 
 from __future__ import annotations
@@ -50,55 +50,30 @@ class EntropyReport:
     quadrature_error_estimate: float
 
 
-def _shared(pdf: Pdf) -> Pdf:
-    """pdf memoized on the bytes of the node array.
+def _integrals(pdf: Pdf, base: Base) -> tuple[float, float, float, float]:
+    """(H, <ln x>, error of H, error of <ln x>) from one panel tree.
 
-    The normalization, entropy and mean-log integrals start from the same
-    panels and bisect them alike, so most panels recur; their panel trees
-    and results are unchanged.  Cached arrays are made read-only so that
-    no integrand can alter a value another one reads.
+    Its rows are p, -p ln p (0 ln 0 := 0) and p ln x, for p = pdf(x) on
+    the nodes of each panel, so pdf is called once per panel.
     """
-    memo: dict[bytes, np.ndarray | float] = {}
 
-    def shared(x: np.ndarray) -> np.ndarray | float:
-        key = x.tobytes()
-        value = memo.get(key)
-        if value is None:
-            value = pdf(x)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            memo[key] = value
-        return value
+    def rows(x: np.ndarray) -> np.ndarray:
+        p = np.broadcast_to(np.asarray(pdf(x), dtype=np.float64), x.shape)
+        positive = p > 0.0
+        h = np.where(positive, -p * np.log(np.where(positive, p, 1.0)), 0.0)
+        return np.stack((p, h, p * np.log(x)))
 
-    return shared
-
-
-def _check_normalized(pdf: Pdf, base: Base) -> None:
-    norm, _ = integrate(pdf, 1.0, float(base.b), abs_tol=_QUAD_TOL)
+    values, errors = integrate(rows, 1.0, float(base.b), abs_tol=_QUAD_TOL)
+    norm, h, ml = values.tolist()
     if abs(norm - 1.0) > _NORM_TOL:
         raise NotNormalized(f"density integrates to {norm!r}, expected 1")
-
-
-def _entropy_integral(pdf: Pdf, base: Base) -> tuple[float, float]:
-    def integrand(x: np.ndarray) -> np.ndarray:
-        p = np.asarray(pdf(x), dtype=np.float64)
-        positive = p > 0.0
-        return np.where(positive, -p * np.log(np.where(positive, p, 1.0)), 0.0)  # 0 ln 0 := 0
-
-    return integrate(integrand, 1.0, float(base.b), abs_tol=_QUAD_TOL)
-
-
-def _mean_log_integral(pdf: Pdf, base: Base) -> tuple[float, float]:
-    return integrate(
-        lambda x: pdf(x) * np.log(x), 1.0, float(base.b), abs_tol=_QUAD_TOL
-    )
+    _, err_h, err_ml = errors.tolist()
+    return h, ml, err_h, err_ml
 
 
 def entropy(pdf: Pdf, base: Base) -> float:
     """Differential entropy -integral of rho ln rho over [1, b), in nats."""
-    pdf = _shared(pdf)
-    _check_normalized(pdf, base)
-    return _entropy_integral(pdf, base)[0]
+    return _integrals(pdf, base)[0]
 
 
 def nb_entropy_closed(base: Base) -> float:
@@ -108,17 +83,12 @@ def nb_entropy_closed(base: Base) -> float:
 
 def mean_log(pdf: Pdf, base: Base) -> float:
     """Expected value of ln x under the density; lies in [0, ln b)."""
-    pdf = _shared(pdf)
-    _check_normalized(pdf, base)
-    return _mean_log_integral(pdf, base)[0]
+    return _integrals(pdf, base)[1]
 
 
 def analyze_entropy(pdf: Pdf, base: Base) -> EntropyReport:
     """Entropy report with the reference bound and the mean-log constraint."""
-    pdf = _shared(pdf)
-    _check_normalized(pdf, base)
-    h, err_h = _entropy_integral(pdf, base)
-    ml, err_ml = _mean_log_integral(pdf, base)
+    h, ml, err_h, err_ml = _integrals(pdf, base)
     return EntropyReport(
         entropy=h,
         mean_log=ml,

@@ -530,6 +530,46 @@ class TestParser:
         assert out == ""
         assert "--seed" in err
 
+    @pytest.mark.parametrize("verb", ["digits", "fit x.csv", "sequence pow2"])
+    def test_tol_is_a_usage_error_where_unread(self, capsys, verb):
+        code, out, err = run(capsys, *verb.split(), "--tol", "1e-9")
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+    @pytest.mark.parametrize("verb", ["wrap lognormal 0 1 --grid-points 4", "entropy nb"])
+    def test_tol_is_echoed_where_read(self, capsys, verb):
+        code, out, _ = run(capsys, *verb.split(), "--tol", "1e-7", "--format", "records")
+        assert code == 0
+        assert "param tol 1e-07\n" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "digits --base 100000000000000000000",
+            "digits --base 1000001",
+            "sequence pow2 --n 100 --base 100000000000000000000",
+            "sequence pow2 --n 10000001",
+            "sequence pow2 --n 1000000000000",
+            "wrap lognormal 0 1 --grid-points 1000001",
+            "fit x.csv --base 1000001",
+        ],
+    )
+    def test_sizes_above_the_caps_are_usage_errors(self, capsys, monkeypatch, argv):
+        # rejected while parsing: no handler allocates or loops at that size
+        monkeypatch.setattr(cli, "_HANDLERS", {})
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert "above the limit" in err
+
+    def test_sizes_at_the_caps_parse(self):
+        parse = cli._parser().parse_args
+        assert parse(["digits", "--base", str(cli._MAX_BASE)]).base == 10**6
+        assert parse(["sequence", "pow2", "--n", str(cli._MAX_N)]).n == 10**7
+        args = parse(["wrap", "nb", "--grid-points", str(cli._MAX_GRID_POINTS)])
+        assert args.grid_points == 10**6
+
     def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch, tmp_path):
         f = tmp_path / "signed.csv"
         write_csv(f, [(-1) ** i * v for i, v in enumerate(sample_nb(90, Base(10), seed=4))])
@@ -712,6 +752,12 @@ class TestSequenceCmd:
     def test_unknown_kind_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "sequence", "primes")
         assert code == 2
+
+    def test_ratio_on_other_kinds_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sequence", "pow2", "--n", "100", "--ratio", "3")
+        assert code == 2
+        assert out == ""
+        assert "ratio" in err
 
 
 class TestRecordsFormat:

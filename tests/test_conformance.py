@@ -206,6 +206,13 @@ class TestSequences:
         with pytest.raises(DomainError):
             gen_sequence("geometric", 5, B10)
 
+    @pytest.mark.parametrize("kind", ["pow2", "factorial", "fibonacci"])
+    def test_ratio_only_for_geometric(self, kind):
+        with pytest.raises(DomainError, match="ratio"):
+            gen_sequence(kind, 5, B10, ratio=3.0)
+        with pytest.raises(DomainError, match="ratio"):
+            gen_sequence_terms(kind, 5, B10, ratio=3.0)
+
 
 class TestAnalyze:
     def test_report_fields_consistent(self):
