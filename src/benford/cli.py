@@ -542,15 +542,13 @@ def _cmd_entropy(args) -> list[tuple]:
     kind, params = _parse_dist(args.dist, ("nb", "uniform", "lognormal", "mixture"))
     dist = NBDistribution(base)
     if kind == "nb":
-        pdf = lambda x: nb_pdf(x, dist)
+        density = lambda x: nb_pdf(x, dist)
     elif kind == "uniform":
         height = 1.0 / (base.b - 1)
-        pdf = lambda x: height
-    elif kind == "lognormal":
-        pdf = lambda x: wrapped_lognormal_pdf(x, params, base, args.tol)
+        density = lambda x: height
     else:
-        pdf = lambda x: wrap_mixture_pdf(x, params, base, args.tol)
-    report = analyze_entropy(pdf, base)
+        density = params
+    report = analyze_entropy(density, base, args.tol)
     return [
         ("schema", SCHEMA_VERSION),
         ("command", "entropy"),

@@ -5,10 +5,17 @@ For any density rho on the significand interval, H[rho] <= ln(ln b) +
 density therefore has maximum entropy among all densities whose mean log
 does not exceed (ln b)/2.  Entropies are in nats throughout.
 
-A density is a callable from a float64 array of points in [1, b) to an
-array of values (a scalar result means a constant density); it is
-evaluated on the quadrature nodes of one panel per call.  The
-normalization, the entropy and the mean log are the rows of one
+A density is either a wrapped log-normal or mixture, given by its
+parameters, or a callable from a float64 array of points in [1, b) to an
+array of values (a scalar result means a constant density).
+
+Parameters are integrated in the log coordinate u = ln x on [0, ln b),
+where the density g(u) = x rho(x) is smooth and periodic: H[rho] =
+H_u[g] + E[u], H_u by the trapezoidal rule on nested equispaced nodes,
+which converges geometrically on such integrands, and E[u] in closed form.
+
+A callable is evaluated on the quadrature nodes of one panel per call.
+The normalization, the entropy and the mean log are the rows of one
 vector-valued integral, so each panel is evaluated once for all three.
 """
 
@@ -16,13 +23,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
 from ._quadrature import integrate
-from .errors import NotNormalized
+from .errors import NotNormalized, QuadratureError
 from .significand import Base
+from .wrapping import (
+    LogNormalParams,
+    MixtureParams,
+    _components,
+    _dual_rate,
+    _evaluate,
+    _mean_log,
+    _plan,
+)
 
 __all__ = ["EntropyReport", "entropy", "nb_entropy_closed", "mean_log", "analyze_entropy"]
 
@@ -30,8 +46,11 @@ _NORM_TOL = 1e-6
 _CONSTRAINT_SLACK = 1e-9  # keeps quadrature noise from flipping the boolean
 _QUAD_TOL = 1e-9
 _NOISE_FLOOR = 1e-12
+_FIRST_NODES = 8
+_MAX_NODES = 1 << 16  # about the 4096 15-node panels of the adaptive rule
 
 Pdf = Callable[[np.ndarray], "np.ndarray | float"]
+Density = Union[Pdf, LogNormalParams, MixtureParams]
 
 
 @dataclass(frozen=True)
@@ -50,18 +69,22 @@ class EntropyReport:
     quadrature_error_estimate: float
 
 
-def _integrals(pdf: Pdf, base: Base) -> tuple[float, float, float, float]:
+def _neg_g_log_g(g: np.ndarray) -> np.ndarray:
+    """-g ln g elementwise, with 0 ln 0 := 0."""
+    positive = g > 0.0
+    return np.where(positive, -g * np.log(np.where(positive, g, 1.0)), 0.0)
+
+
+def _adaptive_integrals(pdf: Pdf, base: Base) -> tuple[float, float, float, float]:
     """(H, <ln x>, error of H, error of <ln x>) from one panel tree.
 
-    Its rows are p, -p ln p (0 ln 0 := 0) and p ln x, for p = pdf(x) on
-    the nodes of each panel, so pdf is called once per panel.
+    Its rows are p, -p ln p and p ln x, for p = pdf(x) on the nodes of
+    each panel, so pdf is called once per panel.
     """
 
     def rows(x: np.ndarray) -> np.ndarray:
         p = np.broadcast_to(np.asarray(pdf(x), dtype=np.float64), x.shape)
-        positive = p > 0.0
-        h = np.where(positive, -p * np.log(np.where(positive, p, 1.0)), 0.0)
-        return np.stack((p, h, p * np.log(x)))
+        return np.stack((p, _neg_g_log_g(p), p * np.log(x)))
 
     values, errors = integrate(rows, 1.0, float(base.b), abs_tol=_QUAD_TOL)
     norm, h, ml = values.tolist()
@@ -71,9 +94,81 @@ def _integrals(pdf: Pdf, base: Base) -> tuple[float, float, float, float]:
     return h, ml, err_h, err_ml
 
 
-def entropy(pdf: Pdf, base: Base) -> float:
+def _truncation_effect(plan: list, L: float) -> float:
+    """Bound on the change of H_u from truncating the series.
+
+    Truncation lowers g by at most eps = sum_i w_i tail_i at every point,
+    and |f(g) - f(g - d)| <= d (ln(1/d) + 1 + ln+ g_max) for f(t) = -t ln t
+    and 0 <= d <= eps <= 1/e; g_max <= sum_i w_i (1/(s_i sqrt(2 pi)) + 1/L).
+    """
+    eps = sum(c.w * c.tail for c in plan)
+    if eps == 0.0:
+        return 0.0
+    g_max = sum(c.w * (1.0 / (c.s * math.sqrt(2.0 * math.pi)) + 1.0 / L) for c in plan)
+    return L * eps * (max(0.0, -math.log(eps)) + 1.0 + max(0.0, math.log(g_max)))
+
+
+def _trapezoid_integrals(
+    params: LogNormalParams | MixtureParams, base: Base, tol: float
+) -> tuple[float, float, float, float]:
+    """(H, <ln x>, error of H, error of <ln x>) of a wrapped log-normal or
+    mixture, by the trapezoidal rule in u = ln x.
+
+    The nodes jL/N are nested: each doubling of N evaluates g only at the
+    N new midpoints.  The rule stops once the aliasing bound of the
+    normalization, 2 sum_{j>=1} c_{jN} for the narrowest component, and the
+    change of H_u from N/2 to N are both below the quadrature tolerance;
+    their sum, the truncation effect and the mean-log tail make H's error.
+    """
+    L = base.ln
+    plan = _plan(_components(params), L, tol)
+    rate = min(_dual_rate(c.s, L) for c in plan if c.w > 0.0)
+
+    def sums(u: np.ndarray) -> tuple[float, float]:
+        x = np.exp(u)
+        g = x * _evaluate(x, plan, L)
+        return float(np.sum(g)), float(np.sum(_neg_g_log_g(g)))
+
+    n = _FIRST_NODES
+    sum_g, sum_h = sums(np.arange(n) * (L / n))
+    h_prev = math.nan  # no change to compare before the first doubling
+    while True:
+        h_u = sum_h * (L / n)
+        q = math.exp(-rate * n * n)
+        # sum_{j>=1} q^(j^2) <= q / (1 - q)
+        alias = 2.0 * q / -math.expm1(-rate * n * n)
+        change = abs(h_u - h_prev)
+        if alias < _QUAD_TOL and change < _QUAD_TOL:
+            break
+        if n >= _MAX_NODES:
+            raise QuadratureError(
+                f"trapezoidal rule not converged with {n} nodes "
+                f"(aliasing bound {alias:g}, last change {change:g})"
+            )
+        dg, dh = sums((np.arange(n) + 0.5) * (L / n))
+        sum_g += dg
+        sum_h += dh
+        n *= 2
+        h_prev = h_u
+    norm = sum_g * (L / n)
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise NotNormalized(f"density integrates to {norm!r}, expected 1")
+    ml, err_ml = _mean_log(plan, L)
+    err_h = alias + change + _truncation_effect(plan, L) + err_ml
+    return h_u + ml, ml, err_h, err_ml
+
+
+def _integrals(
+    density: Density, base: Base, tol: float = 1e-9
+) -> tuple[float, float, float, float]:
+    if isinstance(density, (LogNormalParams, MixtureParams)):
+        return _trapezoid_integrals(density, base, tol)
+    return _adaptive_integrals(density, base)
+
+
+def entropy(density: Density, base: Base) -> float:
     """Differential entropy -integral of rho ln rho over [1, b), in nats."""
-    return _integrals(pdf, base)[0]
+    return _integrals(density, base)[0]
 
 
 def nb_entropy_closed(base: Base) -> float:
@@ -81,14 +176,18 @@ def nb_entropy_closed(base: Base) -> float:
     return math.log(base.ln) + 0.5 * base.ln
 
 
-def mean_log(pdf: Pdf, base: Base) -> float:
+def mean_log(density: Density, base: Base) -> float:
     """Expected value of ln x under the density; lies in [0, ln b)."""
-    return _integrals(pdf, base)[1]
+    return _integrals(density, base)[1]
 
 
-def analyze_entropy(pdf: Pdf, base: Base) -> EntropyReport:
-    """Entropy report with the reference bound and the mean-log constraint."""
-    h, ml, err_h, err_ml = _integrals(pdf, base)
+def analyze_entropy(density: Density, base: Base, tol: float = 1e-9) -> EntropyReport:
+    """Entropy report with the reference bound and the mean-log constraint.
+
+    tol is the series truncation tolerance of a density given by its
+    parameters, as in wrapped_lognormal_pdf; a callable ignores it.
+    """
+    h, ml, err_h, err_ml = _integrals(density, base, tol)
     return EntropyReport(
         entropy=h,
         mean_log=ml,

@@ -29,15 +29,25 @@ __all__ = [
 ]
 
 
+# every integer up to 2**53 is an exact double; above it float(b) is
+# rounded, and for odd digits d no double lies in [d, d + 1)
+_MAX_BASE = 2**53
+
+
 @dataclass(frozen=True)
 class Base:
-    """A radix b >= 2, carried explicitly so multi-base code can coexist."""
+    """A radix 2 <= b <= 2**53, carried explicitly so multi-base code can coexist."""
 
     b: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.b, int) or isinstance(self.b, bool) or self.b < 2:
             raise DomainError(f"base must be an integer >= 2, got {self.b!r}")
+        if self.b > _MAX_BASE:
+            raise DomainError(
+                f"base must be at most 2**53, the largest radix whose digits are all "
+                f"exact doubles; got a {self.b.bit_length()}-bit integer"
+            )
 
     @property
     def ln(self) -> float:

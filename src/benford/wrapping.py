@@ -6,11 +6,13 @@ A density rho on R+ is folded decade-by-decade onto [1, b):
 
 with k over the integers.  The series is truncated at an order K certified
 by a tail-mass bound supplied by the source, targeting tail < tol/10.  The
-log-normal case also has a direct closed-form sum of Gaussians in log space,
-which collapses onto the scale-invariant density 1/(x ln b) when the sum is
-replaced by its leading integral approximation.  The closed-form densities
-take a float or a float64 array of x and compute the truncation order once
-per call and component.
+log-normal case also has two closed-form series in u = ln x: a direct sum
+of Gaussians, and its Poisson dual, a cosine series whose leading term is
+the scale-invariant density 1/(x ln b).  Narrow components need few
+Gaussians, wide ones few cosines; each component is summed by whichever
+series needs fewer terms.  The closed-form densities take a float or a
+float64 array of x and choose the series and its order once per call and
+component.
 
 Source contracts (pdf/cdf/tail_mass) must be pure; everything here is then
 thread-safe, and wrapped densities can be shared freely across threads.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -55,6 +57,10 @@ K_MAX = 10_000
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _DISTANCE_GRID = 2048
 _BLOCK = 1 << 15  # elements per temporary of the series evaluator, for any K
+# the dual series is summed to a tail near the rounding level of x rho(x),
+# about 1/ln b, whatever tol: its order grows only like sqrt(ln(1/tail)),
+# so the margin costs little
+_DUAL_TAIL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -239,8 +245,8 @@ def wrap_cdf(w: WrappedDensity, x: float) -> float:
     return min(1.0, max(0.0, _kahan(terms())))
 
 
-def _lognormal_trunc(s: float, L: float, tol: float) -> int:
-    """Truncation order for the Gaussian sum in log space.
+def _direct_tail(K: int, s: float, L: float) -> float:
+    """Bound on the terms |k| > K of the Gaussian sum in log space.
 
     For K >= 2 and center reduced into [0, L), the neglected two-sided tail
     of the term series is bounded by
@@ -248,23 +254,24 @@ def _lognormal_trunc(s: float, L: float, tol: float) -> int:
         2 * (exp(-((K-1)L)^2 / 2s^2) + (s/L) sqrt(pi/2) erfc((K-1)L / (s sqrt2)))
           / (s sqrt(2 pi))
 
-    (largest neglected term plus an integral comparison, both tails, x >= 1).
+    (largest neglected term plus an integral comparison, both tails), a
+    bound on x rho(x) and so, for x >= 1, on rho(x).
     """
+    edge = (K - 1) * L
+    e1 = math.exp(-(edge * edge) / (2.0 * s * s))
+    e2 = (s / L) * math.sqrt(math.pi / 2.0) * math.erfc(edge / (s * math.sqrt(2.0)))
+    return 2.0 * (e1 + e2) / (s * _SQRT2PI)
+
+
+def _lognormal_trunc(s: float, L: float, tol: float) -> int:
+    """Least truncation order K >= 2 from the usual start whose
+    _direct_tail is under tol."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tolerance must be a positive real, got {tol!r}")
-    scale = 2.0 / (s * _SQRT2PI)
-    root2 = math.sqrt(2.0)
-
-    def bound(K: int) -> float:
-        edge = (K - 1) * L
-        e1 = math.exp(-(edge * edge) / (2.0 * s * s))
-        e2 = (s / L) * math.sqrt(math.pi / 2.0) * math.erfc(edge / (s * root2))
-        return scale * (e1 + e2)
-
     z = math.sqrt(2.0 * math.log(max(10.0, 1.0 / tol)))
     K = max(2, math.ceil((L + s * z) / L) + 1)
     while K <= K_MAX:
-        if bound(K) < tol:
+        if _direct_tail(K, s, L) < tol:
             return K
         K += 1
     raise TruncationError(
@@ -295,15 +302,136 @@ def _wl_pdf_at(x: np.ndarray, m: float, s: float, L: float, K: int) -> np.ndarra
     return total / (x * s * _SQRT2PI)
 
 
+def _dual_rate(s: float, L: float) -> float:
+    """a = 2 pi^2 s^2 / L^2, so that the dual coefficients are c_k = exp(-a k^2)."""
+    t = math.pi * s / L
+    return 2.0 * t * t  # inf, not OverflowError, for absurd scales
+
+
+def _dual_order(s: float, L: float, target: float) -> int:
+    """An order J whose dual tail (2/L) sum_{k>J} c_k is certified below target.
+
+    With n = J + 1, k^2 >= n^2 + 2n(k - n) for k >= n bounds the tail by
+    the geometric series (2/L) c_n / (1 - exp(-2 a n)).  The search starts
+    where c_n alone meets the target, so J ends at or a little above the
+    smallest order meeting that bound: within one term of it for s/L above
+    1e-2, the scales at which the dual can be the cheaper series.
+    """
+    a = _dual_rate(s, L)
+    goal = math.log(2.0 / L) - math.log(target)
+
+    def log_gap(n: int) -> float:  # ln(1 - exp(-2 a n)) <= 0
+        return math.log(-math.expm1(-2.0 * a * n))
+
+    n = 1
+    if a * n * n + log_gap(n) >= goal:
+        return 0
+    n = max(2, math.ceil(math.sqrt(goal / a)))  # where c_n alone meets the target
+    while a * n * n + log_gap(n) < goal:
+        n = max(n + 1, math.ceil(math.sqrt((goal - log_gap(n)) / a)))
+    return n - 1
+
+
+def _dual_at(x: np.ndarray, m: float, s: float, L: float, J: int) -> np.ndarray:
+    """(1/(x L)) [1 + 2 sum_{k=1}^{J} c_k cos(2 pi k (ln x - m) / L)].
+
+    The Poisson dual of _wl_pdf_at's sum, with c_k = exp(-2 pi^2 k^2 s^2 / L^2).
+    Terms are added from k = J down to 1, smallest first, in the same
+    blocks as _wl_pdf_at, so an array result equals the elementwise scalar
+    results bit for bit.
+    """
+    theta = ((np.log(x) - m) * (2.0 * math.pi / L))[:, None]
+    a = _dual_rate(s, L)
+    cols = max(1, _BLOCK // max(1, x.size))
+    total = np.zeros(x.size)
+    for k0 in range(J, 0, -cols):
+        k = np.arange(k0, max(k0 - cols, 0), -1)
+        z = np.cos(theta * k)
+        z *= np.exp(-a * (k * k))
+        z[:, 0] += total
+        total = np.add.accumulate(z, axis=1, out=z)[:, -1]
+    return (1.0 + 2.0 * total) / (x * L)
+
+
+class _Series(NamedTuple):
+    """How one mixture component is summed.
+
+    K is the order of the direct Gaussian sum, or None where the dual
+    series is cheaper; J is the dual order either way (the closed-form mean
+    log uses it).  tail bounds the truncation error of x rho(x), the
+    density of ln x, at every point.
+    """
+
+    w: float
+    m: float  # location reduced into [0, L)
+    s: float
+    K: int | None
+    J: int
+    tail: float
+
+
+def _plan(
+    components: Iterable[tuple[float, LogNormalParams]], L: float, tol: float
+) -> list[_Series]:
+    """Per component, the series that needs fewer terms: the direct sum
+    (2K + 1 terms, tail below tol) or the dual (J + 1 terms, tail below
+    _DUAL_TAIL, or below tol if that is smaller).  A tie goes to the dual,
+    whose tail is the smaller."""
+    target = min(tol, _DUAL_TAIL)
+    plan = []
+    for w, p in components:
+        try:
+            K = _lognormal_trunc(p.s, L, tol)
+        except TruncationError:
+            K = None
+        J = _dual_order(p.s, L, target)
+        if K is None or J + 1 <= 2 * K + 1:
+            plan.append(_Series(w, p.M % L, p.s, None, J, target))
+        else:
+            plan.append(_Series(w, p.M % L, p.s, K, J, _direct_tail(K, p.s, L)))
+    return plan
+
+
+def _evaluate(x: np.ndarray, plan: list[_Series], L: float) -> np.ndarray:
+    """Weighted sum of the planned series at the points x."""
+    return sum(
+        c.w * (_dual_at(x, c.m, c.s, L, c.J) if c.K is None else _wl_pdf_at(x, c.m, c.s, L, c.K))
+        for c in plan
+    )
+
+
 def _mixture_at(
     x: np.ndarray, components: Iterable[tuple[float, LogNormalParams]], base: Base, tol: float
 ) -> np.ndarray:
-    """Weighted sum of wrapped log-normals on a checked grid; K once per component."""
+    """Weighted sum of wrapped log-normals on a checked grid; the series and
+    its order are chosen once per component."""
     L = base.ln
-    return sum(
-        w * _wl_pdf_at(x, p.M % L, p.s, L, _lognormal_trunc(p.s, L, tol))
-        for w, p in components
-    )
+    return _evaluate(x, _plan(components, L, tol), L)
+
+
+def _mean_log(plan: list[_Series], L: float) -> tuple[float, float]:
+    """E[ln x] in closed form, and a bound on its neglected terms.
+
+    E[u] = L/2 - (L/pi) sum_i w_i sum_{k>=1} c_k sin(2 pi k m_i / L) / k,
+    summed to each component's dual order J.  With n = J + 1, the neglected
+    terms are at most (L/pi) / n times the geometric bound of _dual_order,
+    c_n / (1 - exp(-2 a n)).
+    """
+    acc = 0.0
+    err = 0.0
+    for c in plan:
+        a, n = _dual_rate(c.s, L), c.J + 1
+        if c.J:
+            k = np.arange(c.J, 0, -1)
+            terms = np.exp(-a * (k * k)) * np.sin((2.0 * math.pi * c.m / L) * k)
+            acc += c.w * float(np.sum(terms / k))
+        err += c.w * math.exp(-a * n * n) / (n * -math.expm1(-2.0 * a * n))
+    return 0.5 * L - (L / math.pi) * acc, (L / math.pi) * err
+
+
+def _components(params: LogNormalParams | MixtureParams) -> tuple:
+    """(weight, LogNormalParams) pairs; a log-normal is one component."""
+    return params.components if isinstance(params, MixtureParams) else ((1.0, params),)
 
 
 def wrapped_lognormal_pdf(
@@ -334,7 +462,9 @@ def euler_maclaurin_leading(x: float, p: LogNormalParams, base: Base) -> float:
                                               cos(2 pi k (ln x - M) / L)],
 
     in which M and s appear only in the k >= 1 terms; those terms are what
-    distance_to_nb measures.
+    distance_to_nb measures.  The wrapped log-normal evaluator sums this dual
+    for wide components; from s of about 1.4 ln b on, its k >= 1 terms are
+    below 1e-16 and it returns this leading term itself.
     """
     b = float(base.b)
     if not 1.0 <= x < b:
@@ -376,10 +506,9 @@ def distance_to_nb(
     coordinate, where the densities are smoothest; the TV integral uses the
     midpoint rule in that coordinate.
     """
-    components = params.components if isinstance(params, MixtureParams) else ((1.0, params),)
     n = _DISTANCE_GRID
     x = _log_grid(base, n)
-    diff = np.abs(_mixture_at(x, components, base, tol) - nb_pdf(x, NBDistribution(base)))
+    diff = np.abs(_mixture_at(x, _components(params), base, tol) - nb_pdf(x, NBDistribution(base)))
     return float(diff.max()), float(np.sum(diff * x)) * 0.5 * base.ln / n
 
 

@@ -71,9 +71,11 @@ for _b in DENSITY_BASES:
              ["wrap", *_dist, "--base", str(_b), "--grid-points", str(DENSITY_GRID_POINTS)])
         )
         DENSITY_CALLS.append((f"entropy_{_tag}_b{_b}", ["entropy", *_dist, "--base", str(_b)]))
-# numeric failures (exit 4): a scale past the truncation cap, and a narrow
-# peak the initial quadrature panels miss; and a narrow peak whose entropy
-# is inaccurate although it exits 0 (ROADMAP: quadrature defects)
+# cases that used to fail: a scale past the direct sum's truncation cap
+# (exit 4; the dual series gives the law), a narrow peak the adaptive
+# tree's first panels missed (exit 4), and a narrow peak whose entropy it
+# got wrong by 6.8e-7 (exit 0); the trapezoidal rule in ln x now matches
+# scipy.integrate.quad in ln x on both peaks
 DENSITY_CALLS += [
     ("wrap_ln_huge_b10", ["wrap", "lognormal", "0", "1e5", "--grid-points", "8"]),
     ("entropy_ln_missed_b1000", ["entropy", "lognormal", "1.066357757671799", "0.05",

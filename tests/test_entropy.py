@@ -1,5 +1,7 @@
 import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from benford import (
     MixtureParams,
     NBDistribution,
     NotNormalized,
+    QuadratureError,
     analyze_entropy,
     entropy,
     mean_log,
@@ -23,6 +26,9 @@ from benford import _quadrature
 from benford._quadrature import integrate
 
 entropy_module = importlib.import_module("benford.entropy")
+wrapping_module = importlib.import_module("benford.wrapping")
+sys.path.insert(0, str(Path(__file__).resolve().parent / "data"))
+import make_golden  # noqa: E402
 
 B10 = Base(10)
 D10 = NBDistribution(B10)
@@ -210,18 +216,120 @@ class TestSharedEvaluations:
         assert mean_log(pdf, B10) == rep.mean_log
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known quadrature defect (ROADMAP): the initial panels under-resolve a "
-    "narrow peak, so the error estimate misses the true error by about 2500x",
-)
+def _g_oracle(comps, L, u):
+    """Density of u = ln x: wrapped Gaussians summed over every k within 40 s."""
+    total = np.zeros_like(u)
+    for w, M, s in comps:
+        k = np.arange(math.floor((M - 40 * s - L) / L) - 1, math.ceil((M + 40 * s + L) / L) + 2)
+        z = (u[:, None] + k * L - M) / s
+        total += w * np.exp(-0.5 * z * z).sum(axis=1) / (s * math.sqrt(2.0 * math.pi))
+    return total
+
+
+def _dense_oracle(comps, b):
+    """(H, <ln x>) by composite 24-point Gauss-Legendre in u = ln x on [0, ln b),
+    with panels narrower than an eighth of the smallest scale."""
+    L = math.log(b)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    panels = max(64, math.ceil(8 * L / min(s for _, _, s in comps)))
+    half = 0.5 * L / panels
+    u = ((np.arange(panels) * 2 + 1) * half)[:, None] + half * nodes
+    wt = np.broadcast_to(half * weights, u.shape).ravel()
+    g = _g_oracle(comps, L, u.ravel())
+    mean = float(np.sum(wt * g * u.ravel()))
+    return float(-np.sum(wt * g * np.log(g, where=g > 0, out=np.ones_like(g)))) + mean, mean
+
+
+def _golden_params(tokens):
+    vals = [float(t) for t in tokens[1:]]
+    if tokens[0] == "lognormal":
+        return LogNormalParams(*vals), [(1.0, *vals)]
+    comps = [tuple(vals[i : i + 3]) for i in range(0, len(vals), 3)]
+    return MixtureParams(tuple((w, LogNormalParams(M, s)) for w, M, s in comps)), comps
+
+
+_ORACLE_CASES = [
+    (f"{tag}_b{b}", b, *_golden_params(dist))
+    for b in (2, 10, 16, 1000)
+    for tag, dist in make_golden.DENSITY_DISTS
+] + [
+    (f"s{j}_M{M}_b{b}", b, LogNormalParams(M, float(s)), [(1.0, M, float(s))])
+    for b in (2, 10, 16, 1000)
+    for j, s in enumerate(np.geomspace(0.05, 6.0, 16))  # the density benchmark's scales
+    for M in (-4.1, 0.0, 2.9)
+]
+
+
+class TestSpectralEntropy:
+    """Wrapped log-normals and mixtures given by their parameters."""
+
+    @pytest.mark.parametrize(
+        "name, b, params, comps", _ORACLE_CASES, ids=[c[0] for c in _ORACLE_CASES]
+    )
+    def test_within_reported_error_of_dense_oracle(self, name, b, params, comps):
+        rep = analyze_entropy(params, Base(b))
+        h, mean = _dense_oracle(comps, b)
+        assert abs(rep.entropy - h) <= rep.quadrature_error_estimate
+        assert abs(rep.mean_log - mean) <= rep.quadrature_error_estimate
+
+    @pytest.mark.parametrize("b", [2, 10, 16, 1000])
+    def test_closed_form_mean_log_matches_quad(self, b):
+        L = math.log(b)
+        for M, s in ((-1.7, 0.8), (0.3, 0.05), (1.066357757671799, 0.05), (2.2, 0.2), (3.2, 1.5)):
+            u0 = M % L
+            g = lambda u: float(_g_oracle([(1.0, M, s)], L, np.array([u]))[0])
+            want, err = sint.quad(lambda u: u * g(u), 0.0, L, points=[u0], epsabs=1e-14, limit=500)
+            got = mean_log(LogNormalParams(M, s), Base(b))
+            assert abs(got - want) <= err + 1e-13, (b, M, s)
+
+    @pytest.mark.parametrize("b", [2, 10, 16, 1000])
+    def test_centred_at_one_means_half_log_base_exactly(self, b):
+        base = Base(b)
+        for s in (0.05, 0.4, 1.0, 6.0, 1e5):
+            rep = analyze_entropy(LogNormalParams(0.0, s), base)
+            # on the constraint's boundary without the quadrature slack
+            assert rep.mean_log == 0.5 * base.ln
+            assert rep.constraint_met
+
+    def test_matches_callable_within_both_errors(self):
+        for base, p in ((B10, LogNormalParams(0.3, 0.4)), (Base(2), LogNormalParams(0.1, 0.2))):
+            spectral = analyze_entropy(p, base)
+            adaptive = analyze_entropy(lambda x: wrapped_lognormal_pdf(x, p, base), base)
+            err = spectral.quadrature_error_estimate + adaptive.quadrature_error_estimate
+            assert abs(spectral.entropy - adaptive.entropy) <= err
+            assert abs(spectral.mean_log - adaptive.mean_log) <= err
+
+    def test_no_panel_tree_for_parameters(self, monkeypatch):
+        monkeypatch.setattr(entropy_module, "integrate", None)
+        mix = MixtureParams(((0.5, LogNormalParams(0.0, 0.5)), (0.5, LogNormalParams(1.0, 3.0))))
+        for entry in (entropy, mean_log, analyze_entropy):
+            entry(mix, B10)
+
+    def test_node_cap(self):
+        # s / ln b near 1e-6 needs about 10^6 nodes
+        with pytest.raises(QuadratureError):
+            analyze_entropy(LogNormalParams(0.5, 2e-6), B10)
+
+    def test_direct_series_tail_enters_the_error(self, monkeypatch):
+        # in practice the direct sum's certified tail underflows wherever it
+        # is the cheaper series, so pretend it were just under tol
+        p = LogNormalParams(0.3, 0.3)
+        exact = analyze_entropy(p, B10).quadrature_error_estimate
+        monkeypatch.setattr(wrapping_module, "_direct_tail", lambda K, s, L: 5e-10)
+        (c,) = wrapping_module._plan(((1.0, p),), L10, 1e-9)
+        assert c.K is not None and c.tail == 5e-10
+        rep = analyze_entropy(p, B10)
+        assert rep.quadrature_error_estimate >= exact + L10 * 5e-10 * math.log(2e9)
+
+
 def test_narrow_peak_entropy_within_reported_error():
-    # benford entropy lognormal -0.2659741224283465 0.05 --base 1000: reports an
-    # error of 2.8e-10 and is off by 6.8e-7 from scipy in u = ln x
+    # benford entropy lognormal -0.2659741224283465 0.05 --base 1000: the
+    # adaptive tree in x reported an error of 2.8e-10 and was off by 6.8e-7
+    # from scipy in u = ln x
     base = Base(1000)
     L, M, s = base.ln, -0.2659741224283465, 0.05
     p = LogNormalParams(M, s)
-    rep = analyze_entropy(lambda x: wrapped_lognormal_pdf(x, p, base), base)
+    rep = analyze_entropy(p, base)
     m = M % L
     k = np.arange(-3, 4)
 

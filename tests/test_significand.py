@@ -228,6 +228,20 @@ def test_full_range_decomposes_exactly(x, b):
     assert first_digit(x, Base(b)) == exact_decomposition(x, b)[1]
 
 
+@pytest.mark.parametrize("b", [2**53 + 1, 2**64, 10**400])
+def test_radix_without_an_exact_double_is_rejected(b):
+    # 10**400 used to raise a bare OverflowError from float(b) inside decompose
+    with pytest.raises(DomainError, match=r"at most 2\*\*53"):
+        Base(b)
+
+
+@pytest.mark.parametrize("b", [2**53, 2**53 - 1, 10**15 + 37])
+@pytest.mark.parametrize("x", FULL_RANGE_VALUES)
+def test_largest_radices_decompose_exactly(x, b):
+    d = decompose(x, Base(b))
+    assert_exact(x, b, d.significand, d.exponent)
+
+
 def test_first_digit_is_the_digit_of_the_double():
     # the double 1e-6 is 9.99999999999999954748e-7; 1e-5 lies above 10**-5
     assert first_digit(1e-6, Base(10)) == 9

@@ -26,11 +26,21 @@ from benford import (
     wrap_pdf,
     wrapped_lognormal_pdf,
 )
-from benford.wrapping import _DISTANCE_GRID, _cached_log_grid, _log_grid, _lognormal_trunc
+from benford.wrapping import (
+    _DISTANCE_GRID,
+    _cached_log_grid,
+    _dual_at,
+    _dual_order,
+    _log_grid,
+    _lognormal_trunc,
+    _plan,
+    _wl_pdf_at,
+)
 
 B10 = Base(10)
 B2 = Base(2)
 L10 = math.log(10.0)
+EPS = float(np.finfo(float).eps)
 
 
 def brute_wrapped_lognormal(x, M, s, b=10.0, kmax=400):
@@ -118,10 +128,22 @@ class TestWrapEngine:
         with pytest.raises(TruncationError):
             wrap_density(src, B10)
 
-    def test_truncation_error_for_absurd_scale(self):
-        # the closed form needs an order past the cap for scales this wide
+    @pytest.mark.parametrize("s", [1e5, 1e300])
+    def test_absurd_scales_equal_the_law(self, s):
+        # the direct sum would need an order past the cap; the dual series
+        # needs only its k = 0 term
+        for b in BASES:
+            base = Base(b)
+            x = np.append(log_grid(b, 64), 1.0)
+            for M in (0.0, 0.7):
+                rho = wrapped_lognormal_pdf(x, LogNormalParams(M, s), base)
+                law = 1.0 / (x * base.ln)
+                assert np.all(np.abs(rho - law) <= 1e-15 * law), (b, s, M)
+
+    def test_truncation_error_for_wide_generic_source(self):
+        # the generic decade series keeps its cap on the truncation order
         with pytest.raises(TruncationError):
-            wrapped_lognormal_pdf(2.0, LogNormalParams(0.0, 1e5), B10)
+            wrap_density(lognormal_source(LogNormalParams(0.0, 1e5)), B10)
 
     def test_halving_tol_changes_pdf_at_most_by_certificate(self):
         src = lognormal_source(LogNormalParams(0.3, 0.8))
@@ -379,6 +401,51 @@ class TestPoissonDual:
             rho = wrapped_lognormal_pdf(x, LogNormalParams(M, float(s)), base, tol)
             dual = dual_wrapped_lognormal(x, M, s, base.ln)
             assert np.all(np.abs(rho - dual) <= 2 * tol * np.maximum(1.0, rho)), (b, s)
+
+    @pytest.mark.parametrize("b", BASES)
+    def test_production_dual_matches_direct_sum(self, b):
+        # both production series, each truncated far below the difference
+        # allowed: the direct tail below 1e-13, the dual tail below 1e-16,
+        # and rounding within (2K + 1) epsilons of the positive direct terms
+        L, tol = math.log(b), 1e-13
+        x = log_grid(b)
+        for j, s in enumerate(SCALES):
+            s = float(s)
+            m = (-2.0 + 0.37 * j) % L
+            K = _lognormal_trunc(s, L, tol)
+            direct = _wl_pdf_at(x, m, s, L, K)
+            dual = _dual_at(x, m, s, L, _dual_order(s, L, 1e-16))
+            slack = tol + 1e-16 + (2 * K + 8) * EPS * direct
+            assert np.all(np.abs(direct - dual) <= slack), (b, s)
+
+    @pytest.mark.parametrize("b", BASES)
+    def test_dual_order_is_certified(self, b):
+        L = math.log(b)
+        for s in list(SCALES) + [1e-3, 20.0]:
+            for target in (1e-9, 1e-16):
+                J = _dual_order(float(s), L, target)
+                _, q = dual_weights(float(s), L)
+                assert (2.0 / L) * q[J:].sum() < target, (b, s, target)
+                if s >= SCALES[0]:
+                    # at most one term more than the least order that suffices
+                    assert J <= 1 or (2.0 / L) * q[J - 2 :].sum() >= target, (b, s, target)
+
+    @pytest.mark.parametrize("b", BASES)
+    def test_series_choice_never_sums_more_terms(self, b):
+        L = math.log(b)
+        for s in list(SCALES) + [1e-5, 1e-3, 20.0, 1e3, 1e5, 1e300]:
+            for tol in (1e-6, 1e-9, 1e-13):
+                (c,) = _plan(((1.0, LogNormalParams(0.3, float(s))),), L, tol)
+                J = _dual_order(float(s), L, min(tol, 1e-16))
+                terms = J + 1 if c.K is None else 2 * c.K + 1
+                assert c.J == J and terms <= J + 1
+                try:
+                    K = _lognormal_trunc(float(s), L, tol)
+                except TruncationError:
+                    assert c.K is None
+                    continue
+                assert terms <= 2 * K + 1
+                assert c.K in (None, K)
 
     @pytest.mark.parametrize("b", BASES)
     def test_sup_distance_within_dual_bound(self, b):
