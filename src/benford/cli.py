@@ -39,7 +39,7 @@ from .errors import (
     TruncationError,
     UnsupportedRatio,
 )
-from .nb_core import NBDistribution, first_digit_prob, nb_pdf
+from .nb_core import NBDistribution, first_digit_probs, nb_pdf
 from .significand import Base
 from .wrapping import (
     LogNormalParams,
@@ -459,15 +459,14 @@ def _parse_dist(tokens: Sequence[str], allow: tuple[str, ...]):
 
 
 def _conformance_records(report: ConformanceReport, base: Base) -> list[tuple]:
-    dist = NBDistribution(base)
     hist = report.histogram
     recs: list[tuple] = [
         ("total", hist.total),
         ("skipped_nonpositive", report.n_skipped_nonpositive),
         ("skipped_nonfinite", report.n_skipped_nonfinite),
     ]
-    for d, count in enumerate(hist.counts, start=1):
-        recs.append(("bin", d, count, count / hist.total, first_digit_prob(d, dist)))
+    for d, (count, p) in enumerate(zip(hist.counts, first_digit_probs(base)), start=1):
+        recs.append(("bin", d, count, count / hist.total, p))
     recs.extend(
         [
             ("chi_square", report.chi_square),
@@ -480,14 +479,12 @@ def _conformance_records(report: ConformanceReport, base: Base) -> list[tuple]:
 
 
 def _cmd_digits(args) -> list[tuple]:
-    base = Base(args.base)
-    dist = NBDistribution(base)
+    probs = first_digit_probs(Base(args.base))
     recs: list[tuple] = [
         ("schema", SCHEMA_VERSION),
         ("command", "digits"),
         ("param", "base", str(args.base)),
     ]
-    probs = [first_digit_prob(d, dist) for d in range(1, base.b)]
     for d, p in enumerate(probs, start=1):
         recs.append(("digit", d, p))
     recs.append(("digit_sum", math.fsum(probs)))

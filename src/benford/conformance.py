@@ -3,8 +3,8 @@
 Digit histograms with explicit skip accounting, Pearson chi-square against
 the law's cell probabilities, a Kolmogorov-Smirnov uniformity statistic on
 log-mapped significands, seeded samplers, and deterministic sequence
-generators that carry (significand, exponent) pairs so factorials and large
-powers never overflow.
+generators that give each term as (significand, exponent), so factorials
+and large powers never overflow.
 """
 
 from __future__ import annotations
@@ -12,17 +12,19 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from decimal import ROUND_FLOOR, Decimal, localcontext
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from ._special import chi2_sf
 from .errors import DomainError, EmptyData, InsufficientData, NonPositiveInput, UnsupportedRatio
-from .nb_core import NBDistribution, first_digit_prob
+from .nb_core import first_digit_probs
 from .significand import (
     Base,
     SignificandArray,
     SignificandDecomposition,
+    _exact_ratio,
     _power_table,
     decompose_array,
 )
@@ -46,6 +48,20 @@ __all__ = [
 SEQUENCE_KINDS = ("pow2", "factorial", "fibonacci", "geometric")
 
 _FACTORIAL_CAP = 10_000
+
+# The log-linear kernel (pow2, geometric, fibonacci) takes terms in blocks
+# of 2**_BLOCK_BITS; see _kernel.
+_BLOCK_BITS = 14
+_BLOCK = 1 << _BLOCK_BITS
+# bound on |u - frac(log_b term)| of a kernel term: the phase rounds at
+# most three times below 3, the offset once below 1 and their sum once
+# below 2, under 5 * 2**-53 in all
+_U_ERR = 2.0**-50
+# relative error allowed for float(b) ** u; numpy's measures below 0.6 ulp
+_POW_ERR = 2.0**-50
+_DEC_PREC = 60
+_DEC_TIE = Decimal("1e-40")  # see _settle
+_FIB_EXACT = 78  # F_78 < 2**53: the first Fibonacci terms are exact doubles
 
 
 @dataclass(frozen=True)
@@ -85,7 +101,8 @@ def _split_usable(data: np.ndarray | Iterable[float]) -> tuple[np.ndarray, int, 
     else:
         x = np.fromiter(data, dtype=np.float64)
     finite = np.isfinite(x)
-    usable = x[finite & (x > 0.0)]
+    keep = finite & (x > 0.0)
+    usable = x if keep.all() else x[keep]  # no copy when nothing is skipped
     n_finite = int(np.count_nonzero(finite))
     return usable, n_finite - usable.size, x.size - n_finite
 
@@ -105,10 +122,12 @@ def _histogram(sig: SignificandArray) -> DigitHistogram:
 
 
 def _ks(u: np.ndarray) -> float:
-    u = np.sort(u)
+    """Sorted-sample KS distance from uniform; sorts u, a fresh array, in place."""
+    u.sort()
     n = len(u)
-    i = np.arange(1, n + 1)
-    return float(max((i / n - u).max(), (u - (i - 1) / n).max()))
+    grid = np.arange(n + 1, dtype=np.float64)
+    grid /= n  # grid[i] = i / n
+    return float(max((grid[1:] - u).max(), (u - grid[:-1]).max()))
 
 
 def digit_histogram(
@@ -134,10 +153,9 @@ def chi_square(hist: DigitHistogram) -> tuple[float, float]:
         raise InsufficientData(
             f"chi-square needs total >= {5 * (b - 1)}, got {hist.total}"
         )
-    dist = NBDistribution(hist.base)
     stat = 0.0
-    for d, obs in enumerate(hist.counts, start=1):
-        expected = hist.total * first_digit_prob(d, dist)
+    for obs, p in zip(hist.counts, first_digit_probs(hist.base)):
+        expected = hist.total * p
         diff = obs - expected
         stat += diff * diff / expected
     return stat, chi2_sf(stat, b - 2)
@@ -155,10 +173,9 @@ def ks_uniform(data: np.ndarray | Iterable[float], base: Base) -> float:
 
 def tv_to_nb(hist: DigitHistogram) -> float:
     """Total-variation distance between digit frequencies and the law."""
-    dist = NBDistribution(hist.base)
     return 0.5 * sum(
-        abs(obs / hist.total - first_digit_prob(d, dist))
-        for d, obs in enumerate(hist.counts, start=1)
+        abs(obs / hist.total - p)
+        for obs, p in zip(hist.counts, first_digit_probs(hist.base))
     )
 
 
@@ -201,16 +218,14 @@ def sample_lognormal(n: int, p: LogNormalParams, seed: int) -> np.ndarray:
     return np.exp(p.M + p.s * rng.standard_normal(n))
 
 
-def _ratio_factor(ratio: float, base: Base) -> tuple[float, int]:
-    """The ratio as the generators multiply by it: (s, k), ratio ~ s * b**k.
+def _check_ratio(ratio: float, base: Base) -> None:
+    """Reject a ratio whose terms cannot be told from powers of b.
 
-    k starts from the log estimate and is corrected at most twice, each
-    time recomputing s = ratio / float(b)**k.  This is the most accurate
-    quotient float division gives; it is not clamped to the exact leading
-    digit as decompose's significand is, since a clamped factor would bias
-    every step of a carried product by up to an ulp.  A ratio whose s ends
-    at 1.0 or outside [1, b) cannot be told from a power of b and is
-    rejected: 1e-6 is, although its double lies just below 10**-6.
+    With k the exponent of the ratio, found from the log estimate and
+    corrected at most twice, s = ratio / float(b)**k is the most accurate
+    quotient float division gives.  A ratio whose s ends at 1.0 or outside
+    [1, b) is rejected: 1e-6 is, although its double lies just below
+    10**-6.
     """
     if not math.isfinite(ratio) or ratio <= 0.0:
         raise NonPositiveInput(f"geometric ratio must be positive, got {ratio!r}")
@@ -229,68 +244,225 @@ def _ratio_factor(ratio: float, base: Base) -> tuple[float, int]:
             f"ratio {ratio!r} is an integer power of {base.b} to float "
             "precision; its sequence has a constant significand"
         )
-    return s, k
 
 
-def _carry(
-    kind: str, n: int, base: Base, ratio: float | None
-) -> tuple[np.ndarray, np.ndarray, bytearray]:
-    """Significands of the first n terms, plus what their exponents need.
+def _rational_log(ratio: float, b: int) -> tuple[int, int, int] | None:
+    """(c, k, y) with b = c**y and ratio = c**k exactly, c the least integer
+    of which b is a power; None when log_b ratio is irrational.
 
-    One loop carries the significand of the running product (pow2,
-    geometric, factorial) or sum (fibonacci) and stores nothing per term
-    but the significand and, where it wrapped past b, how often.  Term i
-    has exponent ``(steps + wraps)[:i+1].sum()``: ``steps`` holds the
-    exponents of the factors, or zeros for fibonacci.
+    log_b r = k/y means r**y = b**k, and for a rational r that forces
+    r = c**k and b = c**y for one integer c.
     """
+    for y in range(b.bit_length() - 1, 0, -1):
+        guess = round(b ** (1.0 / y))
+        c = next((g for g in (guess - 1, guess, guess + 1) if g >= 2 and g**y == b), None)
+        if c is not None:
+            break
+    k = round(math.log(ratio) / math.log(c))
+    power = (c**k, 1) if k >= 0 else (1, c**-k)
+    return (c, k, y) if ratio.as_integer_ratio() == power else None
+
+
+def _fibonacci(t: int) -> int:
+    """F_t by fast doubling: F_2m = F_m (2 F_m+1 - F_m), F_2m+1 = F_m**2 + F_m+1**2."""
+    f0, f1 = 0, 1
+    for bit in bin(t)[2:]:
+        f0, f1 = f0 * (2 * f1 - f0), f0 * f0 + f1 * f1
+        if bit == "1":
+            f0, f1 = f1, f0 + f1
+    return f0
+
+
+class _LogLinear(NamedTuple):
+    """A sequence with log_b(term t) = t L - c: r**t (c = 0), or Fibonacci's
+    F_t = phi**t / sqrt5 up to Binet's factor 1 - (-phi**-2)**t, which is
+    within 2**-53 of 1 from t = 39 on.  L and c are held to 60 digits."""
+
+    base: Base
+    ratio: float | None  # r; None for fibonacci
+    L: Decimal
+    c: Decimal
+    lnb: Decimal
+
+    @classmethod
+    def of(cls, base: Base, ratio: float | None) -> "_LogLinear":
+        with localcontext() as ctx:
+            ctx.prec = _DEC_PREC
+            lnb = Decimal(base.b).ln()
+            if ratio is None:
+                root5 = Decimal(5).sqrt()
+                L, c = ((1 + root5) / 2).ln() / lnb, root5.ln() / lnb
+            else:
+                L, c = Decimal(ratio).ln() / lnb, Decimal(0)
+        return cls(base, ratio, L, c, lnb)
+
+    def log(self, t: int) -> Decimal:
+        """log_b of term t, to about 50 digits; call inside a 60-digit context."""
+        x = t * self.L - self.c
+        if self.ratio is None and t < 200:  # (phi**-2)**200 < 1e-83
+            q = (3 - Decimal(5).sqrt()) / 2
+            x += (1 - (-q) ** t).ln() / self.lnb
+        return x
+
+    def term(self, t: int) -> tuple[int, int]:
+        """Term t exactly, as (numerator, denominator)."""
+        if self.ratio is None:
+            return _fibonacci(t), 1
+        num, den = self.ratio.as_integer_ratio()
+        return num**t, den**t
+
+
+def _settle(seq: _LogLinear, t: int) -> tuple[int, float]:
+    """Exponent and significand of term t, with the exact leading digit d.
+
+    The significand comes from the 60-digit log.  One within 1e-40
+    (relative) of an integer, which in practice only a term equal to
+    d * b**k comes near, is redone in exact integers.  Either way it is
+    clamped into [d, nextafter(d + 1, 0)], as decompose_array clamps.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _DEC_PREC
+        x = seq.log(t)
+        k = int(x.to_integral_value(rounding=ROUND_FLOOR))
+        s = ((x - k) * seq.lnb).exp()
+        d = int(s)
+        tie = min(s - d, d + 1 - s) <= _DEC_TIE * s
+    if tie:
+        k, d, q = _exact_ratio(*seq.term(t), seq.base.b, k)
+    else:
+        q = float(s)
+    return k, min(max(q, float(d)), math.nextafter(d + 1.0, 0.0))
+
+
+def _kernel(seq: _LogLinear, t0: int, sig: np.ndarray, exps: np.ndarray | None) -> None:
+    """Fill sig (and exps) with the significands (and exponents) of terms
+    t0, t0 + 1, ... of a log-linear sequence.
+
+    Term t = t0 + start + j, for a block start and j < _BLOCK, has
+    log_b = x0 + j L with x0 = (t0 + start) L - c.  The block's
+    offset frac(x0) is rounded once from 60 digits.  The phase frac(j L)
+    is the same for every block: with L = hi + lo as two doubles and
+    hi = h1 + h2 split so that j h1 and j h2 are exact, it is
+    frac(frac(j h1) + frac(j h2) + j lo).  The sum u = frac(offset + phase)
+    errs by at most _U_ERR, and s = b**u is a float power.  A term whose s
+    lies within that error of an integer may have the wrong leading digit
+    or exponent; _settle redoes it.
+    """
+    n = len(sig)
+    m = min(n, _BLOCK)
+    with localcontext() as ctx:
+        ctx.prec = _DEC_PREC
+        hi = float(seq.L)
+        lo = float(seq.L - Decimal(hi))
+    e = math.frexp(hi)[1]
+    h1 = math.ldexp(math.floor(math.ldexp(hi, 53 - _BLOCK_BITS - e)), e - 53 + _BLOCK_BITS)
+    h2 = hi - h1  # at most _BLOCK_BITS significant bits, as j < 2**_BLOCK_BITS
+    j = np.arange(m, dtype=np.float64)
+    phase = j * h1
+    whole = np.floor(phase)
+    phase -= whole
+    part = j * h2
+    ipart = np.floor(part)
+    whole += ipart
+    phase += part - ipart
+    j *= lo
+    phase += j
+    np.floor(phase, out=ipart)
+    whole += ipart
+    phase -= ipart
+    fb = float(seq.base.b)
+    tol = seq.base.ln * _U_ERR + _POW_ERR
+    for start in range(0, n, m):
+        stop = min(start + m, n)
+        with localcontext() as ctx:
+            ctx.prec = _DEC_PREC
+            x0 = (t0 + start) * seq.L - seq.c
+            k0 = int(x0.to_integral_value(rounding=ROUND_FLOOR))
+            offset = float(x0 - k0)
+        s = sig[start:stop]
+        np.add(phase[: stop - start], offset, out=s)
+        carry = np.floor(s)
+        s -= carry
+        if exps is not None:
+            carry += whole[: stop - start]
+            carry += k0
+            exps[start:stop] = carry
+        np.power(fb, s, out=s)
+        gap = np.rint(s)
+        gap -= s
+        np.abs(gap, out=gap)
+        for i in np.flatnonzero(gap <= tol * s).tolist():
+            k, sig[start + i] = _settle(seq, t0 + start + i)
+            if exps is not None:
+                exps[start + i] = k
+
+
+def _factorial(n: int, base: Base, exponents: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Significands (and exponents) of 1!, ..., n! by a carried product.
+
+    The loop carries the significand of the running product and stores
+    nothing per term but the significand and, where it wrapped past b,
+    how often.  Term i has exponent ``(k + wraps)[:i+1].sum()``, with k
+    the exponents of the factors 1..n.
+    """
+    if n > _FACTORIAL_CAP:
+        raise DomainError(f"factorial sequences are capped at n = {_FACTORIAL_CAP}")
+    b = float(base.b)
+    sig = array("d", bytes(8 * n))
+    wraps = bytearray(n)
+    factors = decompose_array(np.arange(1, n + 1, dtype=np.float64), base)
+    s = 1.0
+    for i, fs in enumerate(factors.significand.tolist()):
+        s *= fs
+        while s >= b:
+            s /= b
+            wraps[i] += 1
+        sig[i] = s
+    if not exponents:
+        return np.frombuffer(sig), None
+    return np.frombuffer(sig), np.cumsum(factors.exponent + np.frombuffer(wraps, dtype=np.uint8))
+
+
+def _generate(
+    kind: str, n: int, base: Base, ratio: float | None, exponents: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Significands of the first n terms, and their exponents if asked."""
     if n < 1:
         raise DomainError(f"sequence length must be >= 1, got {n!r}")
     if kind not in SEQUENCE_KINDS:
         raise DomainError(f"unknown sequence kind {kind!r}; expected one of {SEQUENCE_KINDS}")
     if ratio is not None and kind != "geometric":
         raise DomainError(f"{kind} sequences take no ratio, got {ratio!r}")
-    b = float(base.b)
-    sig = array("d", bytes(8 * n))
-    wraps = bytearray(n)
-
-    if kind != "fibonacci":
-        if kind == "factorial":
-            if n > _FACTORIAL_CAP:
-                raise DomainError(f"factorial sequences are capped at n = {_FACTORIAL_CAP}")
-            factors = decompose_array(np.arange(1, n + 1, dtype=np.float64), base)
-            fsig, steps = factors.significand.tolist(), factors.exponent
-        else:
-            r = 2.0 if kind == "pow2" else ratio
-            if r is None:
-                raise DomainError("geometric sequences need a ratio")
-            fs, fe = _ratio_factor(r, base)
-            fsig, steps = [fs] * n, np.full(n, fe, dtype=np.int64)
-        s = 1.0
-        for i, fs in enumerate(fsig):
-            s *= fs
-            while s >= b:
-                s /= b
-                wraps[i] += 1
-            sig[i] = s
-        return np.frombuffer(sig), steps, wraps
-
-    # consecutive terms differ by a factor below 2 <= b, so the older
-    # significand is divided by b exactly when the newer one wrapped
-    s_prev = s_cur = 1.0
-    sig[0] = 1.0
-    if n > 1:
-        sig[1] = 1.0
-    w = 0
-    for i in range(2, n):
-        s_new = s_cur + (s_prev / b if w else s_prev)
-        w = 0
-        while s_new >= b:
-            s_new /= b
-            w += 1
-        wraps[i] = w
-        sig[i] = s_new
-        s_prev, s_cur = s_cur, s_new
-    return np.frombuffer(sig), np.zeros(n, dtype=np.int64), wraps
+    if kind == "factorial":
+        return _factorial(n, base, exponents)
+    head = 0
+    if kind == "fibonacci":
+        seq = _LogLinear.of(base, None)
+        head = min(n, _FIB_EXACT)
+    else:
+        r = 2.0 if kind == "pow2" else ratio
+        if r is None:
+            raise DomainError("geometric sequences need a ratio")
+        _check_ratio(r, base)
+        rational = _rational_log(r, base.b)
+        if rational is not None:
+            # r**y = b**k: term t has significand c**((t k) mod y), period y
+            c, k, y = rational
+            sig = np.resize([float(c ** (t * k % y)) for t in range(1, y + 1)], n)
+            exps = np.arange(1, n + 1, dtype=np.int64) * k // y if exponents else None
+            return sig, exps
+        seq = _LogLinear.of(base, r)
+    sig = np.empty(n)
+    exps = np.empty(n, dtype=np.int64) if exponents else None
+    if head:
+        fib = np.array([_fibonacci(t) for t in range(1, head + 1)], dtype=np.float64)
+        exact = decompose_array(fib, base)
+        sig[:head] = exact.significand
+        if exps is not None:
+            exps[:head] = exact.exponent
+    if n > head:
+        _kernel(seq, head + 1, sig[head:], None if exps is None else exps[head:])
+    return sig, exps
 
 
 def gen_sequence_terms(
@@ -302,8 +474,7 @@ def gen_sequence_terms(
     large powers cannot overflow; only the significand matters for digit
     statistics anyway.
     """
-    sig, steps, wraps = _carry(kind, n, base, ratio)
-    exps = np.cumsum(steps + np.frombuffer(wraps, dtype=np.uint8))
+    sig, exps = _generate(kind, n, base, ratio, exponents=True)
     return [
         SignificandDecomposition(s, e, base)
         for s, e in zip(sig.tolist(), exps.tolist())
@@ -314,4 +485,4 @@ def gen_sequence(
     kind: str, n: int, base: Base, ratio: float | None = None
 ) -> np.ndarray:
     """Significands of the first n sequence terms; see gen_sequence_terms."""
-    return _carry(kind, n, base, ratio)[0]
+    return _generate(kind, n, base, ratio, exponents=False)[0]

@@ -8,6 +8,7 @@ mod b, whose measure the law leaves invariant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ __all__ = [
     "nb_cdf",
     "nb_quantile",
     "first_digit_prob",
+    "first_digit_probs",
     "interval_measure",
     "scale_interval",
     "measure_of_set",
@@ -125,6 +127,13 @@ def first_digit_prob(d: int, dist: NBDistribution) -> float:
     if not 1 <= d <= b - 1:
         raise DomainError(f"digit {d!r} outside [1, {b - 1}]")
     return math.log1p(1.0 / d) / dist.base.ln
+
+
+@functools.lru_cache(maxsize=16)
+def first_digit_probs(base: Base) -> tuple[float, ...]:
+    """first_digit_prob for d = 1..b-1, built once per base: the same floats."""
+    dist = NBDistribution(base)
+    return tuple(first_digit_prob(d, dist) for d in range(1, base.b))
 
 
 def interval_measure(iv: SignificandInterval, dist: NBDistribution) -> float:

@@ -102,13 +102,21 @@ def _power_table(b: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _exact(v: float, b: int, k: int) -> tuple[int, int, float]:
-    """(exponent, digit, significand) of one value by integer arithmetic.
+    """(exponent, digit, significand) of one double by integer arithmetic.
+
+    The digit is the leading digit of the double's exact binary value; see
+    :func:`_exact_ratio`.
+    """
+    return _exact_ratio(*v.as_integer_ratio(), b, k)
+
+
+def _exact_ratio(num: int, den: int, b: int, k: int) -> tuple[int, int, float]:
+    """(exponent, digit, significand) of the positive rational num/den.
 
     ``k`` is an estimate within a few steps of the exponent.  The digit is
-    the leading digit of the double's exact binary value; the significand
-    is the correctly rounded exact quotient v / b**k.
+    exact; the significand is the correctly rounded exact quotient
+    num / (den * b**k).
     """
-    num, den = v.as_integer_ratio()
     while True:
         n = num * b**-k if k < 0 else num
         d = den * b**k if k > 0 else den
@@ -135,7 +143,9 @@ class SignificandArray:
 
     def log_map(self) -> np.ndarray:
         """u = ln(s)/ln(b) per element: the significands on the circle [0, 1)."""
-        return np.log(self.significand) / self.base.ln
+        u = np.log(self.significand)
+        u /= self.base.ln
+        return u
 
 
 def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import sys
@@ -758,6 +760,61 @@ class TestSequenceCmd:
         assert code == 2
         assert out == ""
         assert "ratio" in err
+
+
+# --ratio texts: non-finite and nonpositive values, the extreme doubles,
+# neighbours of 1, hex floats (which float() does not parse) and garbage
+_RATIO_TEXTS = st.sampled_from(
+    [
+        "nan", "-nan", "inf", "-inf", "Infinity", "0", "-0.0", "-2", "1",
+        "0x1p-1074", "0x1.8p+1", "5e-324", "1e-320", "2.2250738585072014e-308",
+        "1e308", "1.7976931348623157e308", repr(math.nextafter(1.0, 2.0)),
+        repr(math.nextafter(1.0, 0.0)), "4", "0.25", "1.1", "", "abc", "1e", "--",
+    ]
+) | st.floats(min_value=5e-324).map(repr) | st.floats().map(float.hex) | st.text(max_size=6)
+_SEQ_BASES = st.sampled_from([2, 3, 8, 10, 12, 16, 1000, 1024]) | st.integers(-2, cli._MAX_BASE + 2)
+_RUN_N = 10**4  # larger --n draws go through the parser only
+
+
+def _power_ratio_texts(b: int):
+    """Exact powers of b as doubles, and their neighbours."""
+    powers = st.integers(-40, 40).map(lambda k: float(b) ** k if b > 1 else 2.0)
+    return powers.flatmap(
+        lambda x: st.sampled_from([x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)])
+    ).map(repr)
+
+
+class TestSequenceFuzz:
+    @settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_exit_codes(self, data):
+        kind = data.draw(st.sampled_from(cli.SEQUENCE_KINDS + ("primes",)), label="kind")
+        n = data.draw(st.integers(-3, _RUN_N) | st.integers(_RUN_N + 1, 10**13), label="n")
+        base = data.draw(_SEQ_BASES, label="base")
+        argv = ["sequence", kind, "--n", str(n), "--base", str(base), "--format", "records"]
+        if data.draw(st.booleans(), label="with ratio"):
+            text = data.draw(_RATIO_TEXTS | _power_ratio_texts(base), label="ratio")
+            argv[2:2] = ["--ratio", text]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            if n > _RUN_N:
+                try:
+                    cli._parser().parse_args(argv)
+                    code = 0
+                except SystemExit as exc:
+                    code = exc.code
+                if n > cli._MAX_N:
+                    assert code == 2
+            else:
+                code = main(argv)
+        assert code in (0, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if code == 3:
+            # the only data error: too few terms for the chi-square cells
+            assert "chi-square needs total" in err.getvalue(), (argv, err.getvalue())
+            assert n < 5 * (base - 1)
+        if code == 0 and n <= _RUN_N:
+            assert field(records_of(out.getvalue()), "total") == (n,)
 
 
 class TestRecordsFormat:

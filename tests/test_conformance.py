@@ -1,4 +1,7 @@
 import math
+import time
+import tracemalloc
+from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from benford import (
     LogNormalParams,
     NBDistribution,
     NonPositiveInput,
+    SignificandDecomposition,
     UnsupportedRatio,
     analyze,
     chi_square,
@@ -24,6 +28,7 @@ from benford import (
     sample_nb,
     tv_to_nb,
 )
+from benford import conformance
 
 B10 = Base(10)
 D10 = NBDistribution(B10)
@@ -226,6 +231,272 @@ class TestAnalyze:
         assert 0.0 <= rep.ks_stat <= 1.0
         assert rep.tv_distance == tv_to_nb(rep.histogram)
 
+    def test_input_array_is_left_as_given(self):
+        # all-usable data goes to decompose without a copy, and the KS
+        # statistic sorts its own log-mapped array
+        x = sample_nb(1000, B10, seed=5)[::-1].copy()
+        before = x.copy()
+        analyze(x, B10)
+        ks_uniform(x, B10)
+        assert np.array_equal(x, before)
+
     def test_exact_proportional_tv_is_zero(self):
         hist = DigitHistogram(Base(2), (123,), 123)
         assert tv_to_nb(hist) == 0.0
+
+
+# --------------------------------------------------------------------------
+# sequence oracles: exact integers for the first terms, 60-digit Decimal on
+# to t = 10**6
+# --------------------------------------------------------------------------
+
+EXACT_T = 2000
+NEXT_UP = math.nextafter(1.0, 2.0)
+NEXT_DOWN = math.nextafter(1.0, 0.0)
+# (kind, base, ratio); the cases where log_b r is rational have terms that
+# equal d * b**k at every t
+SEQUENCE_CASES = [
+    ("pow2", 10, None),
+    ("pow2", 12, None),  # 2**3 = 8 exactly
+    ("pow2", 4, None),
+    ("pow2", 16, None),
+    ("pow2", 1024, None),
+    ("pow2", 1000, None),
+    ("fibonacci", 10, None),
+    ("fibonacci", 16, None),  # F_12 = 144 = 9 * 16
+    ("fibonacci", 1000, None),
+    ("geometric", 8, 4.0),
+    ("geometric", 8, 0.25),
+    ("geometric", 10, 1.1),
+    ("geometric", 1000, 1.1),
+    ("geometric", 10, 3.0 ** (1.0 / 7.0)),
+    ("geometric", 16, 3.0 ** (1.0 / 7.0)),
+    ("geometric", 10, NEXT_UP),
+    ("geometric", 10, NEXT_DOWN),
+    ("geometric", 1000, NEXT_DOWN),
+]
+RATIONAL_CASES = [
+    ("pow2", 4, None),
+    ("pow2", 16, None),
+    ("pow2", 1024, None),
+    ("geometric", 8, 4.0),
+    ("geometric", 8, 0.25),
+]
+# |u - u_exact| with u = log_b of the returned significand: the kernel's
+# bound on u plus the rounding of b**u, with margin
+KERNEL_DRIFT = 6e-16
+FACTORIAL_DRIFT = 4e-15  # 2.8e-15 measured at n = 10**4
+
+
+def _exact_terms(kind, n, ratio):
+    """(numerator, denominator) of terms 1..n, exactly."""
+    if kind == "fibonacci":
+        f0, f1 = 0, 1
+        for _ in range(n):
+            f0, f1 = f1, f0 + f1
+            yield f0, 1
+        return
+    rn, rd = (2.0 if kind == "pow2" else ratio).as_integer_ratio()
+    num, den = 1, 1
+    for _ in range(n):
+        num, den = num * rn, den * rd
+        yield num, den
+
+
+def _exact_digit_exponent(num, den, b):
+    k = math.floor((num.bit_length() - den.bit_length()) * math.log(2) / math.log(b))
+    while True:
+        top = num * b**-k if k < 0 else num
+        bottom = den * b**k if k > 0 else den
+        if top < bottom:
+            k -= 1
+        elif top >= b * bottom:
+            k += 1
+        else:
+            return top // bottom, k
+
+
+class _DecimalSequence:
+    """log_b of term t to about 55 digits."""
+
+    def __init__(self, kind, b, ratio):
+        self.fib = kind == "fibonacci"
+        with localcontext() as ctx:
+            ctx.prec = 60
+            self.lnb = Decimal(b).ln()
+            root5 = Decimal(5).sqrt()
+            if self.fib:
+                self.L = ((1 + root5) / 2).ln() / self.lnb
+                self.c = root5.ln() / self.lnb
+                self.q = (3 - root5) / 2
+            else:
+                self.L = Decimal(2.0 if kind == "pow2" else ratio).ln() / self.lnb
+                self.c = Decimal(0)
+
+    def log(self, t):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = t * self.L - self.c
+            if self.fib and t < 200:
+                x += (1 - (-self.q) ** t).ln() / self.lnb
+            return x
+
+    def digit_exponent(self, t):
+        """Leading digit and exponent of term t; None for the digit when the
+        term lies within 1e-40 of a digit boundary."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = self.log(t)
+            k = int(x.to_integral_value(rounding=ROUND_FLOOR))
+            s = ((x - k) * self.lnb).exp()
+            d = int(s)
+            tie = min(s - d, d + 1 - s) <= Decimal("1e-40") * s
+            return (None if tie else d), k
+
+    def drift(self, t, s):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = self.log(t)
+            u = x - x.to_integral_value(rounding=ROUND_FLOOR)
+            got = Decimal(s).ln() / self.lnb
+            return float(min(abs(got - u), 1 - abs(got - u)))
+
+
+def _case_id(case):
+    kind, b, ratio = case
+    return f"{kind}-b{b}" + ("" if ratio is None else f"-r{ratio!r}")
+
+
+class TestSequenceExactness:
+    @pytest.mark.parametrize("case", SEQUENCE_CASES, ids=_case_id)
+    def test_first_terms_match_exact_integers(self, case):
+        kind, b, ratio = case
+        terms = gen_sequence_terms(kind, EXACT_T, Base(b), ratio=ratio)
+        assert np.array_equal(
+            gen_sequence(kind, EXACT_T, Base(b), ratio=ratio),
+            [t.significand for t in terms],
+        )
+        dec = _DecimalSequence(kind, b, ratio)
+        worst = 0.0
+        for t, ((num, den), term) in enumerate(zip(_exact_terms(kind, EXACT_T, ratio), terms), 1):
+            d, k = _exact_digit_exponent(num, den, b)
+            assert (int(term.significand), term.exponent) == (d, k), (t, term)
+            if t % 7 == 0 or t < 100:
+                worst = max(worst, dec.drift(t, term.significand))
+        assert worst <= KERNEL_DRIFT
+
+    @pytest.mark.parametrize("case", SEQUENCE_CASES, ids=_case_id)
+    def test_terms_to_a_million_match_decimal(self, case):
+        kind, b, ratio = case
+        n = 10**6
+        # the arrays behind gen_sequence_terms, without 10**6 objects
+        sig, exps = conformance._generate(kind, n, Base(b), ratio, exponents=True)
+        assert np.array_equal(sig, gen_sequence(kind, n, Base(b), ratio=ratio))
+        rng = np.random.default_rng(b)
+        picks = sorted(set(rng.integers(EXACT_T, n, 300).tolist()) | {n})
+        dec = _DecimalSequence(kind, b, ratio)
+        worst = 0.0
+        for t in picks:
+            d, k = dec.digit_exponent(t)
+            if case in RATIONAL_CASES:
+                # every term is 2**(a t) = 2**j * b**k: a tie, settled here
+                # in integers
+                assert d is None
+                a, p = round(math.log2(2.0 if kind == "pow2" else ratio)), b.bit_length() - 1
+                d, k = 2 ** (a * t % p), a * t // p
+            assert (int(sig[t - 1]), int(exps[t - 1])) == (d, k), t
+            worst = max(worst, dec.drift(t, float(sig[t - 1])))
+        assert worst <= KERNEL_DRIFT
+
+    @pytest.mark.parametrize("ratio,cycle", [(4.0, (4, 2, 1)), (0.25, (2, 4, 1))])
+    def test_rational_log_ratios_cycle_exactly(self, ratio, cycle):
+        n = 10**4
+        terms = gen_sequence_terms("geometric", n, Base(8), ratio=ratio)
+        assert [t.significand for t in terms] == [float(cycle[t % 3]) for t in range(n)]
+        for t, term in enumerate(terms, 1):
+            # 2**(2t) or 2**(-2t) = 2**j * 8**exponent with 2**j the significand
+            j = int(term.significand).bit_length() - 1
+            assert 3 * term.exponent + j == (2 * t if ratio == 4.0 else -2 * t)
+        hist, _, _ = digit_histogram(gen_sequence("geometric", 3000, Base(8), ratio=ratio), Base(8))
+        assert hist.counts == (1000, 1000, 0, 1000, 0, 0, 0)
+
+    def test_integer_significands_are_exact(self):
+        assert gen_sequence_terms("pow2", 3, Base(12))[-1] == SignificandDecomposition(8.0, 0, Base(12))
+        # 60 digits give log_24 16 just below the boundary: 15.99...9
+        assert gen_sequence_terms("pow2", 4, Base(24))[-1] == SignificandDecomposition(16.0, 0, Base(24))
+        assert gen_sequence_terms("fibonacci", 12, Base(16))[-1] == SignificandDecomposition(9.0, 1, Base(16))
+        for b in (4, 16, 1024):
+            p = b.bit_length() - 1
+            terms = gen_sequence_terms("pow2", 5000, Base(b))
+            assert [(t.significand, t.exponent) for t in terms] == [
+                (2.0 ** (i % p), i // p) for i in range(1, 5001)
+            ]
+
+    def test_exact_hits_past_the_first_terms(self):
+        # F_81 = 17 * b for this base, and (3 * 2**1000)**2 = 9 * 16**500:
+        # 60-digit logs put both within 1e-40 of a digit boundary (F_81 only
+        # with Binet's correction, without which its log lies 1e-34 low), so
+        # both are settled in exact integers
+        b = 37889062373143906 // 17
+        assert gen_sequence_terms("fibonacci", 81, Base(b))[-1] == SignificandDecomposition(
+            17.0, 1, Base(b)
+        )
+        terms = gen_sequence_terms("geometric", 3, Base(16), ratio=3.0 * 2.0**1000)
+        assert [(t.significand, t.exponent) for t in terms[:2]] == [(3.0, 250), (9.0, 500)]
+        assert terms[2].exponent == 751  # 27 * 16**750
+        assert terms[2].significand == pytest.approx(1.6875, rel=1e-15)
+
+    @pytest.mark.parametrize("kind,b", [("pow2", 10), ("fibonacci", 10), ("pow2", 7)])
+    def test_exponents_count_digits(self, kind, b):
+        n = 3000
+        terms = gen_sequence_terms(kind, n, Base(b))
+        for t, ((num, _), term) in enumerate(zip(_exact_terms(kind, n, None), terms), 1):
+            if b == 10:
+                assert term.exponent == len(str(num)) - 1, t
+            else:
+                assert b**term.exponent <= num < b ** (term.exponent + 1), t
+
+    def test_factorial_drift_is_bounded(self):
+        # the carried product's drift grows with n; pinned at n = 10**4
+        n = 10**4
+        sig = gen_sequence("factorial", n, B10)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            acc, worst = Decimal(0), 0.0
+            ln10 = Decimal(10).ln()
+            for t in range(1, n + 1):
+                acc += Decimal(t).ln()
+                if t % 97 == 0 or t == n:
+                    x = acc / ln10
+                    u = x - x.to_integral_value(rounding=ROUND_FLOOR)
+                    worst = max(worst, float(abs(Decimal(float(sig[t - 1])).ln() / ln10 - u)))
+        assert worst <= FACTORIAL_DRIFT
+
+
+class TestSequenceCost:
+    def test_near_one_ratio_settles_few_terms(self, monkeypatch):
+        settled = []
+        settle = conformance._settle
+
+        def counting(seq, t):
+            settled.append(t)
+            return settle(seq, t)
+
+        monkeypatch.setattr(conformance, "_settle", counting)
+        start = time.perf_counter()
+        gen_sequence("geometric", 10**5, B10, ratio=NEXT_UP)
+        assert time.perf_counter() - start < 2.0
+        # s_t = 1 + t * 2.2e-16 lies within the flag window (1 + ln 10) * 2**-50
+        # = 2.9e-15 of the integer 1 only up to t = 13
+        assert settled == list(range(1, 14))
+
+    def test_pow2_memory_per_term(self):
+        n = 10**6
+        gen_sequence("pow2", 1000, B10)
+        tracemalloc.start()
+        try:
+            gen_sequence("pow2", n, B10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n

@@ -19,6 +19,7 @@ from benford import (
     scale_interval,
 )
 from benford._quadrature import integrate
+from benford.nb_core import first_digit_probs
 
 B10 = Base(10)
 D10 = NBDistribution(B10)
@@ -105,6 +106,13 @@ class TestFirstDigitProb:
             first_digit_prob(0, D10)
         with pytest.raises(DomainError):
             first_digit_prob(10, D10)
+
+    @pytest.mark.parametrize("b", [2, 3, 10, 16, 1000])
+    def test_table_holds_the_same_floats(self, b):
+        table = first_digit_probs(Base(b))
+        dist = NBDistribution(Base(b))
+        assert table == tuple(first_digit_prob(d, dist) for d in range(1, b))
+        assert first_digit_probs(Base(b)) is table  # built once per base
 
 
 class TestIntervalMeasure:
