@@ -46,7 +46,6 @@ from .wrapping import (
     MixtureParams,
     _log_grid,
     distance_to_nb,
-    wrap_mixture_pdf,
     wrapped_lognormal_pdf,
 )
 
@@ -512,8 +511,7 @@ def _cmd_wrap(args) -> list[tuple]:
     base = Base(args.base)
     if args.grid_points < 1:
         raise DomainError(f"grid points must be >= 1, got {args.grid_points}")
-    kind, params = _parse_dist(args.dist, ("lognormal", "mixture"))
-    pdf = wrapped_lognormal_pdf if kind == "lognormal" else wrap_mixture_pdf
+    _, params = _parse_dist(args.dist, ("lognormal", "mixture"))
     sup, tv = distance_to_nb(params, base, args.tol)
     recs: list[tuple] = [
         ("schema", SCHEMA_VERSION),
@@ -524,7 +522,7 @@ def _cmd_wrap(args) -> list[tuple]:
         ("param", "dist", " ".join(args.dist)),
     ]
     x = _log_grid(base, args.grid_points)
-    w = pdf(x, params, base, args.tol)
+    w = wrapped_lognormal_pdf(x, params, base, args.tol)
     r = nb_pdf(x, NBDistribution(base))
     recs.extend(
         ("row", *row) for row in zip(x.tolist(), w.tolist(), r.tolist(), (w - r).tolist())

@@ -30,15 +30,7 @@ import numpy as np
 from ._quadrature import integrate
 from .errors import NotNormalized, QuadratureError
 from .significand import Base
-from .wrapping import (
-    LogNormalParams,
-    MixtureParams,
-    _components,
-    _dual_rate,
-    _evaluate,
-    _mean_log,
-    _plan,
-)
+from .wrapping import LogNormalParams, MixtureParams, _WrappedLogNormal
 
 __all__ = ["EntropyReport", "entropy", "nb_entropy_closed", "mean_log", "analyze_entropy"]
 
@@ -94,17 +86,18 @@ def _adaptive_integrals(pdf: Pdf, base: Base) -> tuple[float, float, float, floa
     return h, ml, err_h, err_ml
 
 
-def _truncation_effect(plan: list, L: float) -> float:
+def _truncation_effect(wl: _WrappedLogNormal) -> float:
     """Bound on the change of H_u from truncating the series.
 
     Truncation lowers g by at most eps = sum_i w_i tail_i at every point,
     and |f(g) - f(g - d)| <= d (ln(1/d) + 1 + ln+ g_max) for f(t) = -t ln t
     and 0 <= d <= eps <= 1/e; g_max <= sum_i w_i (1/(s_i sqrt(2 pi)) + 1/L).
     """
-    eps = sum(c.w * c.tail for c in plan)
+    L = wl.L
+    eps = sum(c.w * c.tail for c in wl.series)
     if eps == 0.0:
         return 0.0
-    g_max = sum(c.w * (1.0 / (c.s * math.sqrt(2.0 * math.pi)) + 1.0 / L) for c in plan)
+    g_max = sum(c.w * (1.0 / (c.s * math.sqrt(2.0 * math.pi)) + 1.0 / L) for c in wl.series)
     return L * eps * (max(0.0, -math.log(eps)) + 1.0 + max(0.0, math.log(g_max)))
 
 
@@ -121,12 +114,12 @@ def _trapezoid_integrals(
     their sum, the truncation effect and the mean-log tail make H's error.
     """
     L = base.ln
-    plan = _plan(_components(params), L, tol)
-    rate = min(_dual_rate(c.s, L) for c in plan if c.w > 0.0)
+    wl = _WrappedLogNormal.of(params, base, tol)
+    rate = wl.alias_rate()
 
     def sums(u: np.ndarray) -> tuple[float, float]:
         x = np.exp(u)
-        g = x * _evaluate(x, plan, L)
+        g = x * wl.pdf(x)
         return float(np.sum(g)), float(np.sum(_neg_g_log_g(g)))
 
     n = _FIRST_NODES
@@ -153,8 +146,8 @@ def _trapezoid_integrals(
     norm = sum_g * (L / n)
     if abs(norm - 1.0) > _NORM_TOL:
         raise NotNormalized(f"density integrates to {norm!r}, expected 1")
-    ml, err_ml = _mean_log(plan, L)
-    err_h = alias + change + _truncation_effect(plan, L) + err_ml
+    ml, err_ml = wl.mean_log()
+    err_h = alias + change + _truncation_effect(wl) + err_ml
     return h_u + ml, ml, err_h, err_ml
 
 

@@ -11,8 +11,8 @@ of Gaussians, and its Poisson dual, a cosine series whose leading term is
 the scale-invariant density 1/(x ln b).  Narrow components need few
 Gaussians, wide ones few cosines; each component is summed by whichever
 series needs fewer terms.  The closed-form densities take a float or a
-float64 array of x and choose the series and its order once per call and
-component.
+float64 array of x and plan the series and its order once per call and
+component, in one _WrappedLogNormal that the entropy engine shares.
 
 Source contracts (pdf/cdf/tail_mass) must be pure; everything here is then
 thread-safe, and wrapped densities can be shared freely across threads.
@@ -279,27 +279,35 @@ def _lognormal_trunc(s: float, L: float, tol: float) -> int:
     )
 
 
+def _block_sum(n: int, ks: np.ndarray, terms: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """sum_k terms(k) at n points, adding the terms one by one in the order
+    of ks, for _BLOCK elements of (point, k) at a time; terms maps a run of
+    orders to their (n, run length) array.  Every point sees the same
+    sequence of operations whatever n, so an array result equals the
+    elementwise scalar results bit for bit."""
+    cols = max(1, _BLOCK // max(1, n))
+    total = np.zeros(n)
+    for i in range(0, ks.size, cols):
+        z = terms(ks[i : i + cols])
+        z[:, 0] += total
+        total = np.add.accumulate(z, axis=1, out=z)[:, -1]
+    return total
+
+
 def _wl_pdf_at(x: np.ndarray, m: float, s: float, L: float, K: int) -> np.ndarray:
     """(1/(x s sqrt(2 pi))) sum_{k=-K}^{K} exp(-(ln x + k L - m)^2 / 2 s^2).
 
-    The terms are added one by one in increasing k, for _BLOCK elements of
-    (x, k) at a time.  Every element sees the same sequence of operations
-    whatever the length of x, so an array result equals the elementwise
-    scalar results bit for bit.  The terms are positive, so the sum's
-    relative rounding error stays below (2K + 1) machine epsilons.
+    The terms are added in increasing k by _block_sum.  They are positive,
+    so the sum's relative rounding error stays below (2K + 1) machine
+    epsilons.
     """
     u = np.log(x)[:, None]
-    cols = max(1, _BLOCK // max(1, x.size))
-    total = np.zeros(x.size)
-    for k0 in range(-K, K + 1, cols):
-        z = u + np.arange(k0, min(k0 + cols, K + 1)) * L
-        np.subtract(z, m, out=z)
-        np.multiply(z, z, out=z)
-        np.divide(z, -2.0 * s * s, out=z)
-        np.exp(z, out=z)
-        z[:, 0] += total
-        total = np.add.accumulate(z, axis=1, out=z)[:, -1]
-    return total / (x * s * _SQRT2PI)
+
+    def terms(k: np.ndarray) -> np.ndarray:
+        z = u + k * L - m
+        return np.exp(z * z / (-2.0 * s * s))
+
+    return _block_sum(x.size, np.arange(-K, K + 1), terms) / (x * s * _SQRT2PI)
 
 
 def _dual_rate(s: float, L: float) -> float:
@@ -336,21 +344,15 @@ def _dual_at(x: np.ndarray, m: float, s: float, L: float, J: int) -> np.ndarray:
     """(1/(x L)) [1 + 2 sum_{k=1}^{J} c_k cos(2 pi k (ln x - m) / L)].
 
     The Poisson dual of _wl_pdf_at's sum, with c_k = exp(-2 pi^2 k^2 s^2 / L^2).
-    Terms are added from k = J down to 1, smallest first, in the same
-    blocks as _wl_pdf_at, so an array result equals the elementwise scalar
-    results bit for bit.
+    The terms are added from k = J down to 1, smallest first, by _block_sum.
     """
     theta = ((np.log(x) - m) * (2.0 * math.pi / L))[:, None]
     a = _dual_rate(s, L)
-    cols = max(1, _BLOCK // max(1, x.size))
-    total = np.zeros(x.size)
-    for k0 in range(J, 0, -cols):
-        k = np.arange(k0, max(k0 - cols, 0), -1)
-        z = np.cos(theta * k)
-        z *= np.exp(-a * (k * k))
-        z[:, 0] += total
-        total = np.add.accumulate(z, axis=1, out=z)[:, -1]
-    return (1.0 + 2.0 * total) / (x * L)
+
+    def terms(k: np.ndarray) -> np.ndarray:
+        return np.cos(theta * k) * np.exp(-a * (k * k))
+
+    return (1.0 + 2.0 * _block_sum(x.size, np.arange(J, 0, -1), terms)) / (x * L)
 
 
 class _Series(NamedTuple):
@@ -370,85 +372,87 @@ class _Series(NamedTuple):
     tail: float
 
 
-def _plan(
-    components: Iterable[tuple[float, LogNormalParams]], L: float, tol: float
-) -> list[_Series]:
-    """Per component, the series that needs fewer terms: the direct sum
-    (2K + 1 terms, tail below tol) or the dual (J + 1 terms, tail below
-    _DUAL_TAIL, or below tol if that is smaller).  A tie goes to the dual,
-    whose tail is the smaller."""
-    target = min(tol, _DUAL_TAIL)
-    plan = []
-    for w, p in components:
-        try:
-            K = _lognormal_trunc(p.s, L, tol)
-        except TruncationError:
-            K = None
-        J = _dual_order(p.s, L, target)
-        if K is None or J + 1 <= 2 * K + 1:
-            plan.append(_Series(w, p.M % L, p.s, None, J, target))
-        else:
-            plan.append(_Series(w, p.M % L, p.s, K, J, _direct_tail(K, p.s, L)))
-    return plan
+@dataclass(frozen=True)
+class _WrappedLogNormal:
+    """A wrapped log-normal or mixture planned once: L = ln b and, per
+    component, the series that sums it, with its order and tail bound."""
 
+    L: float
+    series: tuple[_Series, ...]
 
-def _evaluate(x: np.ndarray, plan: list[_Series], L: float) -> np.ndarray:
-    """Weighted sum of the planned series at the points x."""
-    return sum(
-        c.w * (_dual_at(x, c.m, c.s, L, c.J) if c.K is None else _wl_pdf_at(x, c.m, c.s, L, c.K))
-        for c in plan
-    )
+    @classmethod
+    def of(cls, params: LogNormalParams | MixtureParams, base: Base, tol: float):
+        """Per component, the series that needs fewer terms: the direct sum
+        (2K + 1 terms, tail below tol) or the dual (J + 1 terms, tail below
+        _DUAL_TAIL, or below tol if that is smaller).  A tie goes to the
+        dual, whose tail is the smaller."""
+        L = base.ln
+        target = min(tol, _DUAL_TAIL)
+        comps = params.components if isinstance(params, MixtureParams) else ((1.0, params),)
+        series = []
+        for w, p in comps:
+            try:
+                K = _lognormal_trunc(p.s, L, tol)
+            except TruncationError:
+                K = None
+            J = _dual_order(p.s, L, target)
+            if K is None or J + 1 <= 2 * K + 1:
+                series.append(_Series(w, p.M % L, p.s, None, J, target))
+            else:
+                series.append(_Series(w, p.M % L, p.s, K, J, _direct_tail(K, p.s, L)))
+        return cls(L, tuple(series))
 
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        """The density at a 1-d array of points x in [1, b)."""
+        L = self.L
+        return sum(
+            c.w * (_dual_at(x, c.m, c.s, L, c.J) if c.K is None else _wl_pdf_at(x, c.m, c.s, L, c.K))
+            for c in self.series
+        )
 
-def _mixture_at(
-    x: np.ndarray, components: Iterable[tuple[float, LogNormalParams]], base: Base, tol: float
-) -> np.ndarray:
-    """Weighted sum of wrapped log-normals on a checked grid; the series and
-    its order are chosen once per component."""
-    L = base.ln
-    return _evaluate(x, _plan(components, L, tol), L)
+    def mean_log(self) -> tuple[float, float]:
+        """E[ln x] in closed form, and a bound on its neglected terms.
 
+        E[u] = L/2 - (L/pi) sum_i w_i sum_{k>=1} c_k sin(2 pi k m_i / L) / k,
+        summed to each component's dual order J.  With n = J + 1, the
+        neglected terms are at most (L/pi) / n times the geometric bound of
+        _dual_order, c_n / (1 - exp(-2 a n)).
+        """
+        L = self.L
+        acc = 0.0
+        err = 0.0
+        for c in self.series:
+            a, n = _dual_rate(c.s, L), c.J + 1
+            if c.J:
+                k = np.arange(c.J, 0, -1)
+                terms = np.exp(-a * (k * k)) * np.sin((2.0 * math.pi * c.m / L) * k)
+                acc += c.w * float(np.sum(terms / k))
+            err += c.w * math.exp(-a * n * n) / (n * -math.expm1(-2.0 * a * n))
+        return 0.5 * L - (L / math.pi) * acc, (L / math.pi) * err
 
-def _mean_log(plan: list[_Series], L: float) -> tuple[float, float]:
-    """E[ln x] in closed form, and a bound on its neglected terms.
-
-    E[u] = L/2 - (L/pi) sum_i w_i sum_{k>=1} c_k sin(2 pi k m_i / L) / k,
-    summed to each component's dual order J.  With n = J + 1, the neglected
-    terms are at most (L/pi) / n times the geometric bound of _dual_order,
-    c_n / (1 - exp(-2 a n)).
-    """
-    acc = 0.0
-    err = 0.0
-    for c in plan:
-        a, n = _dual_rate(c.s, L), c.J + 1
-        if c.J:
-            k = np.arange(c.J, 0, -1)
-            terms = np.exp(-a * (k * k)) * np.sin((2.0 * math.pi * c.m / L) * k)
-            acc += c.w * float(np.sum(terms / k))
-        err += c.w * math.exp(-a * n * n) / (n * -math.expm1(-2.0 * a * n))
-    return 0.5 * L - (L / math.pi) * acc, (L / math.pi) * err
-
-
-def _components(params: LogNormalParams | MixtureParams) -> tuple:
-    """(weight, LogNormalParams) pairs; a log-normal is one component."""
-    return params.components if isinstance(params, MixtureParams) else ((1.0, params),)
+    def alias_rate(self) -> float:
+        """The least dual rate a among components of positive weight: the
+        trapezoidal rule's aliasing error with N nodes in ln x decays like
+        exp(-a N^2)."""
+        return min(_dual_rate(c.s, self.L) for c in self.series if c.w > 0.0)
 
 
 def wrapped_lognormal_pdf(
-    x: float | np.ndarray, p: LogNormalParams, base: Base, tol: float = 1e-9
+    x: float | np.ndarray, p: LogNormalParams | MixtureParams, base: Base, tol: float = 1e-9
 ) -> float | np.ndarray:
-    """Closed-form wrapped log-normal density at x in [1, b).
+    """Closed-form wrapped log-normal or mixture density at x in [1, b).
 
     Evaluates (1/(x s sqrt(2 pi))) * sum_k exp(-(ln x + k ln b - M)^2 / 2 s^2)
-    truncated so the neglected terms sum below tol.  The location is reduced
-    mod ln b first; the full sum is invariant under that shift, so the
-    density is exactly periodic in M with period ln b.
+    per component, truncated so the neglected terms sum below tol, and
+    weights the components; wrapping is linear over them.  The location is
+    reduced mod ln b first; the full sum is invariant under that shift, so
+    the density is exactly periodic in M with period ln b.
 
     x is a float or a float64 array; a float gives a float.  Any element
     outside [1, b) raises DomainError.
     """
     xs = _significand_array(x, base)
-    return _like_input(_mixture_at(xs.reshape(-1), ((1.0, p),), base, tol), xs)
+    return _like_input(_WrappedLogNormal.of(p, base, tol).pdf(xs.reshape(-1)), xs)
 
 
 def euler_maclaurin_leading(x: float, p: LogNormalParams, base: Base) -> float:
@@ -466,10 +470,7 @@ def euler_maclaurin_leading(x: float, p: LogNormalParams, base: Base) -> float:
     for wide components; from s of about 1.4 ln b on, its k >= 1 terms are
     below 1e-16 and it returns this leading term itself.
     """
-    b = float(base.b)
-    if not 1.0 <= x < b:
-        raise DomainError(f"x={x!r} outside [1, {base.b})")
-    return 1.0 / (x * base.ln)
+    return nb_pdf(x, NBDistribution(base))
 
 
 def _build_log_grid(b: int, n: int) -> np.ndarray:
@@ -508,19 +509,16 @@ def distance_to_nb(
     """
     n = _DISTANCE_GRID
     x = _log_grid(base, n)
-    diff = np.abs(_mixture_at(x, _components(params), base, tol) - nb_pdf(x, NBDistribution(base)))
+    wrapped = _WrappedLogNormal.of(params, base, tol).pdf(x)
+    diff = np.abs(wrapped - nb_pdf(x, NBDistribution(base)))
     return float(diff.max()), float(np.sum(diff * x)) * 0.5 * base.ln / n
 
 
 def wrap_mixture_pdf(
     x: float | np.ndarray, mix: MixtureParams, base: Base, tol: float = 1e-9
 ) -> float | np.ndarray:
-    """Wrapped mixture density; wrapping is linear over the components.
-
-    Same input contract as wrapped_lognormal_pdf.
-    """
-    xs = _significand_array(x, base)
-    return _like_input(_mixture_at(xs.reshape(-1), mix.components, base, tol), xs)
+    """Wrapped mixture density: wrapped_lognormal_pdf of the mixture."""
+    return wrapped_lognormal_pdf(x, mix, base, tol)
 
 
 def normalization(w: WrappedDensity) -> tuple[float, float]:

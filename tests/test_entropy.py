@@ -316,7 +316,7 @@ class TestSpectralEntropy:
         p = LogNormalParams(0.3, 0.3)
         exact = analyze_entropy(p, B10).quadrature_error_estimate
         monkeypatch.setattr(wrapping_module, "_direct_tail", lambda K, s, L: 5e-10)
-        (c,) = wrapping_module._plan(((1.0, p),), L10, 1e-9)
+        (c,) = wrapping_module._WrappedLogNormal.of(p, B10, 1e-9).series
         assert c.K is not None and c.tail == 5e-10
         rep = analyze_entropy(p, B10)
         assert rep.quadrature_error_estimate >= exact + L10 * 5e-10 * math.log(2e9)

@@ -28,12 +28,12 @@ from benford import (
 )
 from benford.wrapping import (
     _DISTANCE_GRID,
+    _WrappedLogNormal,
     _cached_log_grid,
     _dual_at,
     _dual_order,
     _log_grid,
     _lognormal_trunc,
-    _plan,
     _wl_pdf_at,
 )
 
@@ -435,7 +435,7 @@ class TestPoissonDual:
         L = math.log(b)
         for s in list(SCALES) + [1e-5, 1e-3, 20.0, 1e3, 1e5, 1e300]:
             for tol in (1e-6, 1e-9, 1e-13):
-                (c,) = _plan(((1.0, LogNormalParams(0.3, float(s))),), L, tol)
+                (c,) = _WrappedLogNormal.of(LogNormalParams(0.3, float(s)), Base(b), tol).series
                 J = _dual_order(float(s), L, min(tol, 1e-16))
                 terms = J + 1 if c.K is None else 2 * c.K + 1
                 assert c.J == J and terms <= J + 1
