@@ -444,6 +444,10 @@ def _parse_dist(tokens: Sequence[str], allow: tuple[str, ...]):
     # mixture: weight/location/scale triples
     if not rest or len(rest) % 3 != 0:
         raise DomainError("mixture needs weight M s triples")
+    if len(rest) // 3 > _MAX_COMPONENTS:
+        raise DomainError(
+            f"mixture has {len(rest) // 3} components, above the limit of {_MAX_COMPONENTS}"
+        )
     vals = _parse_floats(rest, "mixture")
     comps = tuple(
         (vals[i], LogNormalParams(vals[i + 1], vals[i + 2]))
@@ -586,6 +590,7 @@ def _cmd_sequence(args) -> list[tuple]:
 _MAX_BASE = 10**6
 _MAX_N = 10**7
 _MAX_GRID_POINTS = 10**6
+_MAX_COMPONENTS = 16
 
 
 def _int_at_most(cap: int):

@@ -265,11 +265,14 @@ def _direct_tail(K: int, s: float, L: float) -> float:
 
 def _lognormal_trunc(s: float, L: float, tol: float) -> int:
     """Least truncation order K >= 2 from the usual start whose
-    _direct_tail is under tol."""
+    _direct_tail is under tol; TruncationError if none is up to K_MAX."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tolerance must be a positive real, got {tol!r}")
-    z = math.sqrt(2.0 * math.log(max(10.0, 1.0 / tol)))
-    K = max(2, math.ceil((L + s * z) / L) + 1)
+    z = math.sqrt(2.0 * max(math.log(10.0), -math.log(tol)))  # 1/tol overflows
+    start = (L + s * z) / L  # inf for absurd scales
+    if not start <= K_MAX:
+        raise TruncationError(f"the Gaussian sum would start at order {start:g}, above {K_MAX}")
+    K = max(2, math.ceil(start) + 1)
     while K <= K_MAX:
         if _direct_tail(K, s, L) < tol:
             return K
@@ -406,7 +409,8 @@ class _WrappedLogNormal:
         """The density at a 1-d array of points x in [1, b)."""
         L = self.L
         return sum(
-            c.w * (_dual_at(x, c.m, c.s, L, c.J) if c.K is None else _wl_pdf_at(x, c.m, c.s, L, c.K))
+            c.w
+            * (_dual_at(x, c.m, c.s, L, c.J) if c.K is None else _wl_pdf_at(x, c.m, c.s, L, c.K))
             for c in self.series
         )
 

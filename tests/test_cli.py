@@ -817,6 +817,95 @@ class TestSequenceFuzz:
             assert field(records_of(out.getvalue()), "total") == (n,)
 
 
+# M, s, weight and --tol texts: non-finite values, the extreme and
+# subnormal doubles, negatives, and garbage
+_DENSITY_TEXTS = st.sampled_from(
+    [
+        "nan", "inf", "-inf", "0", "-0.0", "-1", "-2.5", "0.5", "1", "3", "1e-6", "2e-6",
+        "5e-324", "1e-320", "2.2250738585072014e-308", "1e300", "1e308",
+        "1.7976931348623157e308", "-1e308", "1e-9", "", "abc", "1e", "--",
+    ]
+) | st.floats().map(repr) | st.text(max_size=6)
+# valid values, common ones and the whole range: any finite M, any s
+# above S_MIN, any positive finite tol
+_VALID_TEXTS = {
+    "M": st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False),
+    "s": st.floats(1e-6, 10.0, exclude_min=True)
+    | st.floats(min_value=1e-6, exclude_min=True, allow_infinity=False),
+    "tol": st.floats(1e-15, 1e-3) | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+}
+_VALID_TEXTS = {name: values.map(repr) for name, values in _VALID_TEXTS.items()}
+_DENSITY_BASES = st.sampled_from([2, 3, 10, 16, 1000]) | st.integers(-2, cli._MAX_BASE + 2)
+_RUN_ROWS = 10**4  # larger --grid-points, and digits at larger bases, go through the parser only
+
+
+class TestDensityArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "wrap lognormal 0 1 --tol 1e-320",
+            "wrap lognormal 1e308 1e308 --grid-points 4",
+            "entropy lognormal 0 1e308",
+            "entropy lognormal 1e308 1e308 --tol 5e-324",
+        ],
+    )
+    def test_overflowing_scale_or_tolerance_runs(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split(), "--format", "records")
+        assert (code, err) == (0, "")
+        assert records_of(out)[-1][0] in ("tv_distance", "quadrature_error_estimate")
+
+    @pytest.mark.parametrize("verb", ["wrap", "entropy"])
+    def test_mixtures_above_the_cap_are_usage_errors(self, capsys, verb):
+        def mixture(n):
+            return ["mixture"] + [v for j in range(n) for v in (repr(1.0 / n), str(j), "1")]
+
+        code, out, err = run(capsys, verb, *mixture(cli._MAX_COMPONENTS + 1))
+        assert (code, out) == (2, "")
+        assert "above the limit of 16" in err
+        code, _, _ = run(capsys, verb, *mixture(cli._MAX_COMPONENTS), "--format", "records")
+        assert code == 0
+
+    @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_exit_codes(self, data):
+        verb = data.draw(st.sampled_from(["digits", "wrap", "entropy"]), label="verb")
+        base = data.draw(_DENSITY_BASES, label="base")
+        argv = [verb, "--base", str(base), "--format", "records"]
+        rows = base if verb == "digits" else 0
+        if verb != "digits":
+            kinds = ["lognormal", "mixture", "cauchy"]
+            if verb == "entropy":
+                kinds += ["nb", "uniform"]
+            kind = data.draw(st.sampled_from(kinds), label="kind")
+            n = data.draw(st.integers(1, 20), label="components") if kind == "mixture" else 1
+            names = {"mixture": ["w", "M", "s"] * n, "lognormal": ["M", "s"], "cauchy": ["M", "s"]}
+            spec = [kind] + [
+                repr(1.0 / n) if name == "w" else data.draw(_VALID_TEXTS[name], label=name)
+                for name in names.get(kind, [])
+            ]
+            if data.draw(st.booleans(), label="with tol"):
+                spec += ["--tol", data.draw(_VALID_TEXTS["tol"], label="tol")]
+            if len(spec) > 1 and data.draw(st.booleans(), label="one bad text"):
+                i = data.draw(st.integers(1, len(spec) - 1), label="position")
+                spec[i] = data.draw(_DENSITY_TEXTS, label="bad text")
+            argv[1:1] = spec
+            if verb == "wrap" and data.draw(st.booleans(), label="with grid points"):
+                rows = data.draw(st.integers(-2, _RUN_ROWS) | st.integers(_RUN_ROWS + 1, 10**7))
+                argv += ["--grid-points", str(rows)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            if rows > _RUN_ROWS:
+                try:
+                    cli._parser().parse_args(argv)
+                    code = 0
+                except SystemExit as exc:
+                    code = exc.code
+            else:
+                code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, code)
+        assert "Traceback" not in err.getvalue()
+
+
 class TestRecordsFormat:
     def test_floats_printed_at_twelve_significant_digits(self, capsys):
         code, out, _ = run(capsys, "digits", "--format", "records")

@@ -310,6 +310,22 @@ class TestSpectralEntropy:
         with pytest.raises(QuadratureError):
             analyze_entropy(LogNormalParams(0.5, 2e-6), B10)
 
+    @pytest.mark.parametrize("M, s", [(0.0, 1e308), (1e308, 1e308)])
+    def test_absurd_scale_is_the_law(self, M, s):
+        # s * z overflows; the dual series gives the law, whose entropy and
+        # mean log are closed forms
+        rep = analyze_entropy(LogNormalParams(M, s), B10)
+        assert rep.mean_log == 0.5 * L10
+        assert abs(rep.entropy - nb_entropy_closed(B10)) <= rep.quadrature_error_estimate
+
+    def test_subnormal_tolerance(self):
+        # 1/tol overflows; the Gaussian sum is certified from -ln(tol)
+        p = LogNormalParams(0.0, 1.0)
+        tiny, usual = analyze_entropy(p, B10, 1e-320), analyze_entropy(p, B10, 1e-13)
+        err = tiny.quadrature_error_estimate + usual.quadrature_error_estimate
+        assert abs(tiny.entropy - usual.entropy) <= err
+        assert abs(tiny.mean_log - usual.mean_log) <= err
+
     def test_direct_series_tail_enters_the_error(self, monkeypatch):
         # in practice the direct sum's certified tail underflows wherever it
         # is the cheaper series, so pretend it were just under tol

@@ -27,6 +27,7 @@ from benford import (
     wrapped_lognormal_pdf,
 )
 from benford.wrapping import (
+    _BLOCK,
     _DISTANCE_GRID,
     _WrappedLogNormal,
     _cached_log_grid,
@@ -294,6 +295,24 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             wrapped_lognormal_pdf(10.0, p, B10)
 
+    def test_subnormal_tolerance(self):
+        # 1/tol overflows; the Gaussian sum is certified from -ln(tol)
+        x = log_grid(10, 64)
+        p = LogNormalParams(0.0, 1.0)
+        rho = wrapped_lognormal_pdf(x, p, B10, 1e-320)
+        assert np.all(np.abs(rho - wrapped_lognormal_pdf(x, p, B10, 1e-13)) <= 1e-13)
+
+    @pytest.mark.parametrize("M, s", [(0.0, 1e308), (1e308, 1e308), (-1e308, 1e300)])
+    def test_absurd_scale_is_the_law(self, M, s):
+        # s * z overflows: the Gaussian sum cannot start, the dual series
+        # has no term past k = 0 and gives the law itself
+        with pytest.raises(TruncationError):
+            _lognormal_trunc(s, L10, 1e-9)
+        x = log_grid(10, 64)
+        p = LogNormalParams(M, s)
+        assert np.array_equal(wrapped_lognormal_pdf(x, p, B10), nb_pdf(x, NBDistribution(B10)))
+        assert distance_to_nb(p, B10) == (0.0, 0.0)
+
 
 class TestEulerMaclaurinLeading:
     def test_equals_significand_law_bitwise(self):
@@ -302,6 +321,15 @@ class TestEulerMaclaurinLeading:
         for i in range(256):
             x = 10.0 ** ((i + 0.5) / 256)
             assert euler_maclaurin_leading(x, p, B10) == nb_pdf(x, dist)
+
+    @pytest.mark.parametrize("x", [10.0, 0.5])
+    def test_domain_error_as_significand_law(self, x):
+        p = LogNormalParams(0.7, 1.3)
+        with pytest.raises(DomainError) as leading:
+            euler_maclaurin_leading(x, p, B10)
+        with pytest.raises(DomainError) as law:
+            nb_pdf(x, NBDistribution(B10))
+        assert str(leading.value) == str(law.value)
 
     def test_independent_of_parameters(self):
         a = euler_maclaurin_leading(3.3, LogNormalParams(0.0, 0.5), B10)
@@ -470,7 +498,28 @@ class TestArrayContract:
             lambda x: nb_pdf(x, dist),
             lambda x: wrapped_lognormal_pdf(x, self.P, base),
             lambda x: wrap_mixture_pdf(x, self.MIX, base),
+            lambda x: wrapped_lognormal_pdf(x, self.MIX, base),
         ]
+
+    @pytest.mark.parametrize("b", BASES)
+    def test_mixture_params_equal_wrap_mixture_pdf_bitwise(self, b):
+        x = log_grid(b)
+        got = wrapped_lognormal_pdf(x, self.MIX, Base(b))
+        want = wrap_mixture_pdf(x, self.MIX, Base(b))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_blocks_of_direct_and_dual_equal_scalar_calls_bitwise(self):
+        # 2^13 points leave _BLOCK / 2^13 = 4 orders per block, so both
+        # series run over several blocks; a scalar call sums in one
+        x = log_grid(10, 1 << 13)
+        mix = MixtureParams(((0.4, LogNormalParams(0.3, 0.05)), (0.6, LogNormalParams(1.1, 0.36))))
+        direct, dual = _WrappedLogNormal.of(mix, B10, 1e-9).series
+        cols = _BLOCK // x.size
+        assert direct.K is not None and 2 * direct.K + 1 > cols
+        assert dual.K is None and dual.J > cols
+        arr = wrapped_lognormal_pdf(x, mix, B10)
+        for i in range(0, x.size, 97):
+            assert arr[i] == wrapped_lognormal_pdf(float(x[i]), mix, B10)
 
     @pytest.mark.parametrize("b", BASES)
     def test_array_equals_scalar_calls_bitwise(self, b):
