@@ -375,8 +375,7 @@ class _Series(NamedTuple):
     tail: float
 
 
-@dataclass(frozen=True)
-class _WrappedLogNormal:
+class _WrappedLogNormal(NamedTuple):
     """A wrapped log-normal or mixture planned once: L = ln b and, per
     component, the series that sums it, with its order and tail bound."""
 
