@@ -79,7 +79,8 @@ _DBL_MIN = sys.float_info.min
 @functools.lru_cache(maxsize=64)
 def _power_table(b: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(kmin, P, normal): P[j] = float(b)**(kmin + j) for every exponent a
-    positive double can need, with a margin of 3; ``normal`` marks entries
+    positive double can need, with a margin of 3 that keeps every logarithm
+    estimate of an exponent inside the table; ``normal`` marks entries
     that are normal floats (not 0, subnormal or overflowed to inf).
 
     Python's ``float ** int`` is used, not numpy's pow, which can differ in
@@ -152,12 +153,13 @@ def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:
     """Decompose every element of a 1-d float64 array of positive finite reals.
 
     In a base that is a power of two, exponent and significand come
-    exactly from the binary exponent.  In any other base, the exponent
-    starts from a base-b logarithm estimate and is corrected
-    by at most two recomputations s = v / float(b)**k that pin s into
-    [1, b).  Values whose significand lands within a few ulps of an
-    integer, subnormal values and values whose scale is not a normal float
-    are then redone exactly, so every digit is the exact leading digit.
+    exactly from the binary exponent.  In any other base, the exponent is
+    a base-b logarithm estimate k and the significand s = v / float(b)**k.
+    A value is flagged when s lands outside [1, b), as it does where the
+    estimate is off by one, or within a few ulps of an integer, or when v
+    is subnormal or its scale is not a normal float.  Flagged values are
+    redone exactly, which also walks a misestimated exponent to the exact
+    one, so every digit is the exact leading digit.
     """
     v = np.asarray(values, dtype=np.float64)
     ok = (v > 0.0) & (v < math.inf)
@@ -178,13 +180,6 @@ def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:
     j = np.floor(np.log(v) / base.ln).astype(np.int64) - kmin
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = v / P[j]
-        for _ in range(2):
-            step = (s >= b).astype(np.int64) - (s < 1.0)
-            moved = np.flatnonzero(step)
-            if not moved.size:
-                break
-            j[moved] = np.clip(j[moved] + step[moved], 0, len(P) - 1)
-            s[moved] = v[moved] / P[j[moved]]
         flagged = np.flatnonzero(
             (np.abs(s - np.rint(s)) <= _NEAR_INTEGER * s)
             | ~((s >= 1.0) & (s < b))

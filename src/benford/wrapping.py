@@ -263,23 +263,17 @@ def _direct_tail(K: int, s: float, L: float) -> float:
     return 2.0 * (e1 + e2) / (s * _SQRT2PI)
 
 
-def _lognormal_trunc(s: float, L: float, tol: float) -> int:
-    """Least truncation order K >= 2 from the usual start whose
-    _direct_tail is under tol; TruncationError if none is up to K_MAX."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tolerance must be a positive real, got {tol!r}")
+def _lognormal_trunc(s: float, L: float, tol: float, limit: int) -> int | None:
+    """Least truncation order 2 <= K <= limit from the usual start whose
+    _direct_tail is under the positive tol, or None if there is none."""
     z = math.sqrt(2.0 * max(math.log(10.0), -math.log(tol)))  # 1/tol overflows
-    start = (L + s * z) / L  # inf for absurd scales
-    if not start <= K_MAX:
-        raise TruncationError(f"the Gaussian sum would start at order {start:g}, above {K_MAX}")
-    K = max(2, math.ceil(start) + 1)
-    while K <= K_MAX:
+    start = (L + s * z) / L  # inf for absurd scales, which the limit caps
+    K = max(2, math.ceil(min(start, limit)) + 1)
+    while K <= limit:
         if _direct_tail(K, s, L) < tol:
             return K
         K += 1
-    raise TruncationError(
-        f"no truncation order up to {K_MAX} brings the Gaussian tail under {tol:g}"
-    )
+    return None
 
 
 def _block_sum(n: int, ks: np.ndarray, terms: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -386,22 +380,20 @@ class _WrappedLogNormal(NamedTuple):
     def of(cls, params: LogNormalParams | MixtureParams, base: Base, tol: float):
         """Per component, the series that needs fewer terms: the direct sum
         (2K + 1 terms, tail below tol) or the dual (J + 1 terms, tail below
-        _DUAL_TAIL, or below tol if that is smaller).  A tie goes to the
-        dual, whose tail is the smaller."""
+        _DUAL_TAIL, or below tol if that is smaller).  The direct sum is
+        searched only up to (J - 1) // 2, the largest K with 2K + 1 < J + 1,
+        so a tie goes to the dual, whose tail is the smaller."""
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise DomainError(f"tolerance must be a positive real, got {tol!r}")
         L = base.ln
         target = min(tol, _DUAL_TAIL)
         comps = params.components if isinstance(params, MixtureParams) else ((1.0, params),)
         series = []
         for w, p in comps:
-            try:
-                K = _lognormal_trunc(p.s, L, tol)
-            except TruncationError:
-                K = None
             J = _dual_order(p.s, L, target)
-            if K is None or J + 1 <= 2 * K + 1:
-                series.append(_Series(w, p.M % L, p.s, None, J, target))
-            else:
-                series.append(_Series(w, p.M % L, p.s, K, J, _direct_tail(K, p.s, L)))
+            K = _lognormal_trunc(p.s, L, tol, (J - 1) // 2)
+            tail = target if K is None else _direct_tail(K, p.s, L)
+            series.append(_Series(w, p.M % L, p.s, K, J, tail))
         return cls(L, tuple(series))
 
     def pdf(self, x: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate as sint
 
 from benford import (
+    K_MAX,
     Base,
     DomainError,
     LogNormalParams,
@@ -306,8 +307,7 @@ class TestClosedForm:
     def test_absurd_scale_is_the_law(self, M, s):
         # s * z overflows: the Gaussian sum cannot start, the dual series
         # has no term past k = 0 and gives the law itself
-        with pytest.raises(TruncationError):
-            _lognormal_trunc(s, L10, 1e-9)
+        assert _lognormal_trunc(s, L10, 1e-9, K_MAX) is None
         x = log_grid(10, 64)
         p = LogNormalParams(M, s)
         assert np.array_equal(wrapped_lognormal_pdf(x, p, B10), nb_pdf(x, NBDistribution(B10)))
@@ -440,7 +440,7 @@ class TestPoissonDual:
         for j, s in enumerate(SCALES):
             s = float(s)
             m = (-2.0 + 0.37 * j) % L
-            K = _lognormal_trunc(s, L, tol)
+            K = _lognormal_trunc(s, L, tol, K_MAX)
             direct = _wl_pdf_at(x, m, s, L, K)
             dual = _dual_at(x, m, s, L, _dual_order(s, L, 1e-16))
             slack = tol + 1e-16 + (2 * K + 8) * EPS * direct
@@ -467,9 +467,8 @@ class TestPoissonDual:
                 J = _dual_order(float(s), L, min(tol, 1e-16))
                 terms = J + 1 if c.K is None else 2 * c.K + 1
                 assert c.J == J and terms <= J + 1
-                try:
-                    K = _lognormal_trunc(float(s), L, tol)
-                except TruncationError:
+                K = _lognormal_trunc(float(s), L, tol, K_MAX)
+                if K is None:
                     assert c.K is None
                     continue
                 assert terms <= 2 * K + 1
@@ -555,17 +554,22 @@ class TestArrayContract:
                 assert distance_to_nb(mix, Base(b)) == distance_to_nb(p, Base(b))
 
     def test_memory_bounded_for_large_truncation(self):
-        # base 2 at s = 1000 needs K ~ 9300: a full (2K+1) x 2048 term matrix
-        # would take about 300 MB
-        p = LogNormalParams(0.0, 1000.0)
-        assert _lognormal_trunc(p.s, B2.ln, 1e-9) > 9000
-        tracemalloc.start()
-        try:
-            sup, tv = distance_to_nb(p, B2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        # in base 2 the direct sum at s = 1000 needs K ~ 9300 and the dual at
+        # s = 1e-4 needs J ~ 10200: a full term matrix on the 2048-point
+        # distance grid would take about 300 MB and 170 MB
+        x = _log_grid(B2, _DISTANCE_GRID)
+        K = _lognormal_trunc(1000.0, B2.ln, 1e-9, K_MAX)
+        J = _dual_order(1e-4, B2.ln, 1e-16)
+        assert K > 9000 and J > 9000
+        for series, s, order in ((_wl_pdf_at, 1000.0, K), (_dual_at, 1e-4, J)):
+            tracemalloc.start()
+            try:
+                series(x, 0.3, s, B2.ln, order)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, series.__name__
+        sup, tv = distance_to_nb(LogNormalParams(0.0, 1000.0), B2)
         assert sup < 1e-8 and tv < 1e-8
 
 
