@@ -21,6 +21,7 @@ import io
 import json
 import json.scanner
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -131,10 +132,11 @@ def parse_records(text: str) -> list[tuple]:
     """Parse a record stream back into typed tuples.
 
     Inverse of emit_records: re-emitting the parse reproduces the input
-    byte for byte.
+    byte for byte.  Records end at "\n" alone, so a field keeps any other
+    character, such as U+0085 or U+2028 in a column name.
     """
     out: list[tuple] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         tokens = line.split(" ")
@@ -426,8 +428,6 @@ def _parse_floats(tokens: Sequence[str], what: str) -> list[float]:
 
 def _parse_dist(tokens: Sequence[str], allow: tuple[str, ...]):
     """Parse ``nb | uniform | lognormal M s | mixture w M s [w M s ...]``."""
-    if not tokens:
-        raise DomainError(f"missing distribution spec; expected one of {allow}")
     kind = tokens[0]
     if kind not in allow:
         raise DomainError(f"unsupported distribution {kind!r}; expected one of {allow}")
@@ -513,8 +513,6 @@ def _cmd_fit(args) -> list[tuple]:
 
 def _cmd_wrap(args) -> list[tuple]:
     base = Base(args.base)
-    if args.grid_points < 1:
-        raise DomainError(f"grid points must be >= 1, got {args.grid_points}")
     _, params = _parse_dist(args.dist, ("lognormal", "mixture"))
     sup, tv = distance_to_nb(params, base, args.tol)
     recs: list[tuple] = [
@@ -593,28 +591,45 @@ _MAX_GRID_POINTS = 10**6
 _MAX_COMPONENTS = 16
 
 
-def _int_at_most(cap: int):
-    """An argparse type: an integer no greater than cap."""
+def _int_in(least: int, cap: int):
+    """An argparse type: an integer in [least, cap]."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value > cap:
             raise argparse.ArgumentTypeError(f"{value} is above the limit of {cap}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{value} is below the least value of {least}")
         return value
 
     parse.__name__ = "int"  # argparse names the type when int() fails
     return parse
 
 
+# argparse (Python 3.10-3.13) takes a token for a value only if it looks
+# like -12 or -1.5; -1e-05, as repr writes small negatives, would be an
+# unknown option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the subparsers it makes, that read every
+    negative number in decimal or exponent notation as a value."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="benford",
         description="First-digit statistics in arbitrary base: digit tables, "
         "dataset conformance, wrapped densities, and entropy reports.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--base", type=_int_at_most(_MAX_BASE), default=10, help="radix, default 10"
+        "--base", type=_int_in(2, _MAX_BASE), default=10, help="radix, default 10"
     )
     common.add_argument(
         "--format",
@@ -650,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dist", nargs="+", help="lognormal M s | mixture w M s [w M s ...]"
     )
     wrap.add_argument(
-        "--grid-points", type=_int_at_most(_MAX_GRID_POINTS), default=256, dest="grid_points"
+        "--grid-points", type=_int_in(1, _MAX_GRID_POINTS), default=256, dest="grid_points"
     )
 
     ent = sub.add_parser(
@@ -669,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     seq.add_argument("kind", choices=SEQUENCE_KINDS)
     seq.add_argument(
-        "--n", type=_int_at_most(_MAX_N), default=10000, help="number of terms"
+        "--n", type=_int_in(1, _MAX_N), default=10000, help="number of terms"
     )
     seq.add_argument("--ratio", type=float, default=None, help="geometric ratio")
 

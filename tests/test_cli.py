@@ -89,6 +89,16 @@ class TestRoundTrip:
         assert code == 0
         assert emit_records(parse_records(out)) == out
 
+    def test_line_separators_in_a_field_round_trip(self, capsys, tmp_path):
+        # str.splitlines also ends a line at each of these
+        column = "a\x85b\u2028c\x0bd\x1ce"
+        f = tmp_path / "data.csv"
+        write_csv(f, sample_nb(100, Base(10), seed=6), header=column)
+        code, out, _ = run(capsys, "fit", str(f), "--column", column, "--format", "records")
+        assert code == 0
+        assert ("param", "column", column) in parse_records(out)
+        assert emit_records(parse_records(out)) == out
+
 
 class TestFit:
     def test_csv_by_name_and_index(self, capsys, tmp_path):
@@ -525,6 +535,83 @@ class TestJsonlScanner:
         assert np.isnan(got[:2]).all() and got[2] == 4.0
 
 
+_CSV_HEADER = st.lists(st.sampled_from(["a", "v", " v ", "", '"v"', "1", "\ufeffv"]), min_size=1, max_size=4)
+_GOOD_NUMBERS = st.floats(1e-6, 1e6).map(repr)
+_CSV_ROW = st.lists(_GOOD_NUMBERS | _SAFE_CELLS | _UNSAFE_CELLS | st.just("9" * 400), max_size=4)
+
+
+@st.composite
+def _fit_file(draw, column: str, is_csv: bool) -> bytes:
+    """CSV or JSONL bytes for ``fit --column column``: one good number per
+    line under that name, or noise (blank and ragged rows, unsafe cells,
+    JSON of any shape); three kinds of line end; and maybe a BOM, a byte
+    that is not UTF-8, no final newline, or any bytes at all.  The lines
+    repeat, so that many files hold enough values for the analysis."""
+    defects = draw(
+        st.lists(st.sampled_from(["noise", "bom", "not_utf8", "no_eol", "raw"]), max_size=2)
+    )
+    if "raw" in defects:
+        return draw(st.binary(max_size=96), label="raw")
+    repeat = draw(st.integers(1, 40), label="repeat")
+    if "noise" in defects and is_csv:
+        rows = draw(st.lists(_CSV_ROW, max_size=12), label="rows") * repeat
+        lines = [",".join(row) for row in [draw(_CSV_HEADER, label="header")] + rows]
+    elif "noise" in defects:
+        lines = draw(st.lists(_JSON_LINES, max_size=12), label="jsonl") * repeat
+    else:
+        values = draw(st.lists(_GOOD_NUMBERS, max_size=12), label="values") * repeat
+        key = json.dumps(column)
+        lines = [column] + values if is_csv else ["{%s: %s}" % (key, v) for v in values]
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    data = "".join(line + draw(ends, label="end") for line in lines).encode("utf-8")
+    if "bom" in defects:
+        data = b"\xef\xbb\xbf" + data
+    if "not_utf8" in defects:
+        i = draw(st.integers(0, len(data)), label="at")
+        data = data[:i] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + data[i:]
+    if "no_eol" in defects:
+        data = data.rstrip(b"\r\n")
+    return data
+
+
+# names and indices, each about as likely as an arbitrary text
+_FIT_COLUMNS = st.one_of(
+    *map(st.just, ["0", "1", "3", "-1", "", "a", "v", " v ", "9" * 30]), st.text(max_size=3)
+)
+
+
+class TestFitFuzz:
+    @settings(
+        deadline=None, max_examples=250,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(data=st.data(), block=st.integers(16, 64))
+    def test_exit_codes(self, tmp_path, monkeypatch, data, block):
+        # blocks this small put the seam between the block reader and
+        # csv.reader anywhere in the file
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        column = data.draw(_FIT_COLUMNS, label="column")
+        fmt, other = data.draw(st.sampled_from([("csv", "jsonl"), ("jsonl", "csv")]))
+        body = data.draw(_fit_file(column, fmt == "csv"), label="file")
+        f = tmp_path / "input"
+        f.write_bytes(body)
+        argv = ["fit", str(f), "--column", column]
+        read_as = data.draw(st.sampled_from([fmt, fmt, fmt, other]), label="read as")
+        if read_as == "jsonl" or data.draw(st.booleans(), label="explicit csv"):
+            argv += ["--input-format", read_as]
+        if data.draw(st.booleans(), label="absolute value"):
+            argv.append("--absolute-value")
+        if data.draw(st.booleans(), label="with base"):
+            base = data.draw(st.sampled_from([2, 3, 10, 16, 1000]) | st.integers(-1, 40), label="base")
+            argv += ["--base", str(base)]
+        argv += ["--format", "records"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, body, code)
+        assert "Traceback" not in err.getvalue()
+
+
 class TestParser:
     def test_seed_flag_is_gone(self, capsys):
         code, out, err = run(capsys, "digits", "--seed", "1")
@@ -555,15 +642,21 @@ class TestParser:
             "sequence pow2 --n 1000000000000",
             "wrap lognormal 0 1 --grid-points 1000001",
             "fit x.csv --base 1000001",
+            "wrap lognormal 0 1 --grid-points 0",
+            "wrap lognormal 0 1 --grid-points -3",
+            "sequence pow2 --n 0",
+            "digits --base 1",
         ],
     )
     def test_sizes_above_the_caps_are_usage_errors(self, capsys, monkeypatch, argv):
-        # rejected while parsing: no handler allocates or loops at that size
+        # rejected while parsing, as are sizes below the least: no handler
+        # allocates or loops at that size, or checks it again
         monkeypatch.setattr(cli, "_HANDLERS", {})
         code, out, err = run(capsys, *argv.split())
         assert code == 2
         assert out == ""
-        assert "above the limit" in err
+        below = int(argv.split()[-1]) < 2
+        assert ("below the least value" if below else "above the limit") in err
 
     def test_sizes_at_the_caps_parse(self):
         parse = cli._parser().parse_args
@@ -865,6 +958,24 @@ class TestDensityArguments:
         code, _, _ = run(capsys, verb, *mixture(cli._MAX_COMPONENTS), "--format", "records")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "wrap lognormal -1e-05 1",
+            "wrap mixture 0.5 -2e+3 1 0.5 0 1",
+            "entropy lognormal -1E-3 0.5",
+        ],
+    )
+    def test_negative_numbers_in_exponent_notation_are_values(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split(), "--format", "records")
+        assert (code, err) == (0, "")
+        assert f"param dist {argv.split(maxsplit=1)[1]}\n" in out
+
+    def test_negative_tolerance_in_exponent_notation_is_read(self, capsys):
+        code, out, err = run(capsys, "wrap", "lognormal", "0", "1", "--tol", "-1e-9")
+        assert (code, out) == (2, "")
+        assert "tolerance must be a positive real, got -1e-09" in err
+
     @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_exit_codes(self, data):
@@ -872,12 +983,15 @@ class TestDensityArguments:
         base = data.draw(_DENSITY_BASES, label="base")
         argv = [verb, "--base", str(base), "--format", "records"]
         rows = base if verb == "digits" else 0
+        # a draw of known kind, no bad text and sizes within the caps runs
+        valid = 2 <= base <= cli._MAX_BASE
         if verb != "digits":
             kinds = ["lognormal", "mixture", "cauchy"]
             if verb == "entropy":
                 kinds += ["nb", "uniform"]
             kind = data.draw(st.sampled_from(kinds), label="kind")
             n = data.draw(st.integers(1, 20), label="components") if kind == "mixture" else 1
+            valid &= kind != "cauchy" and n <= cli._MAX_COMPONENTS
             names = {"mixture": ["w", "M", "s"] * n, "lognormal": ["M", "s"], "cauchy": ["M", "s"]}
             spec = [kind] + [
                 repr(1.0 / n) if name == "w" else data.draw(_VALID_TEXTS[name], label=name)
@@ -888,10 +1002,12 @@ class TestDensityArguments:
             if len(spec) > 1 and data.draw(st.booleans(), label="one bad text"):
                 i = data.draw(st.integers(1, len(spec) - 1), label="position")
                 spec[i] = data.draw(_DENSITY_TEXTS, label="bad text")
+                valid = False
             argv[1:1] = spec
             if verb == "wrap" and data.draw(st.booleans(), label="with grid points"):
                 rows = data.draw(st.integers(-2, _RUN_ROWS) | st.integers(_RUN_ROWS + 1, 10**7))
                 argv += ["--grid-points", str(rows)]
+                valid &= 1 <= rows <= cli._MAX_GRID_POINTS
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             if rows > _RUN_ROWS:
@@ -902,7 +1018,7 @@ class TestDensityArguments:
                     code = exc.code
             else:
                 code = main(argv)
-        assert code in (0, 2, 3, 4), (argv, code)
+        assert code in ((0, 4) if valid else (0, 2, 3, 4)), (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
 
