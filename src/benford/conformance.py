@@ -226,6 +226,12 @@ def _check_ratio(ratio: float, base: Base) -> None:
     quotient float division gives.  A ratio whose s ends at 1.0 or outside
     [1, b) is rejected: 1e-6 is, although its double lies just below
     10**-6.
+
+    This rule keeps its own estimate and correction rather than the exact
+    exponent of decompose_array, because its rejections are what
+    tests/data/golden/ratio_rejections.json pins.  It also rejects some
+    ratios that are not powers of b, such as 5e-324 in base 16; CHANGES.md
+    lists that as open.
     """
     if not math.isfinite(ratio) or ratio <= 0.0:
         raise NonPositiveInput(f"geometric ratio must be positive, got {ratio!r}")

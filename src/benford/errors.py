@@ -34,4 +34,7 @@ class InsufficientData(BenfordError):
 
 
 class UnsupportedRatio(BenfordError):
-    """Geometric ratio is an exact integer power of the base."""
+    """Geometric ratio is an integer power of the base to float precision:
+    its quotient by the nearest power of the base rounds to 1 or leaves
+    [1, b), as for 0.1 and 1e-6 in base 10, whose doubles are not exact
+    powers."""
