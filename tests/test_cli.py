@@ -535,7 +535,9 @@ class TestJsonlScanner:
         assert np.isnan(got[:2]).all() and got[2] == 4.0
 
 
-_CSV_HEADER = st.lists(st.sampled_from(["a", "v", " v ", "", '"v"', "1", "\ufeffv"]), min_size=1, max_size=4)
+_CSV_HEADER = st.lists(
+    st.sampled_from(["a", "v", " v ", "", '"v"', "1", "\ufeffv"]), min_size=1, max_size=4
+)
 _GOOD_NUMBERS = st.floats(1e-6, 1e6).map(repr)
 _CSV_ROW = st.lists(_GOOD_NUMBERS | _SAFE_CELLS | _UNSAFE_CELLS | st.just("9" * 400), max_size=4)
 
@@ -602,8 +604,8 @@ class TestFitFuzz:
         if data.draw(st.booleans(), label="absolute value"):
             argv.append("--absolute-value")
         if data.draw(st.booleans(), label="with base"):
-            base = data.draw(st.sampled_from([2, 3, 10, 16, 1000]) | st.integers(-1, 40), label="base")
-            argv += ["--base", str(base)]
+            base = st.sampled_from([2, 3, 10, 16, 1000]) | st.integers(-1, 40)
+            argv += ["--base", str(data.draw(base, label="base"))]
         argv += ["--format", "records"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
