@@ -2,15 +2,15 @@
 
 The lower ratio P(a, x) is evaluated by its power series for x < a + 1 and
 the upper ratio Q(a, x) by a modified Lentz continued fraction otherwise,
-the classic pairing; both converge to near machine precision (absolute
-error well under 1e-10 in the ranges used here).
+the classic pairing.  Each raises TruncationError after _MAX_ITER terms,
+which a chi-square statistic near its mean reaches from 10,766 degrees of freedom.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 
 __all__ = ["reg_gamma_upper", "chi2_sf"]
 
@@ -30,7 +30,7 @@ def _lower_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise ArithmeticError("incomplete gamma series failed to converge")
+    raise TruncationError(f"incomplete gamma series not converged in {_MAX_ITER} terms")
 
 
 def _upper_cf(a: float, x: float) -> float:
@@ -53,7 +53,7 @@ def _upper_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise ArithmeticError("incomplete gamma continued fraction failed to converge")
+    raise TruncationError(f"incomplete gamma fraction not converged in {_MAX_ITER} terms")
 
 
 def reg_gamma_upper(a: float, x: float) -> float:

@@ -427,7 +427,8 @@ def _parse_floats(tokens: Sequence[str], what: str) -> list[float]:
 
 
 def _parse_dist(tokens: Sequence[str], allow: tuple[str, ...]):
-    """Parse ``nb | uniform | lognormal M s | mixture w M s [w M s ...]``."""
+    """Parse ``nb | uniform | lognormal M s | mixture w M s [w M s ...]``
+    into a density as analyze_entropy takes it: a name or parameters."""
     kind = tokens[0]
     if kind not in allow:
         raise DomainError(f"unsupported distribution {kind!r}; expected one of {allow}")
@@ -435,12 +436,12 @@ def _parse_dist(tokens: Sequence[str], allow: tuple[str, ...]):
     if kind in ("nb", "uniform"):
         if rest:
             raise DomainError(f"{kind} takes no parameters, got {list(rest)!r}")
-        return kind, None
+        return kind
     if kind == "lognormal":
         if len(rest) != 2:
             raise DomainError("lognormal needs exactly: M s")
         m, s = _parse_floats(rest, "lognormal")
-        return kind, LogNormalParams(m, s)
+        return LogNormalParams(m, s)
     # mixture: weight/location/scale triples
     if not rest or len(rest) % 3 != 0:
         raise DomainError("mixture needs weight M s triples")
@@ -453,7 +454,7 @@ def _parse_dist(tokens: Sequence[str], allow: tuple[str, ...]):
         (vals[i], LogNormalParams(vals[i + 1], vals[i + 2]))
         for i in range(0, len(vals), 3)
     )
-    return kind, MixtureParams(comps)
+    return MixtureParams(comps)
 
 
 # --------------------------------------------------------------------------
@@ -513,7 +514,7 @@ def _cmd_fit(args) -> list[tuple]:
 
 def _cmd_wrap(args) -> list[tuple]:
     base = Base(args.base)
-    _, params = _parse_dist(args.dist, ("lognormal", "mixture"))
+    params = _parse_dist(args.dist, ("lognormal", "mixture"))
     sup, tv = distance_to_nb(params, base, args.tol)
     recs: list[tuple] = [
         ("schema", SCHEMA_VERSION),
@@ -535,17 +536,8 @@ def _cmd_wrap(args) -> list[tuple]:
 
 
 def _cmd_entropy(args) -> list[tuple]:
-    base = Base(args.base)
-    kind, params = _parse_dist(args.dist, ("nb", "uniform", "lognormal", "mixture"))
-    dist = NBDistribution(base)
-    if kind == "nb":
-        density = lambda x: nb_pdf(x, dist)
-    elif kind == "uniform":
-        height = 1.0 / (base.b - 1)
-        density = lambda x: height
-    else:
-        density = params
-    report = analyze_entropy(density, base, args.tol)
+    density = _parse_dist(args.dist, ("nb", "uniform", "lognormal", "mixture"))
+    report = analyze_entropy(density, Base(args.base), args.tol)
     return [
         ("schema", SCHEMA_VERSION),
         ("command", "entropy"),
@@ -614,11 +606,19 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and the subparsers it makes, that read every
-    negative number in decimal or exponent notation as a value."""
+    negative number in decimal or exponent notation as a value, and refuse
+    any argument with a newline, which would end a record it is echoed in."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        for arg in args:
+            if "\n" in arg:
+                self.error(f"argument {arg!r} holds a newline")
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:

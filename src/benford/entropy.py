@@ -5,9 +5,10 @@ For any density rho on the significand interval, H[rho] <= ln(ln b) +
 density therefore has maximum entropy among all densities whose mean log
 does not exceed (ln b)/2.  Entropies are in nats throughout.
 
-A density is either a wrapped log-normal or mixture, given by its
-parameters, or a callable from a float64 array of points in [1, b) to an
-array of values (a scalar result means a constant density).
+A density is the name "nb" (1/(x ln b)) or "uniform" (1/(b - 1)), reported
+in closed form; a wrapped log-normal or mixture, given by its parameters;
+or a callable from a float64 array of points in [1, b) to an array of
+values (a scalar result means a constant density).
 
 Parameters are integrated in the log coordinate u = ln x on [0, ln b),
 where the density g(u) = x rho(x) is smooth and periodic: H[rho] =
@@ -23,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Literal, Union
 
 import numpy as np
 
 from ._quadrature import integrate
-from .errors import NotNormalized, QuadratureError
+from .errors import DomainError, NotNormalized, QuadratureError
 from .significand import Base
 from .wrapping import LogNormalParams, MixtureParams, _WrappedLogNormal
 
@@ -42,7 +43,7 @@ _FIRST_NODES = 8
 _MAX_NODES = 1 << 16  # about the 4096 15-node panels of the adaptive rule
 
 Pdf = Callable[[np.ndarray], "np.ndarray | float"]
-Density = Union[Pdf, LogNormalParams, MixtureParams]
+Density = Union[Literal["nb", "uniform"], Pdf, LogNormalParams, MixtureParams]
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,13 @@ def _trapezoid_integrals(
 def _integrals(
     density: Density, base: Base, tol: float = 1e-9
 ) -> tuple[float, float, float, float]:
+    b, L = base.b, base.ln
+    if density == "nb":
+        return nb_entropy_closed(base), 0.5 * L, 0.0, 0.0
+    if density == "uniform":
+        return math.log(b - 1), (b * L - b + 1) / (b - 1), 0.0, 0.0
+    if isinstance(density, str):
+        raise DomainError(f"unknown density {density!r}; expected 'nb' or 'uniform'")
     if isinstance(density, (LogNormalParams, MixtureParams)):
         return _trapezoid_integrals(density, base, tol)
     return _adaptive_integrals(density, base)
@@ -178,7 +186,7 @@ def analyze_entropy(density: Density, base: Base, tol: float = 1e-9) -> EntropyR
     """Entropy report with the reference bound and the mean-log constraint.
 
     tol is the series truncation tolerance of a density given by its
-    parameters, as in wrapped_lognormal_pdf; a callable ignores it.
+    parameters, as in wrapped_lognormal_pdf; names and callables ignore it.
     """
     h, ml, err_h, err_ml = _integrals(density, base, tol)
     return EntropyReport(

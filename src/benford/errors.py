@@ -18,7 +18,8 @@ class NotNormalized(BenfordError):
 
 
 class TruncationError(BenfordError):
-    """No admissible truncation order meets the certified tail bound."""
+    """No admissible truncation order meets the certified tail bound, or a
+    series ran out of terms before it converged."""
 
 
 class QuadratureError(BenfordError):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -179,18 +179,6 @@ def uniform_source(lo: float, hi: float) -> SourceDensity:
     return source_from_cdf(pdf, cdf)
 
 
-def _kahan(terms: Iterable[float]) -> float:
-    """Compensated sum in a fixed order, for reproducible series values."""
-    total = 0.0
-    c = 0.0
-    for t in terms:
-        y = t - c
-        nxt = total + y
-        c = (nxt - total) - y
-        total = nxt
-    return total
-
-
 def wrap_density(source: SourceDensity, base: Base, tol: float = 1e-9) -> WrappedDensity:
     """Choose the smallest truncation order whose tail bound is under tol/10."""
     if not (math.isfinite(tol) and tol > 0.0):
@@ -207,9 +195,9 @@ def wrap_density(source: SourceDensity, base: Base, tol: float = 1e-9) -> Wrappe
 def wrap_pdf(w: WrappedDensity, x: float) -> float:
     """Condensed density sum_{k=-K}^{K} b**k pdf(x b**k) at x in [1, b).
 
-    Summation runs in fixed order k = -K..K with compensated accumulation.
-    Terms whose argument x*b**k over- or underflows the float range are
-    skipped; such decades carry no representable mass.
+    The terms are summed by math.fsum, correctly rounded.  Terms whose
+    argument x*b**k over- or underflows the float range are skipped; such
+    decades carry no representable mass.
     """
     b = float(w.base.b)
     if not 1.0 <= x < b:
@@ -223,7 +211,7 @@ def wrap_pdf(w: WrappedDensity, x: float) -> float:
                 continue
             yield bk * w.source.pdf(y)
 
-    return _kahan(terms())
+    return math.fsum(terms())
 
 
 def wrap_cdf(w: WrappedDensity, x: float) -> float:
@@ -242,7 +230,7 @@ def wrap_cdf(w: WrappedDensity, x: float) -> float:
                 continue
             yield w.source.cdf(x * bk) - w.source.cdf(bk)
 
-    return min(1.0, max(0.0, _kahan(terms())))
+    return min(1.0, max(0.0, math.fsum(terms())))
 
 
 def _direct_tail(K: int, s: float, L: float) -> float:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -14,6 +15,8 @@ from benford import Base, cli, gen_sequence, nb_entropy_closed, sample_nb
 from benford.cli import _RECORD_FIELDS, emit_records, main, parse_records
 from benford.errors import BenfordError
 from test_significand import FULL_RANGE_BASES, FULL_RANGE_VALUES, exact_decomposition
+
+entropy_module = importlib.import_module("benford.entropy")
 
 
 def run(capsys, *argv):
@@ -215,6 +218,16 @@ class TestFit:
             want[exact_decomposition(v, b)[1] - 1] += reps
         bins = [rec for rec in records_of(out) if rec[0] == "bin"]
         assert [rec[2] for rec in bins] == want
+
+    def test_chi_square_in_base_20000_runs_or_is_a_numeric_failure(self, capsys, tmp_path):
+        # about 2 x 10^4 degrees of freedom: near the mean the incomplete
+        # gamma series needs more terms than it is allowed
+        f = tmp_path / "nb20k.csv"
+        write_csv(f, sample_nb(200_000, Base(20_000), 1), header="a")
+        code, _, err = run(capsys, "fit", str(f), "--column", "a", "--base", "20000")
+        assert code in (0, 4), err
+        if code == 4:
+            assert "numeric failure" in err
 
 
 class TestIngestErrors:
@@ -578,8 +591,18 @@ def _fit_file(draw, column: str, is_csv: bool) -> bytes:
 
 # names and indices, each about as likely as an arbitrary text
 _FIT_COLUMNS = st.one_of(
-    *map(st.just, ["0", "1", "3", "-1", "", "a", "v", " v ", "9" * 30]), st.text(max_size=3)
+    *map(st.just, ["0", "1", "3", "-1", "", "a", "v", " v ", "9" * 30, "a\nb", "0\n"]),
+    st.text(max_size=3),
 )
+
+
+def _assert_records_round_trip(argv, code, out):
+    """An argument with a newline is a usage error; every stream of a run
+    that succeeded parses back and re-emits byte for byte."""
+    if any("\n" in a for a in argv):
+        assert code == 2, (argv, code)
+    if code == 0:
+        assert emit_records(parse_records(out)) == out, argv
 
 
 class TestFitFuzz:
@@ -612,6 +635,7 @@ class TestFitFuzz:
             code = main(argv)
         assert code in (0, 2, 3, 4), (argv, body, code)
         assert "Traceback" not in err.getvalue()
+        _assert_records_round_trip(argv, code, out.getvalue())
 
 
 class TestParser:
@@ -688,6 +712,23 @@ class TestParser:
         assert reused == fresh
         assert [code for code, _, _ in reused] == [2] + [0] * (len(calls) - 1)
         assert "param absolute_value false" in reused[2][1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wrap", "lognormal", "0\n", "1"],
+            ["entropy", "mixture", "1", "0", "1\n"],
+            ["fit", "quoted.csv", "--column", "a\nb", "--input-format", "jsonl"],
+            ["fit", "in\nput.csv"],
+            ["sequence", "geometric", "--ratio", "1.1\n"],
+            ["digits", "--base", "10\n"],
+        ],
+    )
+    def test_newline_in_an_argument_is_a_usage_error(self, capsys, argv):
+        # float and int strip it, but an echoed token would end its record
+        code, out, err = run(capsys, *argv, "--format", "records")
+        assert (code, out) == (2, "")
+        assert "holds a newline" in err
 
 
 def _fmt_oracle(value) -> str:
@@ -791,20 +832,36 @@ class TestWrap:
         assert code == 2
 
 
+def _printed(v: float) -> float:
+    """v as the records stream prints it."""
+    return float(format(v, ".12g"))
+
+
 class TestEntropyCmd:
     def test_nb_matches_closed_form(self, capsys):
         code, out, _ = run(capsys, "entropy", "nb", "--format", "records")
         assert code == 0
         recs = records_of(out)
-        assert abs(field(recs, "entropy")[0] - nb_entropy_closed(Base(10))) < 1e-6
+        assert field(recs, "entropy")[0] == _printed(nb_entropy_closed(Base(10)))
         assert field(recs, "constraint_met") == (True,)
 
     def test_uniform(self, capsys):
         code, out, _ = run(capsys, "entropy", "uniform", "--format", "records")
         assert code == 0
         recs = records_of(out)
-        assert abs(field(recs, "entropy")[0] - math.log(9.0)) < 1e-6
+        assert field(recs, "entropy")[0] == _printed(math.log(9.0))
         assert field(recs, "constraint_met") == (False,)
+
+    @pytest.mark.parametrize("b", [2, 10, 16, 1000, 10**6])
+    @pytest.mark.parametrize("kind", ["nb", "uniform"])
+    def test_named_densities_need_no_quadrature(self, capsys, monkeypatch, kind, b):
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature on the CLI path")
+
+        monkeypatch.setattr(entropy_module, "integrate", refuse)
+        code, out, err = run(capsys, "entropy", kind, "--base", str(b), "--format", "records")
+        assert (code, err) == (0, "")
+        assert field(records_of(out), "quadrature_error_estimate") == (1e-12,)
 
     def test_lognormal_bound_holds(self, capsys):
         code, out, _ = run(
@@ -918,7 +975,7 @@ _DENSITY_TEXTS = st.sampled_from(
     [
         "nan", "inf", "-inf", "0", "-0.0", "-1", "-2.5", "0.5", "1", "3", "1e-6", "2e-6",
         "5e-324", "1e-320", "2.2250738585072014e-308", "1e300", "1e308",
-        "1.7976931348623157e308", "-1e308", "1e-9", "", "abc", "1e", "--",
+        "1.7976931348623157e308", "-1e308", "1e-9", "", "abc", "1e", "--", "0\n", "\n1",
     ]
 ) | st.floats().map(repr) | st.text(max_size=6)
 # valid values, common ones and the whole range: any finite M, any s
@@ -1022,6 +1079,7 @@ class TestDensityArguments:
                 code = main(argv)
         assert code in ((0, 4) if valid else (0, 2, 3, 4)), (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        _assert_records_round_trip(argv, code, out.getvalue())
 
 
 class TestRecordsFormat:

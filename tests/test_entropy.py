@@ -9,6 +9,7 @@ from scipy import integrate as sint
 
 from benford import (
     Base,
+    DomainError,
     LogNormalParams,
     MixtureParams,
     NBDistribution,
@@ -33,6 +34,7 @@ import make_golden  # noqa: E402
 B10 = Base(10)
 D10 = NBDistribution(B10)
 L10 = math.log(10.0)
+EPS = float(np.finfo(float).eps)
 
 
 def _nb10(x):
@@ -61,6 +63,50 @@ class TestClosedForm:
             assert entropy(lambda x: nb_pdf(x, dist), base) == pytest.approx(
                 nb_entropy_closed(base), abs=1e-6
             )
+
+
+def _named_pdf(name, base):
+    """The callable a named density stands for."""
+    if name == "nb":
+        dist = NBDistribution(base)
+        return lambda x: nb_pdf(x, dist)
+    return lambda x: 1.0 / (base.b - 1)
+
+
+class TestNamedDensities:
+    """"nb" and "uniform" are reported in closed form, with no integration."""
+
+    @pytest.mark.parametrize("b", [2, 10, 16, 1000])
+    @pytest.mark.parametrize("name", ["nb", "uniform"])
+    def test_agree_with_the_callable_path(self, name, b):
+        base = Base(b)
+        closed = analyze_entropy(name, base)
+        adaptive = analyze_entropy(_named_pdf(name, base), base)
+        err = adaptive.quadrature_error_estimate
+        assert abs(closed.entropy - adaptive.entropy) <= err
+        assert abs(closed.mean_log - adaptive.mean_log) <= err
+        assert closed.constraint_met == adaptive.constraint_met == (name == "nb")
+        assert closed.quadrature_error_estimate == entropy_module._NOISE_FLOOR
+
+    @pytest.mark.parametrize("b", [2, 3, 10, 16, 1000, 786432, 10**6])
+    def test_against_mpmath(self, b):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            L = mp.log(b)
+            want = {
+                "nb": (mp.log(L) + L / 2, L / 2),
+                "uniform": (mp.log(b - 1), (b * L - b + 1) / (b - 1)),
+            }
+        for name, (h, ml) in want.items():
+            rep = analyze_entropy(name, Base(b))
+            assert rep.entropy == pytest.approx(float(h), rel=4 * EPS, abs=4 * EPS)
+            assert rep.mean_log == pytest.approx(float(ml), rel=4 * EPS)
+
+    @pytest.mark.parametrize("name", ["", "NB", "lognormal", "mixture", "cauchy"])
+    def test_unknown_name_is_a_domain_error(self, name):
+        for entry in (entropy, mean_log, analyze_entropy):
+            with pytest.raises(DomainError):
+                entry(name, B10)
 
 
 class TestEntropy:
@@ -302,8 +348,9 @@ class TestSpectralEntropy:
     def test_no_panel_tree_for_parameters(self, monkeypatch):
         monkeypatch.setattr(entropy_module, "integrate", None)
         mix = MixtureParams(((0.5, LogNormalParams(0.0, 0.5)), (0.5, LogNormalParams(1.0, 3.0))))
-        for entry in (entropy, mean_log, analyze_entropy):
-            entry(mix, B10)
+        for density in (mix, "nb", "uniform"):
+            for entry in (entropy, mean_log, analyze_entropy):
+                entry(density, B10)
 
     def test_node_cap(self):
         # s / ln b near 1e-6 needs about 10^6 nodes

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import special as ssp
 
-from benford import DomainError
+from benford import BenfordError, DomainError
 from benford._special import chi2_sf, reg_gamma_upper
 
 
@@ -41,3 +41,12 @@ def test_chi2_table_value():
 def test_zero_dof_degenerates_to_point_mass():
     assert chi2_sf(0.0, 0) == 1.0
     assert chi2_sf(0.5, 0) == 0.0
+
+
+def test_failure_to_converge_is_a_benford_error():
+    # near the mean of 99998 degrees of freedom the series needs more terms
+    # than it is allowed; whatever happens, no other exception escapes
+    try:
+        chi2_sf(99998.0, 99998)
+    except BenfordError:
+        pass

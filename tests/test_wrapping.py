@@ -166,16 +166,18 @@ class TestWrapEngine:
             pytest.approx(0.4552801230124836, abs=1e-10)
         )
 
-    def test_generic_agrees_with_closed_form_on_grid(self):
+    @pytest.mark.parametrize("b", BASES)
+    def test_generic_agrees_with_closed_form_on_grid(self, b):
+        # the scalar decade series is the oracle for the closed-form evaluator
+        base = Base(b)
         tol = 1e-9
         for M, s in ((0.0, 1.0), (1.7, 0.5), (-3.0, 2.0)):
             p = LogNormalParams(M, s)
-            w = wrap_density(lognormal_source(p), B10, tol=tol)
-            for i in range(256):
-                x = 10.0 ** ((i + 0.5) / 256)
+            w = wrap_density(lognormal_source(p), base, tol=tol)
+            for x in log_grid(b, 256).tolist():
                 assert abs(
-                    wrap_pdf(w, x) - wrapped_lognormal_pdf(x, p, B10, tol)
-                ) <= 2 * tol
+                    wrap_pdf(w, x) - wrapped_lognormal_pdf(x, p, base, tol)
+                ) <= 2 * tol, (b, M, s, x)
 
     def test_respread_significand_law_condenses_back(self):
         # NB shape re-spread over three decades with weights 1/4, 1/2, 1/4
