@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conformance import ConformanceReport, SEQUENCE_KINDS, analyze, gen_sequence
+from .conformance import ConformanceReport, SEQUENCE_KINDS, _generate, _report, analyze
 from .entropy import analyze_entropy
 from .errors import (
     BenfordError,
@@ -554,8 +554,7 @@ def _cmd_entropy(args) -> list[tuple]:
 
 def _cmd_sequence(args) -> list[tuple]:
     base = Base(args.base)
-    sig = gen_sequence(args.kind, args.n, base, ratio=args.ratio)
-    report = analyze(sig, base)
+    report = _report(_generate(args.kind, args.n, base, args.ratio, exponents=False), 0, 0)
     recs: list[tuple] = [
         ("schema", SCHEMA_VERSION),
         ("command", "sequence"),

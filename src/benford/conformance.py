@@ -25,7 +25,7 @@ from .significand import (
     SignificandArray,
     SignificandDecomposition,
     _exact_ratio,
-    _power_table,
+    decompose,
     decompose_array,
 )
 from .wrapping import LogNormalParams
@@ -182,10 +182,14 @@ def tv_to_nb(hist: DigitHistogram) -> float:
 def analyze(data: np.ndarray | Iterable[float], base: Base) -> ConformanceReport:
     """Full conformance pipeline: histogram, chi-square, KS, TV, skips.
 
-    The data are filtered and decomposed once; the histogram and the KS
-    statistic both read that one decomposition.
+    The data are filtered and decomposed once, and _report reads that one
+    decomposition.
     """
-    sig, n_nonpos, n_nonfinite = _usable_significands(data, base)
+    return _report(*_usable_significands(data, base))
+
+
+def _report(sig: SignificandArray, n_nonpos: int, n_nonfinite: int) -> ConformanceReport:
+    """Conformance statistics of values already decomposed, with their skip counts."""
     hist = _histogram(sig)
     stat, pvalue = chi_square(hist)
     return ConformanceReport(
@@ -219,33 +223,20 @@ def sample_lognormal(n: int, p: LogNormalParams, seed: int) -> np.ndarray:
 
 
 def _check_ratio(ratio: float, base: Base) -> None:
-    """Reject a ratio whose terms cannot be told from powers of b.
+    """Reject a ratio whose significand is 1 to float precision.
 
-    With k the exponent of the ratio, found from the log estimate and
-    corrected at most twice, s = ratio / float(b)**k is the most accurate
-    quotient float division gives.  A ratio whose s ends at 1.0 or outside
-    [1, b) is rejected: 1e-6 is, although its double lies just below
-    10**-6.
-
-    This rule keeps its own estimate and correction rather than the exact
-    exponent of decompose_array, because its rejections are what
-    tests/data/golden/ratio_rejections.json pins.  It also rejects some
-    ratios that are not powers of b, such as 5e-324 in base 16; CHANGES.md
-    lists that as open.
+    The rule reads the exact significand ratio / b**k, with k the exact
+    exponent of the ratio, correctly rounded to a double: the ratio is
+    rejected when that is 1.0 or b.  Every exact power of b is, and so is
+    1e-6 in base 10, whose double lies just below 10**-6.  A ratio that is
+    no power of b is accepted, such as 5e-324 in base 16, whose terms have
+    significands 4 and 1 in turn.
     """
     if not math.isfinite(ratio) or ratio <= 0.0:
         raise NonPositiveInput(f"geometric ratio must be positive, got {ratio!r}")
-    b = base.b
-    kmin, powers, _ = _power_table(b)
-    k = math.floor(math.log(ratio) / base.ln)
-    with np.errstate(divide="ignore"):
-        s = float(ratio / powers[k - kmin])
-        for _ in range(2):
-            if 1.0 <= s < b:
-                break
-            k += 1 if s >= b else -1
-            s = float(ratio / powers[k - kmin])
-    if s == 1.0 or not 1.0 <= s < b:
+    k = decompose(ratio, base).exponent
+    s = _exact_ratio(*ratio.as_integer_ratio(), base.b, k)[2]
+    if s == 1.0 or s == base.b:
         raise UnsupportedRatio(
             f"ratio {ratio!r} is an integer power of {base.b} to float "
             "precision; its sequence has a constant significand"
@@ -403,7 +394,7 @@ def _kernel(seq: _LogLinear, t0: int, sig: np.ndarray, exps: np.ndarray | None) 
                 exps[start + i] = k
 
 
-def _factorial(n: int, base: Base, exponents: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _factorial(n: int, base: Base, exponents: bool) -> SignificandArray:
     """Significands (and exponents) of 1!, ..., n! by a carried product.
 
     The loop carries the significand of the running product and stores
@@ -424,15 +415,20 @@ def _factorial(n: int, base: Base, exponents: bool) -> tuple[np.ndarray, np.ndar
             s /= b
             wraps[i] += 1
         sig[i] = s
-    if not exponents:
-        return np.frombuffer(sig), None
-    return np.frombuffer(sig), np.cumsum(factors.exponent + np.frombuffer(wraps, dtype=np.uint8))
+    sig = np.frombuffer(sig)
+    exps = np.cumsum(factors.exponent + np.frombuffer(wraps, dtype=np.uint8)) if exponents else None
+    return SignificandArray(exps, sig, sig.astype(np.int64), base)
 
 
 def _generate(
     kind: str, n: int, base: Base, ratio: float | None, exponents: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Significands of the first n terms, and their exponents if asked."""
+) -> SignificandArray:
+    """The first n terms as significands in [1, b), digits and, if asked,
+    exponents (``exponent`` is None otherwise).
+
+    Every path leaves a significand in its term's exact digit cell, so
+    ``digit`` is its integer part; a factorial's is its carried product's.
+    """
     if n < 1:
         raise DomainError(f"sequence length must be >= 1, got {n!r}")
     if kind not in SEQUENCE_KINDS:
@@ -456,7 +452,7 @@ def _generate(
             c, k, y = rational
             sig = np.resize([float(c ** (t * k % y)) for t in range(1, y + 1)], n)
             exps = np.arange(1, n + 1, dtype=np.int64) * k // y if exponents else None
-            return sig, exps
+            return SignificandArray(exps, sig, sig.astype(np.int64), base)
         seq = _LogLinear.of(base, r)
     sig = np.empty(n)
     exps = np.empty(n, dtype=np.int64) if exponents else None
@@ -468,7 +464,7 @@ def _generate(
             exps[:head] = exact.exponent
     if n > head:
         _kernel(seq, head + 1, sig[head:], None if exps is None else exps[head:])
-    return sig, exps
+    return SignificandArray(exps, sig, sig.astype(np.int64), base)
 
 
 def gen_sequence_terms(
@@ -480,10 +476,10 @@ def gen_sequence_terms(
     large powers cannot overflow; only the significand matters for digit
     statistics anyway.
     """
-    sig, exps = _generate(kind, n, base, ratio, exponents=True)
+    terms = _generate(kind, n, base, ratio, exponents=True)
     return [
         SignificandDecomposition(s, e, base)
-        for s, e in zip(sig.tolist(), exps.tolist())
+        for s, e in zip(terms.significand.tolist(), terms.exponent.tolist())
     ]
 
 
@@ -491,4 +487,4 @@ def gen_sequence(
     kind: str, n: int, base: Base, ratio: float | None = None
 ) -> np.ndarray:
     """Significands of the first n sequence terms; see gen_sequence_terms."""
-    return _generate(kind, n, base, ratio, exponents=False)[0]
+    return _generate(kind, n, base, ratio, exponents=False).significand

@@ -134,10 +134,11 @@ class SignificandArray:
     """Elementwise decomposition of an array: ``significand * b**exponent``.
 
     ``digit`` is the exact leading digit, and ``significand`` lies in
-    [digit, digit + 1).
+    [digit, digit + 1).  The sequence generator leaves ``exponent`` None
+    when it is not asked for.
     """
 
-    exponent: np.ndarray  # int64
+    exponent: np.ndarray | None  # int64
     significand: np.ndarray  # float64
     digit: np.ndarray  # int64
     base: Base

@@ -17,6 +17,7 @@ from benford.errors import BenfordError
 from test_significand import FULL_RANGE_BASES, FULL_RANGE_VALUES, exact_decomposition
 
 entropy_module = importlib.import_module("benford.entropy")
+conformance_module = importlib.import_module("benford.conformance")
 
 
 def run(capsys, *argv):
@@ -897,6 +898,32 @@ class TestSequenceCmd:
         )
         assert code == 0
         assert field(records_of(out), "total") == (10000,)
+
+    @pytest.mark.parametrize(
+        "kind,n,b,ratio",
+        [
+            ("pow2", 3000, 10, None),
+            ("fibonacci", 3000, 16, None),
+            ("factorial", 5000, 1000, None),
+            ("geometric", 3000, 10, 1.1),
+            ("geometric", 3000, 8, 4.0),  # log_8 4 = 2/3: the closed form
+        ],
+    )
+    def test_never_decomposes_generator_output(self, capsys, monkeypatch, kind, n, b, ratio):
+        argv = ["sequence", kind, "--n", str(n), "--base", str(b), "--format", "records"]
+        if ratio is not None:
+            argv += ["--ratio", repr(ratio)]
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+        # the stream the old path gave: filter and decompose the significands
+        report = conformance_module.analyze(gen_sequence(kind, n, Base(b), ratio=ratio), Base(b))
+        assert want.endswith(emit_records(cli._conformance_records(report, Base(b))))
+
+        def refuse(*args):
+            raise AssertionError("sequence output decomposed again")
+
+        monkeypatch.setattr(conformance_module, "_usable_significands", refuse)
+        assert run(capsys, *argv) == (0, want, "")
 
     def test_geometric_degenerate_ratio(self, capsys):
         code, _, err = run(capsys, "sequence", "geometric", "--ratio", "10")

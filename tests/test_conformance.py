@@ -1,10 +1,14 @@
 import math
+import struct
 import time
 import tracemalloc
 from decimal import ROUND_FLOOR, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benford import (
     Base,
@@ -29,6 +33,7 @@ from benford import (
     tv_to_nb,
 )
 from benford import conformance
+from test_significand import exact_decomposition
 
 B10 = Base(10)
 D10 = NBDistribution(B10)
@@ -219,6 +224,64 @@ class TestSequences:
             gen_sequence_terms(kind, 5, B10, ratio=3.0)
 
 
+def _ratio_rejected(x: float, b: int) -> bool:
+    """Exact oracle: the significand x / b**k of x, as a Fraction and then
+    correctly rounded, is 1.0 or b."""
+    k, _ = exact_decomposition(x, b)
+    return float(Fraction(x) / Fraction(b) ** k) in (1.0, float(b))
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+@st.composite
+def _ratio_cases(draw):
+    """(ratio, base): any positive finite double, or one within 4 ulps of
+    b**k correctly rounded or of float(b)**k, where the verdicts change."""
+    b = draw(st.integers(2, 10**6), label="base")
+    if draw(st.booleans()):
+        return _double(draw(st.integers(1, _bits(math.inf) - 1), label="bits")), b
+    k = draw(st.integers(-40, 40), label="k")
+    x = float(Fraction(b) ** k) if draw(st.booleans()) else float(b) ** k
+    return _double(_bits(x) + draw(st.integers(-4, 4), label="ulps")), b
+
+
+class TestRatioRule:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_ratio_cases())
+    def test_verdict_matches_exact_significand(self, case):
+        x, b = case
+        try:
+            conformance._check_ratio(x, Base(b))
+            rejected = False
+        except UnsupportedRatio:
+            rejected = True
+        assert rejected == _ratio_rejected(x, b), (x.hex(), b)
+
+    def test_smallest_subnormal_in_base_16_runs(self):
+        # 2**-1074 t = 2**(-1074 t mod 4) * 16**floor(-1074 t / 4)
+        terms = gen_sequence_terms("geometric", 8, Base(16), ratio=5e-324)
+        assert [(t.significand, t.exponent) for t in terms] == [
+            (2.0 ** (-1074 * t % 4), -1074 * t // 4) for t in range(1, 9)
+        ]
+        digits = conformance._generate("geometric", 8, Base(16), 5e-324, exponents=False).digit
+        assert digits.tolist() == [4, 1] * 4
+
+    @pytest.mark.parametrize("b", [7, 786432])
+    def test_largest_double_below_one_runs(self, b):
+        # (1 - 2**-53)**t = b**-1 * b (1 - 2**-53)**t: digit b - 1 for t << 2**53
+        terms = conformance._generate(
+            "geometric", 1000, Base(b), math.nextafter(1.0, 0.0), exponents=True
+        )
+        assert (terms.digit == b - 1).all() and (terms.exponent == -1).all()
+        assert (terms.significand < b).all()
+
+
 class TestAnalyze:
     def test_report_fields_consistent(self):
         x = sample_nb(5000, B10, seed=3)
@@ -390,7 +453,8 @@ class TestSequenceExactness:
         kind, b, ratio = case
         n = 10**6
         # the arrays behind gen_sequence_terms, without 10**6 objects
-        sig, exps = conformance._generate(kind, n, Base(b), ratio, exponents=True)
+        terms = conformance._generate(kind, n, Base(b), ratio, exponents=True)
+        sig, exps, digits = terms.significand, terms.exponent, terms.digit
         assert np.array_equal(sig, gen_sequence(kind, n, Base(b), ratio=ratio))
         rng = np.random.default_rng(b)
         picks = sorted(set(rng.integers(EXACT_T, n, 300).tolist()) | {n})
@@ -404,7 +468,7 @@ class TestSequenceExactness:
                 assert d is None
                 a, p = round(math.log2(2.0 if kind == "pow2" else ratio)), b.bit_length() - 1
                 d, k = 2 ** (a * t % p), a * t // p
-            assert (int(sig[t - 1]), int(exps[t - 1])) == (d, k), t
+            assert (int(sig[t - 1]), int(digits[t - 1]), int(exps[t - 1])) == (d, d, k), t
             worst = max(worst, dec.drift(t, float(sig[t - 1])))
         assert worst <= KERNEL_DRIFT
 
