@@ -9,8 +9,8 @@ and large powers never overflow.
 
 from __future__ import annotations
 
+import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from typing import Iterable, NamedTuple
@@ -62,6 +62,9 @@ _POW_ERR = 2.0**-50
 _DEC_PREC = 60
 _DEC_TIE = Decimal("1e-40")  # see _settle
 _FIB_EXACT = 78  # F_78 < 2**53: the first Fibonacci terms are exact doubles
+# The digit histogram and KS walk the significands in slices of this many
+# elements, so that their temporaries stay in cache; see _histogram and _ks.
+_STAT_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -117,17 +120,57 @@ def _usable_significands(
 
 
 def _histogram(sig: SignificandArray) -> DigitHistogram:
-    counts = np.bincount(sig.digit, minlength=sig.base.b)[1:]
-    return DigitHistogram(sig.base, tuple(counts.tolist()), sig.digit.size)
+    """Digit counts, summed over slices of the significands.
+
+    A slice's digits are its significands' integer parts.  Each slice is
+    at least b long, so its count array of length b costs no more than
+    the slice does.
+    """
+    s, b = sig.significand, sig.base.b
+    step = max(_STAT_BLOCK, b)
+    counts = np.zeros(b, dtype=np.int64)
+    for start in range(0, s.size, step):
+        counts += np.bincount(s[start : start + step].astype(np.int64), minlength=b)
+    return DigitHistogram(sig.base, tuple(counts[1:].tolist()), s.size)
 
 
 def _ks(u: np.ndarray) -> float:
-    """Sorted-sample KS distance from uniform; sorts u, a fresh array, in place."""
+    """Sorted-sample KS distance from uniform; sorts u, a buffer the caller
+    owns, in place.
+
+    The maxima of i/n - u_i and u_i - (i-1)/n, u_i the i-th smallest, are
+    taken slice by slice in two reused buffers of _STAT_BLOCK elements:
+    the grid indices i and the differences.
+    """
     u.sort()
-    n = len(u)
-    grid = np.arange(n + 1, dtype=np.float64)
-    grid /= n  # grid[i] = i / n
-    return float(max((grid[1:] - u).max(), (u - grid[:-1]).max()))
+    n = u.size
+    m = min(n, _STAT_BLOCK)
+    i = np.arange(m + 1, dtype=np.float64)  # i[j] = start + j, exact
+    diff = np.empty(m)
+    d_plus = d_minus = -math.inf
+    for start in range(0, n, m):
+        block = u[start : start + m]
+        d = diff[: block.size]
+        np.divide(i[1 : block.size + 1], n, out=d)
+        d -= block
+        d_plus = max(d_plus, d.max())
+        np.divide(i[: block.size], n, out=d)
+        np.subtract(block, d, out=d)
+        d_minus = max(d_minus, d.max())
+        i += m
+    return float(max(d_plus, d_minus))
+
+
+def _log_ks(sig: SignificandArray) -> float:
+    """KS statistic of the log-mapped significands, u = ln s / ln b.
+
+    The log is taken in place, so sig's significand buffer, which the
+    caller owns, ends up holding the sorted u.
+    """
+    u = sig.significand
+    np.log(u, out=u)
+    u /= sig.base.ln
+    return _ks(u)
 
 
 def digit_histogram(
@@ -167,8 +210,7 @@ def ks_uniform(data: np.ndarray | Iterable[float], base: Base) -> float:
     Exact sorted-sample form: max over i of max(i/n - u_(i), u_(i) - (i-1)/n).
     Nonpositive and nonfinite entries are skipped as in digit_histogram.
     """
-    sig, _, _ = _usable_significands(data, base)
-    return _ks(sig.log_map())
+    return _log_ks(_usable_significands(data, base)[0])
 
 
 def tv_to_nb(hist: DigitHistogram) -> float:
@@ -183,20 +225,28 @@ def analyze(data: np.ndarray | Iterable[float], base: Base) -> ConformanceReport
     """Full conformance pipeline: histogram, chi-square, KS, TV, skips.
 
     The data are filtered and decomposed once, and _report reads that one
-    decomposition.
+    decomposition.  The data themselves are left as they are: the
+    decomposition's significands are a new array.
     """
     return _report(*_usable_significands(data, base))
 
 
 def _report(sig: SignificandArray, n_nonpos: int, n_nonfinite: int) -> ConformanceReport:
-    """Conformance statistics of values already decomposed, with their skip counts."""
+    """Conformance statistics of values already decomposed, with their skip counts.
+
+    The caller hands over sig's significand buffer: KS takes the log and
+    sorts in place there, so no other full-length array is made, and sig
+    holds no significands or digits afterwards.  Both callers own that
+    buffer: ``analyze`` passes its own decomposition of the data, and the
+    CLI's ``sequence`` verb the generator's output.
+    """
     hist = _histogram(sig)
     stat, pvalue = chi_square(hist)
     return ConformanceReport(
         histogram=hist,
         chi_square=stat,
         chi_square_pvalue=pvalue,
-        ks_stat=_ks(sig.log_map()),
+        ks_stat=_log_ks(sig),
         tv_distance=tv_to_nb(hist),
         n_skipped_nonpositive=n_nonpos,
         n_skipped_nonfinite=n_nonfinite,
@@ -397,34 +447,45 @@ def _kernel(seq: _LogLinear, t0: int, sig: np.ndarray, exps: np.ndarray | None) 
 def _factorial(n: int, base: Base, exponents: bool) -> SignificandArray:
     """Significands (and exponents) of 1!, ..., n! by a carried product.
 
-    The loop carries the significand of the running product and stores
-    nothing per term but the significand and, where it wrapped past b,
-    how often.  Term i has exponent ``(k + wraps)[:i+1].sum()``, with k
-    the exponents of the factors 1..n.
+    Factor i has exponent k_i, the count of powers b**j <= i with j >= 1,
+    and significand f_i = float(i) / float(b**k_i): both operands are
+    exact, so f_i is correctly rounded, as decompose_array gives it.  The
+    product carries only a significand, divided by b while it is at least
+    b.  Term i has exponent ``(k + wraps)[:i].sum()``, with wraps counting
+    those divisions; they are counted again from the same products
+    ``sig[i-1] * f_i`` the carry formed.
     """
     if n > _FACTORIAL_CAP:
         raise DomainError(f"factorial sequences are capped at n = {_FACTORIAL_CAP}")
     b = float(base.b)
-    sig = array("d", bytes(8 * n))
-    wraps = bytearray(n)
-    factors = decompose_array(np.arange(1, n + 1, dtype=np.float64), base)
-    s = 1.0
-    for i, fs in enumerate(factors.significand.tolist()):
-        s *= fs
+    powers = [base.b]
+    while powers[-1] * base.b <= n:
+        powers.append(powers[-1] * base.b)
+    i = np.arange(1, n + 1)
+    k = np.searchsorted(powers, i, side="right")
+    factors = i / np.array([1] + powers, dtype=np.float64)[k]
+
+    def carry(s: float, f: float) -> float:
+        s *= f
         while s >= b:
             s /= b
-            wraps[i] += 1
-        sig[i] = s
-    sig = np.frombuffer(sig)
-    exps = np.cumsum(factors.exponent + np.frombuffer(wraps, dtype=np.uint8)) if exponents else None
-    return SignificandArray(exps, sig, sig.astype(np.int64), base)
+        return s
+
+    sig = np.fromiter(itertools.accumulate(factors.tolist(), carry), np.float64, n)
+    exps = None
+    if exponents:
+        product = factors
+        product[1:] *= sig[:-1]  # sig[i-1] * f_i; f_1 = 1 is carried as is
+        once = product / b  # a second division needs a product rounded to b**2
+        exps = np.cumsum(k + (product >= b) + (once >= b))
+    return SignificandArray(exps, sig, base)
 
 
 def _generate(
     kind: str, n: int, base: Base, ratio: float | None, exponents: bool
 ) -> SignificandArray:
-    """The first n terms as significands in [1, b), digits and, if asked,
-    exponents (``exponent`` is None otherwise).
+    """The first n terms as significands in [1, b) and, if asked, exponents
+    (``exponent`` is None otherwise), in new arrays the caller owns.
 
     Every path leaves a significand in its term's exact digit cell, so
     ``digit`` is its integer part; a factorial's is its carried product's.
@@ -452,7 +513,7 @@ def _generate(
             c, k, y = rational
             sig = np.resize([float(c ** (t * k % y)) for t in range(1, y + 1)], n)
             exps = np.arange(1, n + 1, dtype=np.int64) * k // y if exponents else None
-            return SignificandArray(exps, sig, sig.astype(np.int64), base)
+            return SignificandArray(exps, sig, base)
         seq = _LogLinear.of(base, r)
     sig = np.empty(n)
     exps = np.empty(n, dtype=np.int64) if exponents else None
@@ -464,7 +525,7 @@ def _generate(
             exps[:head] = exact.exponent
     if n > head:
         _kernel(seq, head + 1, sig[head:], None if exps is None else exps[head:])
-    return SignificandArray(exps, sig, sig.astype(np.int64), base)
+    return SignificandArray(exps, sig, base)
 
 
 def gen_sequence_terms(

@@ -133,21 +133,19 @@ def _exact_ratio(num: int, den: int, b: int, k: int) -> tuple[int, int, float]:
 class SignificandArray:
     """Elementwise decomposition of an array: ``significand * b**exponent``.
 
-    ``digit`` is the exact leading digit, and ``significand`` lies in
-    [digit, digit + 1).  The sequence generator leaves ``exponent`` None
-    when it is not asked for.
+    Every significand lies in its value's exact digit cell [d, d + 1), so
+    the exact leading digit is its integer part, ``digit``.  The sequence
+    generator leaves ``exponent`` None when it is not asked for.
     """
 
     exponent: np.ndarray | None  # int64
     significand: np.ndarray  # float64
-    digit: np.ndarray  # int64
     base: Base
 
-    def log_map(self) -> np.ndarray:
-        """u = ln(s)/ln(b) per element: the significands on the circle [0, 1)."""
-        u = np.log(self.significand)
-        u /= self.base.ln
-        return u
+    @property
+    def digit(self) -> np.ndarray:
+        """The exact leading digits, int64, derived anew on each access."""
+        return self.significand.astype(np.int64)
 
 
 def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:
@@ -160,7 +158,8 @@ def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:
     estimate is off by one, or within a few ulps of an integer, or when v
     is subnormal or its scale is not a normal float.  Flagged values are
     redone exactly, which also walks a misestimated exponent to the exact
-    one, so every digit is the exact leading digit.
+    one, so every digit is the exact leading digit.  The significands are
+    a new array, never a view of ``values``.
     """
     v = np.asarray(values, dtype=np.float64)
     ok = (v > 0.0) & (v < math.inf)
@@ -175,8 +174,7 @@ def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:
         k = np.frexp(v)[1].astype(np.int64)
         k -= 1  # in place: few large temporaries per call
         k //= p
-        s = np.ldexp(v, k * -p)
-        return SignificandArray(k, s, s.astype(np.int64), base)
+        return SignificandArray(k, np.ldexp(v, k * -p), base)
     kmin, P, normal = _power_table(b)
     j = np.floor(np.log(v) / base.ln).astype(np.int64) - kmin
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -187,16 +185,15 @@ def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:
             | (v < _DBL_MIN)
             | ~normal[j]
         )
-        digit = s.astype(np.int64)
     for i, x in zip(flagged.tolist(), v[flagged].tolist()):
         k, d, exact_s = _exact(x, b, int(j[i]) + kmin)
         jj = k - kmin
         # the usual quotient where it is accurate, clamped to the exact digit
         si = x / float(P[jj]) if normal[jj] and x >= _DBL_MIN else exact_s
         s[i] = min(max(si, float(d)), math.nextafter(d + 1.0, 0.0))
-        j[i], digit[i] = jj, d
+        j[i] = jj
     j += kmin
-    return SignificandArray(j, s, digit, base)
+    return SignificandArray(j, s, base)
 
 
 def decompose(value: float, base: Base) -> SignificandDecomposition:

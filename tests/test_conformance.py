@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benford import (
@@ -22,6 +22,7 @@ from benford import (
     SignificandDecomposition,
     UnsupportedRatio,
     analyze,
+    decompose_array,
     chi_square,
     digit_histogram,
     first_digit_prob,
@@ -120,6 +121,52 @@ class TestKsUniform:
         rng = np.random.default_rng(23)
         stat = ks_uniform(rng.uniform(0.5, 80.0, 1000), B10)
         assert 0.0 <= stat <= 1.0
+
+
+BLOCK = conformance._STAT_BLOCK
+
+
+def _whole_array_ks(u: np.ndarray) -> float:
+    """The KS formula on whole arrays, as it stood before the statistics
+    went block by block."""
+    u = np.sort(u)
+    n = len(u)
+    grid = np.arange(n + 1, dtype=np.float64)
+    grid /= n
+    return float(max((grid[1:] - u).max(), (u - grid[:-1]).max()))
+
+
+class TestStatisticBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(
+            st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK + 1]),
+            st.integers(1, 3 * BLOCK + 1),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.sampled_from([0, 1, 7, 1000]),
+    )
+    @example(n=BLOCK - 1, seed=0, levels=0)
+    @example(n=BLOCK, seed=1, levels=0)
+    @example(n=BLOCK + 1, seed=2, levels=7)
+    def test_blocked_ks_matches_whole_array_formula(self, n, seed, levels):
+        rng = np.random.default_rng(seed)
+        u = rng.random(n)
+        if levels:  # ties, and values on the grid i/n itself
+            u = np.floor(u * levels) / levels
+        expected = _whole_array_ks(u)
+        got = conformance._ks(u)
+        assert struct.pack("<d", got) == struct.pack("<d", expected)
+        assert np.array_equal(u, np.sort(u))
+
+    @pytest.mark.parametrize("b", [2, 10, 1000, 100003])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1, 250_000])
+    def test_blocked_histogram_matches_bincount(self, b, n):
+        sig = decompose_array(sample_nb(n, Base(b), seed=n + b), Base(b))
+        expected = np.bincount(sig.significand.astype(np.int64), minlength=b)[1:]
+        hist = conformance._histogram(sig)
+        assert hist.counts == tuple(expected.tolist())
+        assert hist.total == n
 
 
 class TestSamplers:
@@ -295,13 +342,14 @@ class TestAnalyze:
         assert rep.tv_distance == tv_to_nb(rep.histogram)
 
     def test_input_array_is_left_as_given(self):
-        # all-usable data goes to decompose without a copy, and the KS
-        # statistic sorts its own log-mapped array
-        x = sample_nb(1000, B10, seed=5)[::-1].copy()
-        before = x.copy()
-        analyze(x, B10)
-        ks_uniform(x, B10)
-        assert np.array_equal(x, before)
+        # all-usable data goes to decompose without a copy; the KS statistic
+        # takes the log in place in the decomposition's own significands
+        for b in (10, 16):
+            x = sample_nb(1000, Base(b), seed=5)[::-1].copy()
+            before = x.copy()
+            analyze(x, Base(b))
+            ks_uniform(x, Base(b))
+            assert x.tobytes() == before.tobytes(), b
 
     def test_exact_proportional_tv_is_zero(self):
         hist = DigitHistogram(Base(2), (123,), 123)
@@ -536,6 +584,27 @@ class TestSequenceExactness:
                     worst = max(worst, float(abs(Decimal(float(sig[t - 1])).ln() / ln10 - u)))
         assert worst <= FACTORIAL_DRIFT
 
+    @pytest.mark.parametrize("b", [2, 10, 16, 1000, 10**6, 2**53])
+    def test_factorial_matches_the_carried_product_loop(self, b):
+        # the loop as it stood, with decompose_array's factors, as the oracle
+        n = 10**4
+        base = Base(b)
+        factors = decompose_array(np.arange(1, n + 1, dtype=np.float64), base)
+        sig, wraps, s = [], [], 1.0
+        for fs in factors.significand.tolist():
+            s *= fs
+            w = 0
+            while s >= b:
+                s /= b
+                w += 1
+            sig.append(s)
+            wraps.append(w)
+        exps = np.cumsum(factors.exponent + np.array(wraps, dtype=np.uint8))
+        terms = conformance._generate("factorial", n, base, None, exponents=True)
+        assert terms.significand.tobytes() == np.array(sig).tobytes()
+        assert terms.exponent.dtype == exps.dtype and np.array_equal(terms.exponent, exps)
+        assert gen_sequence("factorial", n, base).tobytes() == terms.significand.tobytes()
+
 
 class TestSequenceCost:
     def test_near_one_ratio_settles_few_terms(self, monkeypatch):
@@ -564,3 +633,16 @@ class TestSequenceCost:
         finally:
             tracemalloc.stop()
         assert peak < 32 * n
+
+    def test_report_keeps_one_full_length_buffer(self):
+        # the generator's significands, 8 bytes per term; the digits, log
+        # map and KS differences live in cache-sized blocks
+        n = 10**6
+        conformance._report(conformance._generate("pow2", 1000, B10, None, False), 0, 0)
+        tracemalloc.start()
+        try:
+            conformance._report(conformance._generate("pow2", n, B10, None, False), 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * n
