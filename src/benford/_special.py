@@ -1,72 +1,56 @@
-"""Regularized incomplete gamma ratios and the chi-square survival function.
+"""Regularized upper incomplete gamma ratio and the chi-square survival function.
 
-The lower ratio P(a, x) is evaluated by its power series for x < a + 1 and
-the upper ratio Q(a, x) by a modified Lentz continued fraction otherwise,
-the classic pairing.  Each raises TruncationError after _MAX_ITER terms,
-which a chi-square statistic near its mean reaches from 10,766 degrees of freedom.
+Chi-square needs Q(a, x) only at a = dof/2.  For such a half-integer or
+integer shape it is a finite Poisson tail (Abramowitz & Stegun 26.4):
+
+    Q(a, x) = [a half-integer] erfc(sqrt(x)) + sum_c x^c e^-x / Gamma(c + 1)
+
+over c = a - 1, a - 2, ... down to 0 or 1/2.  The sum starts at its
+largest term, whose log for c >= 30 is taken in Stirling form so that no
+O(c) quantities cancel; the other terms follow by the ratios c/x going
+down and x/(c + 1) going up.  Every term is positive, nothing cancels and
+nothing iterates to convergence.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError, TruncationError
+import numpy as np
+
+from .errors import DomainError
 
 __all__ = ["reg_gamma_upper", "chi2_sf"]
 
-_MAX_ITER = 600
-_EPS = 1e-16
-_FPMIN = 1e-300
 
-
-def _lower_series(a: float, x: float) -> float:
-    """P(a, x) via the power series; valid for x < a + 1."""
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise TruncationError(f"incomplete gamma series not converged in {_MAX_ITER} terms")
-
-
-def _upper_cf(a: float, x: float) -> float:
-    """Q(a, x) via Lentz's continued fraction; valid for x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise TruncationError(f"incomplete gamma fraction not converged in {_MAX_ITER} terms")
+def _log_term(c: float, x: float) -> float:
+    """ln(x^c e^-x / Gamma(c + 1)); x >= c when c >= 30."""
+    if c < 30.0:
+        return c * math.log(x) - x - math.lgamma(c + 1.0)
+    t = (x - c) / c  # lambda - 1, lambda = x / c
+    stirling = 1 / (12 * c) - 1 / (360 * c**3) + 1 / (1260 * c**5) - 1 / (1680 * c**7)
+    return -c * (t - math.log1p(t)) - 0.5 * math.log(2 * math.pi * c) - stirling
 
 
 def reg_gamma_upper(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma ratio Q(a, x)."""
-    if a <= 0.0:
-        raise DomainError(f"shape must be positive, got {a!r}")
-    if x < 0.0:
-        raise DomainError(f"argument must be nonnegative, got {x!r}")
+    """Regularized upper incomplete gamma ratio Q(a, x), for 2a a positive integer."""
+    if not (a > 0.0 and (2.0 * a).is_integer()):
+        raise DomainError(f"shape must be a positive multiple of 1/2, got {a!r}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"argument must be nonnegative and finite, got {x!r}")
     if x == 0.0:
         return 1.0
-    if x < a + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_series(a, x)))
-    return min(1.0, max(0.0, _upper_cf(a, x)))
+    frac = a % 1.0  # the sum runs over c = frac + j, j = 0 .. n - 1
+    n = int(a)
+    head = math.erfc(math.sqrt(x)) if frac else 0.0
+    if n == 0:
+        return head
+    k = min(max(math.floor(x - frac), 0), n - 1)  # the largest term
+    c = frac + k
+    down = (np.arange(c, frac, -1.0) / x).cumprod()  # terms c - 1, c - 2, ... over term c
+    up = (x / np.arange(c + 1.0, a)).cumprod()  # terms c + 1, c + 2, ... over term c
+    tail = math.exp(_log_term(c, x)) * (1.0 + down.sum() + up.sum())
+    return min(1.0, head + float(tail))
 
 
 def chi2_sf(stat: float, dof: int) -> float:

@@ -23,7 +23,7 @@ import json.scanner
 import math
 import re
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -215,7 +215,7 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> IngestError:
     return IngestError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
-def _floats(cells: list[str]) -> list[float]:
+def _floats(cells: Iterable[str]) -> list[float]:
     """float(cell) for every cell, NaN where that fails."""
     out: list[float] = []
     it = iter(cells)
@@ -223,6 +223,8 @@ def _floats(cells: list[str]) -> list[float]:
         try:
             out.extend(map(float, it))  # keeps what it appended before a failure
             return out
+        except UnicodeDecodeError:
+            raise  # from the file under a generator of cells, not from float
         except ValueError:
             out.append(math.nan)  # unparseable cells skip as nonfinite
 
@@ -342,14 +344,8 @@ def _parse_csv(reader, path: str, column: str) -> np.ndarray:
 
 
 def _csv_column(reader, idx: int) -> np.ndarray:
-    values: list[float] = []
-    for row in reader:
-        cell = row[idx].strip() if idx < len(row) else ""
-        try:
-            values.append(float(cell))
-        except ValueError:
-            values.append(math.nan)  # unparseable cells skip as nonfinite
-    return np.array(values, dtype=np.float64)
+    cells = (row[idx].strip() if idx < len(row) else "" for row in reader)
+    return np.array(_floats(cells), dtype=np.float64)
 
 
 def _json_int(text: str) -> float:

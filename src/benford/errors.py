@@ -18,8 +18,7 @@ class NotNormalized(BenfordError):
 
 
 class TruncationError(BenfordError):
-    """No admissible truncation order meets the certified tail bound, or a
-    series ran out of terms before it converged."""
+    """No admissible truncation order meets the certified tail bound."""
 
 
 class QuadratureError(BenfordError):

@@ -8,10 +8,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
-from benford import Base, cli, gen_sequence, nb_entropy_closed, sample_nb
+from benford import Base, analyze, cli, gen_sequence, nb_entropy_closed, sample_nb
 from benford.cli import _RECORD_FIELDS, emit_records, main, parse_records
 from benford.errors import BenfordError
 from test_significand import FULL_RANGE_BASES, FULL_RANGE_VALUES, exact_decomposition
@@ -220,15 +221,19 @@ class TestFit:
         bins = [rec for rec in records_of(out) if rec[0] == "bin"]
         assert [rec[2] for rec in bins] == want
 
-    def test_chi_square_in_base_20000_runs_or_is_a_numeric_failure(self, capsys, tmp_path):
-        # about 2 x 10^4 degrees of freedom: near the mean the incomplete
-        # gamma series needs more terms than it is allowed
+    def test_chi_square_in_base_20000_matches_scipy(self, capsys, tmp_path):
+        # 19998 degrees of freedom, a statistic near its mean
+        values = sample_nb(200_000, Base(20_000), 1)
         f = tmp_path / "nb20k.csv"
-        write_csv(f, sample_nb(200_000, Base(20_000), 1), header="a")
-        code, _, err = run(capsys, "fit", str(f), "--column", "a", "--base", "20000")
-        assert code in (0, 4), err
-        if code == 4:
-            assert "numeric failure" in err
+        write_csv(f, values, header="a")
+        code, out, err = run(
+            capsys, "fit", str(f), "--column", "a", "--base", "20000", "--format", "records"
+        )
+        assert code == 0, err
+        rep = analyze(values, Base(20_000))
+        assert abs(rep.chi_square_pvalue - scipy_stats.chi2.sf(rep.chi_square, 19998)) < 1e-12
+        (p,) = field(records_of(out), "chi_square_pvalue")
+        assert p == float("%.12g" % rep.chi_square_pvalue)
 
 
 class TestIngestErrors:
@@ -995,6 +1000,25 @@ class TestSequenceFuzz:
         if code == 0 and n <= _RUN_N:
             assert field(records_of(out.getvalue()), "total") == (n,)
 
+    @settings(deadline=None, max_examples=5)
+    @given(
+        kind=st.sampled_from(["pow2", "fibonacci", "geometric"]),
+        base=st.integers(10**4, cli._MAX_BASE),
+    )
+    @example(kind="fibonacci", base=200_000)  # its statistic sits near the mean
+    def test_chi_square_at_large_bases(self, kind, base):
+        # the fewest terms chi-square accepts, at up to 10^6 - 2 degrees of freedom
+        argv = ["sequence", kind, "--n", str(5 * (base - 1)), "--base", str(base)]
+        if kind == "geometric":
+            argv += ["--ratio", "1.1"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--format", "records"])
+        assert (code, err.getvalue()) == (0, ""), argv
+        tail = out.getvalue()[-4096:]  # the summary records follow the b - 1 bins
+        (p,) = field(records_of(tail[tail.index("\n") + 1 :]), "chi_square_pvalue")
+        assert 0.0 <= p <= 1.0, argv
+
 
 # M, s, weight and --tol texts: non-finite values, the extreme and
 # subnormal doubles, negatives, and garbage
@@ -1125,7 +1149,5 @@ class TestRecordsFormat:
             capsys, "sequence", "fibonacci", "--n", "3000", "--format", "records"
         )
         recs = records_of(out)
-        from benford import analyze
-
         rep = analyze(sig, Base(10))
         assert field(recs, "chi_square")[0] == pytest.approx(rep.chi_square, rel=1e-12)
