@@ -18,16 +18,23 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import json.scanner
 import math
 import re
 import sys
-from typing import Iterable, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .conformance import ConformanceReport, SEQUENCE_KINDS, _generate, _report, analyze
+from .conformance import (
+    ConformanceReport,
+    SEQUENCE_KINDS,
+    _generate,
+    _report,
+    _usable_significands,
+)
 from .entropy import analyze_entropy
 from .errors import (
     BenfordError,
@@ -248,32 +255,36 @@ def _column_index(header: list[str], path: str, column: str) -> int:
 # The block reader reads this many bytes at a time; a block and the
 # unfinished line carried over from the last one make at most two.
 _CSV_BLOCK = 1 << 18
+# csv.reader's rows and JSON lines are converted this many at a time.
+_CHUNK_ROWS = 1 << 13
 # Bytes on which csv.reader and plain comma splitting could disagree:
-# quotes, carriage returns and NUL change how csv.reader splits, and
-# 0x1c-0x1f are stripped by str.strip but rejected by float.
-_CSV_UNSAFE = b'"\r\x00\x1c\x1d\x1e\x1f'
+# quotes and NUL change how csv.reader splits, and 0x1c-0x1f are stripped
+# by str.strip but rejected by float.  A carriage return is safe only
+# just before a newline; see _read_csv_blocks.
+_CSV_UNSAFE = b'"\x00\x1c\x1d\x1e\x1f'
 
 
 def _read_csv_blocks(
     fh, path: str, column: str
-) -> tuple[list[np.ndarray], int | None, int]:
-    """Parse the column a block at a time by comma splitting, for as long
-    as csv.reader provably splits every line of the block the same way.
+) -> Generator[np.ndarray, None, tuple[int | None, int]]:
+    """Yield the column's values a block at a time, parsed by comma
+    splitting, for as long as csv.reader provably splits every line of
+    the block the same way.
 
     A block qualifies if it is UTF-8 text without a byte of _CSV_UNSAFE,
-    every line in it ends within two blocks and is no longer than
-    csv.field_size_limit(), and every line has as many commas as the
-    header, a non-empty first line that resolves the column. The last
-    line of the file may lack its newline, as it may for csv.reader.
+    every carriage return in it is directly followed by a newline (and is
+    dropped, as csv.reader drops it), every line in it ends within two
+    blocks and is no longer than csv.field_size_limit(), and every line
+    has as many commas as the header, a non-empty first line that
+    resolves the column. The last line of the file may lack its newline,
+    as it may for csv.reader.
 
-    Returns the values of the blocks parsed, the column index and the
-    number of lines parsed; when that is 0 the index means nothing. The
-    first block that does not qualify stops the reader, and ``fh`` is
-    left at its first byte, a line boundary from which csv.reader reads
-    the rest.
+    Returns the column index and the number of lines parsed; when that is
+    0 the index means nothing. The first block that does not qualify
+    stops the reader, and ``fh`` is left at its first byte, a line
+    boundary from which csv.reader reads the rest.
     """
     limit = csv.field_size_limit()
-    parts: list[np.ndarray] = []
     ncols = idx = None
     nlines = start = 0  # lines and bytes parsed
     tail = b""
@@ -281,13 +292,17 @@ def _read_csv_blocks(
         chunk = fh.read(_CSV_BLOCK)
         if not chunk:
             if not tail:
-                return parts, idx, nlines
+                return idx, nlines
             chunk = b"\n"  # csv.reader ends the last line at EOF as at a newline
         block = tail + chunk
         cut = block.rfind(b"\n") + 1
         block, tail = block[:cut], block[cut:]
         if not cut or any(c in block for c in _CSV_UNSAFE):
             break
+        if b"\r" in block:
+            if block.count(b"\r") != block.count(b"\r\n"):
+                break
+            block = block.replace(b"\r\n", b"\n")
         a = np.frombuffer(block, dtype=np.uint8)
         ends = np.flatnonzero(a == 10)
         if np.diff(ends, prepend=-1).max() > limit + 1:
@@ -311,41 +326,44 @@ def _read_csv_blocks(
         if (commas != ncols - 1).any():
             break
         cells = text.replace("\n", ",").split(",")[idx:-1:ncols]
-        parts.append(np.array(_floats(cells), dtype=np.float64))
         nlines += ends.size
-        start += len(block)
+        start += cut  # bytes of the file, carriage returns included
+        yield np.array(_floats(cells), dtype=np.float64)
     fh.seek(start)
-    return parts, idx, nlines
+    return idx, nlines
 
 
-def _read_csv(path: str, column: str) -> np.ndarray:
+def _read_csv(path: str, column: str) -> Iterator[np.ndarray]:
+    """The column's values as float64 blocks: the block reader's, then
+    csv.reader's, _CHUNK_ROWS rows at a time, from the line it stopped at."""
     with open(path, "rb") as fh:
-        parts, idx, nlines = _read_csv_blocks(fh, path, column)
+        idx, nlines = yield from _read_csv_blocks(fh, path, column)
         reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
         try:
-            if not nlines:
-                return _parse_csv(reader, path, column)
-            parts.append(_csv_column(reader, idx))
+            if nlines:
+                yield from _csv_column(reader, idx)
+            else:
+                yield from _parse_csv(reader, path, column)
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
         except csv.Error as exc:
             line = nlines + reader.line_num
             raise IngestError(f"{path}: line {line}: {exc}") from None
-    return np.concatenate(parts)
 
 
-def _parse_csv(reader, path: str, column: str) -> np.ndarray:
+def _parse_csv(reader, path: str, column: str) -> Iterator[np.ndarray]:
     """The reference reader: a header row, then the column of every row."""
     try:
         header = next(reader)
     except StopIteration:
         raise EmptyData(f"{path}: empty file") from None
-    return _csv_column(reader, _column_index(header, path, column))
+    yield from _csv_column(reader, _column_index(header, path, column))
 
 
-def _csv_column(reader, idx: int) -> np.ndarray:
+def _csv_column(reader, idx: int) -> Iterator[np.ndarray]:
     cells = (row[idx].strip() if idx < len(row) else "" for row in reader)
-    return np.array(_floats(cells), dtype=np.float64)
+    while values := _floats(itertools.islice(cells, _CHUNK_ROWS)):
+        yield np.array(values, dtype=np.float64)
 
 
 def _json_int(text: str) -> float:
@@ -359,55 +377,64 @@ def _json_int(text: str) -> float:
 _SCAN = json.scanner.make_scanner(json.JSONDecoder(parse_int=_json_int))
 
 
-def _read_jsonl(path: str, column: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
+def _read_jsonl(path: str, column: str) -> Iterator[np.ndarray]:
+    # a record ends at "\n" alone, as in JSON Lines and parse_records
+    with open(path, encoding="utf-8", newline="\n") as fh:
         try:
-            return _parse_jsonl(fh, path, column)
+            yield from _parse_jsonl(fh, path, column)
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
 
 
-def _parse_jsonl(lines, path: str, column: str) -> np.ndarray:
-    """One float per non-blank line: the ``column`` field of a line that is
-    exactly one JSON object, else NaN."""
-    values: list[float] = []
-    seen = False
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj, end = _SCAN(line, 0)
-        except (StopIteration, json.JSONDecodeError, RecursionError):
-            # no value, malformed, or nested deeper than the scanner recurses
-            values.append(math.nan)
-            continue
-        v = obj.get(column) if end == len(line) and type(obj) is dict else None
-        if v is None:
-            values.append(math.nan)
-            continue
-        seen = True
-        t = type(v)
-        if t is float:
-            values.append(v)
-        elif t is str:
+def _parse_jsonl(lines: Iterable[str], path: str, column: str) -> Iterator[np.ndarray]:
+    """One float per non-blank line, as float64 blocks of _CHUNK_ROWS lines:
+    the ``column`` field of a line that is exactly one JSON object, else
+    NaN."""
+    lines = iter(lines)
+    seen = some = False
+    while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
+        values: list[float] = []
+        for line in chunk:
+            line = line.strip()
+            if not line:
+                continue
             try:
-                values.append(float(v))
-            except ValueError:
+                obj, end = _SCAN(line, 0)
+            except (StopIteration, json.JSONDecodeError, RecursionError):
+                # no value, malformed, or nested deeper than the scanner recurses
                 values.append(math.nan)
-        else:  # bool, array or object
-            values.append(math.nan)
-    if values and not seen:
+                continue
+            v = obj.get(column) if end == len(line) and type(obj) is dict else None
+            if v is None:
+                values.append(math.nan)
+                continue
+            seen = True
+            t = type(v)
+            if t is float:
+                values.append(v)
+            elif t is str:
+                try:
+                    values.append(float(v))
+                except ValueError:
+                    values.append(math.nan)
+            else:  # bool, array or object
+                values.append(math.nan)
+        some = some or bool(values)
+        yield np.array(values, dtype=np.float64)
+    if some and not seen:
         raise IngestError(f"{path}: no field named {column!r} in any record")
-    return np.array(values, dtype=np.float64)
+
+
+def _value_blocks(args) -> Iterator[np.ndarray]:
+    """``fit``'s column as float64 blocks in file order, magnitudes with
+    --absolute-value; no reader holds the whole column."""
+    blocks = (_read_csv if args.input_format == "csv" else _read_jsonl)(args.path, args.column)
+    return map(np.abs, blocks) if args.absolute_value else blocks
 
 
 def _read_values(args) -> np.ndarray:
-    read = _read_csv if args.input_format == "csv" else _read_jsonl
-    values = read(args.path, args.column)
-    if args.absolute_value:
-        values = np.abs(values)
-    return values
+    """``fit``'s column in one array: the blocks of _value_blocks, joined."""
+    return np.concatenate([np.empty(0), *_value_blocks(args)])
 
 
 # --------------------------------------------------------------------------
@@ -493,8 +520,7 @@ def _cmd_digits(args) -> list[tuple]:
 
 def _cmd_fit(args) -> list[tuple]:
     base = Base(args.base)
-    values = _read_values(args)
-    report = analyze(values, base)
+    report = _report(*_usable_significands(_value_blocks(args), base))
     recs: list[tuple] = [
         ("schema", SCHEMA_VERSION),
         ("command", "fit"),

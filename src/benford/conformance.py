@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,9 @@ _POW_ERR = 2.0**-50
 _DEC_PREC = 60
 _DEC_TIE = Decimal("1e-40")  # see _settle
 _FIB_EXACT = 78  # F_78 < 2**53: the first Fibonacci terms are exact doubles
-# The digit histogram and KS walk the significands in slices of this many
-# elements, so that their temporaries stay in cache; see _histogram and _ks.
+# The library's data are decomposed, and the digit histogram and KS walk
+# the significands, in slices of this many elements, so that their
+# temporaries stay in cache; see _slices, _histogram and _ks.
 _STAT_BLOCK = 2**13
 
 
@@ -97,12 +98,8 @@ class ConformanceReport:
     n_skipped_nonfinite: int
 
 
-def _split_usable(data: np.ndarray | Iterable[float]) -> tuple[np.ndarray, int, int]:
-    """Partition raw data into usable positives and skip counters."""
-    if isinstance(data, (np.ndarray, list, tuple)):
-        x = np.asarray(data, dtype=np.float64)
-    else:
-        x = np.fromiter(data, dtype=np.float64)
+def _split_usable(x: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Partition a float64 block into usable positives and skip counters."""
     finite = np.isfinite(x)
     keep = finite & (x > 0.0)
     usable = x if keep.all() else x[keep]  # no copy when nothing is skipped
@@ -110,13 +107,39 @@ def _split_usable(data: np.ndarray | Iterable[float]) -> tuple[np.ndarray, int, 
     return usable, n_finite - usable.size, x.size - n_finite
 
 
+def _slices(data: np.ndarray | Iterable[float]) -> Iterator[np.ndarray]:
+    """The data as float64, in slices of _STAT_BLOCK elements."""
+    if isinstance(data, (np.ndarray, list, tuple)):
+        x = np.asarray(data, dtype=np.float64).ravel()
+    else:
+        x = np.fromiter(data, dtype=np.float64)
+    return (x[start : start + _STAT_BLOCK] for start in range(0, x.size, _STAT_BLOCK))
+
+
 def _usable_significands(
-    data: np.ndarray | Iterable[float], base: Base
+    blocks: Iterable[np.ndarray], base: Base
 ) -> tuple[SignificandArray, int, int]:
-    usable, n_nonpos, n_nonfinite = _split_usable(data)
-    if not usable.size:
+    """Significands of the usable values of float64 blocks, with skip counts.
+
+    Each block is filtered and decomposed on its own, and only its
+    significands are kept; they are joined once, after the last block,
+    into a new array that the caller owns.  So the only full-length
+    arrays are the significands and their join.  No usable value in any
+    block is EmptyData, raised only once the blocks are exhausted, so an
+    error of whatever yields them comes first.
+    """
+    parts: list[np.ndarray] = []
+    n_nonpos = n_nonfinite = 0
+    for block in blocks:
+        usable, nonpos, nonfinite = _split_usable(block)
+        n_nonpos += nonpos
+        n_nonfinite += nonfinite
+        if usable.size:
+            parts.append(decompose_array(usable, base).significand)
+    if not parts:
         raise EmptyData("no usable entries after skipping nonpositive/nonfinite")
-    return decompose_array(usable, base), n_nonpos, n_nonfinite
+    sig = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return SignificandArray(None, sig, base), n_nonpos, n_nonfinite
 
 
 def _histogram(sig: SignificandArray) -> DigitHistogram:
@@ -180,7 +203,7 @@ def digit_histogram(
 
     Returns (histogram, n_skipped_nonpositive, n_skipped_nonfinite).
     """
-    sig, n_nonpos, n_nonfinite = _usable_significands(data, base)
+    sig, n_nonpos, n_nonfinite = _usable_significands(_slices(data), base)
     return _histogram(sig), n_nonpos, n_nonfinite
 
 
@@ -210,7 +233,7 @@ def ks_uniform(data: np.ndarray | Iterable[float], base: Base) -> float:
     Exact sorted-sample form: max over i of max(i/n - u_(i), u_(i) - (i-1)/n).
     Nonpositive and nonfinite entries are skipped as in digit_histogram.
     """
-    return _log_ks(_usable_significands(data, base)[0])
+    return _log_ks(_usable_significands(_slices(data), base)[0])
 
 
 def tv_to_nb(hist: DigitHistogram) -> float:
@@ -224,11 +247,12 @@ def tv_to_nb(hist: DigitHistogram) -> float:
 def analyze(data: np.ndarray | Iterable[float], base: Base) -> ConformanceReport:
     """Full conformance pipeline: histogram, chi-square, KS, TV, skips.
 
-    The data are filtered and decomposed once, and _report reads that one
-    decomposition.  The data themselves are left as they are: the
-    decomposition's significands are a new array.
+    The data are filtered and decomposed slice by slice, and _report reads
+    the one array of significands that makes.  The data themselves are
+    left as they are: the significands are a new array.  The CLI's ``fit``
+    verb feeds the same fold the blocks its readers yield.
     """
-    return _report(*_usable_significands(data, base))
+    return _report(*_usable_significands(_slices(data), base))
 
 
 def _report(sig: SignificandArray, n_nonpos: int, n_nonfinite: int) -> ConformanceReport:
@@ -236,9 +260,10 @@ def _report(sig: SignificandArray, n_nonpos: int, n_nonfinite: int) -> Conforman
 
     The caller hands over sig's significand buffer: KS takes the log and
     sorts in place there, so no other full-length array is made, and sig
-    holds no significands or digits afterwards.  Both callers own that
-    buffer: ``analyze`` passes its own decomposition of the data, and the
-    CLI's ``sequence`` verb the generator's output.
+    holds no significands or digits afterwards.  Every caller owns that
+    buffer: ``analyze`` and the CLI's ``fit`` verb pass the significands
+    _usable_significands joined, and the ``sequence`` verb the generator's
+    output.
     """
     hist = _histogram(sig)
     stat, pvalue = chi_square(hist)

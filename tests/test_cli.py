@@ -5,6 +5,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,6 +311,15 @@ class TestJsonlCrashes:
         self.fit_with(capsys, tmp_path, "[" * 100_000)
 
 
+def joined(blocks):
+    """The float64 blocks a reader yields, in one array."""
+    return np.concatenate([np.empty(0), *blocks])
+
+
+def read_csv(path, column):
+    return joined(cli._read_csv(path, column))
+
+
 def outcome(read, *args):
     """A reader's float64 bits, or the error it raised."""
     try:
@@ -318,11 +328,29 @@ def outcome(read, *args):
         return type(exc).__name__, str(exc)
 
 
+def _decline(fh, path, column):
+    """A block reader that parses no line."""
+    return None, 0
+    yield
+
+
 def reference_csv(path, column):
     """_read_csv with the block reader declining: the csv.reader path."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_read_csv_blocks", lambda fh, path, column: ([], None, 0))
-        return cli._read_csv(path, column)
+        mp.setattr(cli, "_read_csv_blocks", _decline)
+        return read_csv(path, column)
+
+
+def csv_blocks(path, column):
+    """The values the block reader parsed, the lines it parsed and the
+    byte it stopped at."""
+    with open(path, "rb") as fh:
+        gen, parts = cli._read_csv_blocks(fh, str(path), column), []
+        while True:
+            try:
+                parts.append(next(gen))
+            except StopIteration as stop:
+                return joined(parts), stop.value[1], fh.tell()
 
 
 # cells csv.reader and comma splitting read alike, and cells on which
@@ -353,8 +381,9 @@ class TestCsvBlockReader:
         data=st.data(),
         ncols=st.integers(1, 4),
         block=st.integers(16, 128),
+        chunk=st.integers(1, 4),
     )
-    def test_matches_csv_reader(self, tmp_path, data, ncols, block):
+    def test_matches_csv_reader(self, tmp_path, data, ncols, block, chunk):
         header = ["a", "b", " c ", "d"][:ncols]
         names = [h.strip() for h in header] + [str(i) for i in range(ncols)]
         column = data.draw(st.sampled_from(names + ["x", " c ", str(ncols), "-1"]))
@@ -381,18 +410,14 @@ class TestCsvBlockReader:
         try:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(cli, "_CSV_BLOCK", block)
-                got = outcome(cli._read_csv, str(f), column)
+                mp.setattr(cli, "_CHUNK_ROWS", chunk)
+                got = outcome(read_csv, str(f), column)
             assert got == outcome(reference_csv, str(f), column)
         finally:
             csv.field_size_limit(limit)
 
     def blocks(self, path, column="v"):
-        """The values the block reader parsed, the lines it parsed and the
-        byte it stopped at."""
-        with open(path, "rb") as fh:
-            parts, idx, nlines = cli._read_csv_blocks(fh, str(path), column)
-            values = np.concatenate(parts) if parts else np.empty(0)
-            return values, nlines, fh.tell()
+        return csv_blocks(path, column)
 
     def test_reads_plain_files_across_block_boundaries(self, tmp_path, monkeypatch):
         f = tmp_path / "plain.csv"
@@ -419,7 +444,7 @@ class TestCsvBlockReader:
         "body, column",
         [
             ('v\n"1.5"\n', "v"),  # quote
-            ("v\r\n1.5\r\n", "v"),  # carriage return
+            ("v\n1.5\r2.5\n", "v"),  # a carriage return that ends no \r\n
             ("v\n1.5\x00\n", "v"),  # NUL
             ("v\n\x1c1.5\n", "v"),  # stripped by str.strip, rejected by float
             ("a,v\n1,2\n3\n", "v"),  # short row
@@ -435,6 +460,31 @@ class TestCsvBlockReader:
         f = tmp_path / "odd.csv"
         f.write_text(body, encoding="utf-8", newline="")
         assert self.blocks(f, column)[1:] == (0, 0)
+
+    @pytest.mark.parametrize("block", [16, cli._CSV_BLOCK])
+    def test_reads_crlf_line_ends(self, tmp_path, monkeypatch, block):
+        # every carriage return directly precedes a newline
+        f = tmp_path / "crlf.csv"
+        body = "a,v\r\n" + "".join(f"{i},{i}.5\r\n" for i in range(40)) + "7,oops\n8,7\r\n"
+        f.write_bytes(body.encode())
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        got, nlines, stop = self.blocks(f)
+        assert (nlines, stop) == (43, len(body))
+        assert got.tobytes() == reference_csv(str(f), "v").tobytes()
+
+    def test_stops_at_a_lone_carriage_return_in_a_late_block(self, tmp_path, monkeypatch):
+        # the reader seeks back to the block's first byte of the file, counting
+        # the carriage returns it dropped from the blocks before
+        f = tmp_path / "late_cr.csv"
+        body = "v\r\n" + "1.5\r\n" * 20 + "2.5\r3.5\n" + "4.5\r\n" * 5
+        f.write_bytes(body.encode())
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 16)
+        got, nlines, stop = self.blocks(f)
+        assert 0 < nlines <= 21 and got.size == nlines - 1
+        assert stop == len("v\r\n" + "1.5\r\n" * (nlines - 1))
+        want = reference_csv(str(f), "v")
+        assert want.size == 27
+        assert read_csv(str(f), "v").tobytes() == want.tobytes()
 
     def test_declines_non_utf8(self, tmp_path):
         f = tmp_path / "latin1.csv"
@@ -452,7 +502,7 @@ class TestCsvBlockReader:
         assert stop == len("v\n" + "1.5\n" * (nlines - 1))
         want = reference_csv(str(f), "v")
         assert want.size == 26
-        assert cli._read_csv(str(f), "v").tobytes() == want.tobytes()
+        assert read_csv(str(f), "v").tobytes() == want.tobytes()
 
     def test_stops_at_a_line_that_two_blocks_cannot_hold(self, tmp_path, monkeypatch):
         f = tmp_path / "long.csv"
@@ -460,7 +510,7 @@ class TestCsvBlockReader:
         monkeypatch.setattr(cli, "_CSV_BLOCK", 32)  # no read of 64 bytes ends the line
         got, nlines, stop = self.blocks(f)
         assert (got.tolist(), nlines, stop) == ([1.5], 2, 6)
-        assert cli._read_csv(str(f), "v").tolist() == [1.5, float("2" * 100), 3.0]
+        assert read_csv(str(f), "v").tolist() == [1.5, float("2" * 100), 3.0]
 
 
 def jsonl_oracle(lines, column):
@@ -533,9 +583,11 @@ _JSON_LINES = (
 
 class TestJsonlScanner:
     @settings(deadline=None, max_examples=300)
-    @given(st.lists(_JSON_LINES, max_size=10), st.sampled_from(["a", "b"]))
-    def test_matches_json_loads_per_line(self, lines, column):
-        got = outcome(cli._parse_jsonl, lines, "p", column)
+    @given(st.lists(_JSON_LINES, max_size=10), st.sampled_from(["a", "b"]), st.integers(1, 4))
+    def test_matches_json_loads_per_line(self, lines, column, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CHUNK_ROWS", chunk)
+            got = outcome(lambda *a: joined(cli._parse_jsonl(*a)), lines, "p", column)
         digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
@@ -550,8 +602,123 @@ class TestJsonlScanner:
         assert batch == [{"a": 1}, {"a": 2, "x": 3}, {"a": 4}]
         f = tmp_path / "split.jsonl"
         f.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        got = cli._read_jsonl(str(f), "a")
+        got = joined(cli._read_jsonl(str(f), "a"))
         assert np.isnan(got[:2]).all() and got[2] == 4.0
+
+    def test_records_end_at_a_newline_only(self, tmp_path):
+        # a bare carriage return ends no record, as in JSON Lines: the first
+        # line holds two objects and is malformed
+        body = b'{"a": 1.5}\r{"a": 2.5}\n{"a": 3.5}\n'
+        f = tmp_path / "cr.jsonl"
+        f.write_bytes(body)
+        got = joined(cli._read_jsonl(str(f), "a"))
+        assert got.size == 2 and np.isnan(got[0]) and got[1] == 3.5
+        want = jsonl_oracle(body.decode().split("\n"), "a")
+        assert got.tobytes() == want.tobytes()
+
+
+def _streamed_inputs():
+    """Files of about 20,000 rows, larger than one default CSV block, whose
+    CSV ones stop the block reader after row 15,000, so that csv.reader
+    reads the rest."""
+    x = sample_nb(20_000, Base(10), seed=11) * np.where(np.arange(20_000) % 97, 1.0, -1.0)
+    cells = [repr(v) for v in x.tolist()]
+    cells[7::1000] = ["oops"] * 20
+    rows = [f"{i},{c}" for i, c in enumerate(cells)]
+    quoted = rows[:15_000] + ['15000,"2.5"'] + rows[15_001:]
+    crlf = "\r\n".join(rows[:15_000]) + "\r\n15000,2.5\r15001,3.5\n" + "\n".join(rows[15_002:])
+    jsonl = [f'{{"a": {c}}}' if c != "oops" else "{broken" for c in cells]
+    return {
+        "late_quote.csv": ("id,a\n" + "\n".join(quoted) + "\n").encode(),
+        "late_cr.csv": ("id,a\r\n" + crlf + "\n").encode(),
+        "rows.jsonl": ("\n".join(jsonl) + "\n").encode(),
+    }
+
+
+def _fit_argv(path, *extra):
+    fmt = ["--input-format", "jsonl"] if str(path).endswith(".jsonl") else []
+    return ["fit", str(path), "--column", "a", *fmt, *extra, "--format", "records"]
+
+
+class TestStreamedFit:
+    """``fit`` folds its readers' blocks into the statistics one at a time;
+    no block or chunk size changes a byte of its output or its errors."""
+
+    @contextlib.contextmanager
+    def sizes(self, tiny):
+        with pytest.MonkeyPatch.context() as mp:
+            if tiny:
+                mp.setattr(cli, "_CSV_BLOCK", 64)
+                mp.setattr(cli, "_CHUNK_ROWS", 3)
+            yield
+
+    @pytest.mark.parametrize("name", sorted(_streamed_inputs()))
+    @pytest.mark.parametrize("extra", [(), ("--absolute-value",), ("--base", "16")])
+    def test_records_match_the_library_at_any_block_size(self, capsys, tmp_path, name, extra):
+        f = tmp_path / name
+        f.write_bytes(_streamed_inputs()[name])
+        argv = _fit_argv(f, *extra)
+        # the column read in one piece, by csv.reader or json.loads per line
+        if name.endswith(".csv"):
+            values = reference_csv(str(f), "a")
+            nlines = csv_blocks(f, "a")[1]
+            assert 0 < nlines <= 15_001  # the block reader stopped before row 15,000
+        else:
+            values = jsonl_oracle(f.read_bytes().decode().split("\n"), "a")
+        if "--absolute-value" in extra:
+            values = np.abs(values)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        base = Base(int(extra[1]) if "--base" in extra else 10)
+        stats = [r for r in parse_records(out) if r[0] not in ("schema", "command", "param")]
+        want = cli._conformance_records(analyze(values, base), base)
+        assert stats == parse_records(emit_records(want))
+        with self.sizes(tiny=True):
+            assert run(capsys, *argv) == (0, out, err)
+            args = cli.build_parser().parse_args(argv)
+            assert cli._read_values(args).tobytes() == values.tobytes()
+
+    def test_holds_one_full_length_buffer(self, capsys, tmp_path):
+        # the significands, 8 bytes a row, and their join, 8 more; a
+        # block of the file and its temporaries do not grow with it
+        n = 300_000
+        f = tmp_path / "big.csv"
+        x = sample_nb(n, Base(10), seed=12)
+        f.write_text("id,a\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(x.tolist())))
+        argv = _fit_argv(f)
+        assert run(capsys, *argv)[0] == 0
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 24 * n
+
+    @pytest.mark.parametrize(
+        "name, body, message",
+        [
+            ("header.csv", b"id,a\n", "no usable entries"),
+            ("empty.csv", b"", "empty file"),
+            ("negative.csv", b"a\n" + b"-1.5\n" * 70_000, "no usable entries"),
+            ("late_latin1.csv", b"a\n" + b"1.5\n" * 70_000 + b"caf\xe9\n2\n", "not UTF-8"),
+            ("late_wide.csv", b"a\n" + b"1\n" * 70_000 + b'"' + b"7" * 200_000 + b'"\n', "line 70002"),
+            ("no_field.jsonl", b'{"b": 1.5}\n' * 20_000, "no field named 'a'"),
+            ("late_latin1.jsonl", b'{"a": 1.5}\n' * 20_000 + b'{"a": "\xe9"}\n', "not UTF-8"),
+        ],
+    )
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_errors_keep_their_precedence(self, capsys, tmp_path, name, body, message, tiny):
+        # a reader's error comes before the fold's EmptyData, and the
+        # blocks folded before it print nothing
+        f = tmp_path / name
+        f.write_bytes(body)
+        with self.sizes(tiny):
+            code, out, err = run(capsys, *_fit_argv(f))
+        assert (code, out) == (3, "")
+        assert message in err and "Traceback" not in err
 
 
 _CSV_HEADER = st.lists(

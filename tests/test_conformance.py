@@ -351,6 +351,20 @@ class TestAnalyze:
             ks_uniform(x, Base(b))
             assert x.tobytes() == before.tobytes(), b
 
+    def test_analyze_keeps_one_full_length_buffer(self):
+        # the significands, 8 bytes a value, and their join, 8 more; each
+        # slice's mask, exponents and temporaries stay in cache
+        n = 10**6
+        x = sample_nb(n, B10, seed=4)
+        analyze(x[:1000], B10)
+        tracemalloc.start()
+        try:
+            analyze(x, B10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * n
+
     def test_exact_proportional_tv_is_zero(self):
         hist = DigitHistogram(Base(2), (123,), 123)
         assert tv_to_nb(hist) == 0.0
