@@ -4,11 +4,15 @@
 
 Writes two small seeded input files (CSV and JSONL, with negatives and
 junk cells), the ``--format records`` output of every call in
-``GOLDEN_CALLS`` and ``DENSITY_CALLS``, the exit codes of the density
-calls (``density_exit_codes.json``), and which ratios near powers of the
-base the geometric generator rejects (``ratio_rejections.json``), into
-``tests/data/golden/``.  Density streams are compared with tolerances
-(see tests/test_golden.py), the others byte for byte.
+``GOLDEN_CALLS`` and ``DENSITY_CALLS`` (``<name>.records``), the
+``--format human`` output of every call in ``HUMAN_CALLS``
+(``<name>.human``), the exit codes of the density calls
+(``density_exit_codes.json``), and which ratios near powers of the base
+the geometric generator rejects (``ratio_rejections.json``), into
+``tests/data/golden/``.  Density records streams are compared with
+tolerances (see tests/test_golden.py), the others byte for byte; the
+human streams of the density calls are compared byte for byte too, so an
+intended change to a density's numbers re-captures them as well.
 Rerun it only when a change to these outputs is intended; the tests exist
 to catch unintended ones.
 """
@@ -84,6 +88,19 @@ DENSITY_CALLS += [
                                      "--base", "1000"]),
 ]
 
+# human-format streams: every records call but the density ones, the
+# digit table, and wrap and entropy for two densities in two bases
+_HUMAN_DENSITY = {
+    f"{verb}_{tag}_b{b}"
+    for verb in ("wrap", "entropy")
+    for tag in ("ln_medium", "mix2")
+    for b in (10, 1000)
+}
+HUMAN_CALLS = GOLDEN_CALLS + [
+    (f"digits_b{_b}", ["digits", "--base", str(_b)]) for _b in (2, 10, 1000)
+]
+HUMAN_CALLS += [call for call in DENSITY_CALLS if call[0] in _HUMAN_DENSITY]
+
 
 RATIO_BASES = (3, 10, 16, 1000)
 RATIO_EXPONENTS = range(-40, 41)
@@ -139,16 +156,17 @@ def write_inputs(n: int = 3000, seed: int = 20261018) -> None:
     )
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and ``--format records`` stdout of one CLI call."""
+def run(argv: list[str], fmt: str = "records") -> tuple[int, str]:
+    """Exit code and ``--format fmt`` stdout of one CLI call."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli_main(argv + ["--format", "records"])
+        code = cli_main(argv + ["--format", fmt])
     return code, out.getvalue()
 
 
-def records(argv: list[str]) -> str:
-    code, out = run(argv)
+def output(argv: list[str], fmt: str = "records") -> str:
+    """``--format fmt`` stdout of one CLI call that must exit 0."""
+    code, out = run(argv, fmt)
     if code != 0:
         raise SystemExit(f"{argv}: exit {code}")
     return out
@@ -162,7 +180,9 @@ def main() -> None:
     )
     os.chdir(GOLDEN)
     for name, argv in GOLDEN_CALLS:
-        (GOLDEN / f"{name}.records").write_text(records(argv), encoding="utf-8")
+        (GOLDEN / f"{name}.records").write_text(output(argv), encoding="utf-8")
+    for name, argv in HUMAN_CALLS:
+        (GOLDEN / f"{name}.human").write_text(output(argv, "human"), encoding="utf-8")
     codes = {}
     for name, argv in DENSITY_CALLS:
         codes[name], out = run(argv)

@@ -1,5 +1,5 @@
-"""Records guard: streams and ratio rejections stay as captured in
-tests/data/golden (see tests/data/make_golden.py)."""
+"""Output guard: records and human streams and ratio rejections stay as
+captured in tests/data/golden (see tests/data/make_golden.py)."""
 
 import json
 import math
@@ -36,7 +36,16 @@ def _near(got: float, want: float, tol: float) -> bool:
 def test_records_byte_identical(name, argv, monkeypatch):
     monkeypatch.chdir(make_golden.GOLDEN)
     want = (make_golden.GOLDEN / f"{name}.records").read_text(encoding="utf-8")
-    assert make_golden.records(argv) == want
+    assert make_golden.output(argv) == want
+
+
+@pytest.mark.parametrize(
+    "name,argv", make_golden.HUMAN_CALLS, ids=[c[0] for c in make_golden.HUMAN_CALLS]
+)
+def test_human_byte_identical(name, argv, monkeypatch):
+    monkeypatch.chdir(make_golden.GOLDEN)
+    want = (make_golden.GOLDEN / f"{name}.human").read_text(encoding="utf-8")
+    assert make_golden.output(argv, "human") == want
 
 
 def test_ratio_rejections_unchanged():
