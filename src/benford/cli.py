@@ -22,9 +22,10 @@ import itertools
 import json
 import json.scanner
 import math
+import os
 import re
 import sys
-from typing import Generator, Iterable, Iterator, Sequence
+from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,20 +120,62 @@ _TEMPLATES: dict[str, tuple[int, str]] = {
 }
 
 
+class _Table(NamedTuple):
+    """A table record: its name, and one array per field of _RECORD_FIELDS,
+    all of one length, that hold its rows."""
+
+    name: str
+    columns: tuple[np.ndarray, ...]
+
+
+_TABLE_HEADERS = {
+    "digit": ("digit", "probability"),
+    "bin": ("digit", "count", "frequency", "nb_prob"),
+    "row": ("x", "wrapped_pdf", "nb_pdf", "difference"),
+}
+_HUMAN_FORMATS = {"int": "%16s", "float": "%16.12f"}
+# a table is rendered and written this many rows at a time
+_TABLE_ROWS = 1 << 13
+
+
+def _chunks(records: Iterable[tuple], human: bool) -> Iterator[str]:
+    """The text of a stream, one record or one block of _TABLE_ROWS table
+    rows at a time: the records format, or the aligned human one, which
+    drops the schema and heads each table with its column names."""
+    for rec in records:
+        name = rec[0]
+        if isinstance(rec, _Table):
+            kinds = _RECORD_FIELDS[name]
+            if human:
+                yield "  ".join("%16s" % h for h in _TABLE_HEADERS[name]) + "\n"
+                template = "  ".join(_HUMAN_FORMATS[k] for k in kinds) + "\n"
+            else:
+                template = _TEMPLATES[name][1]
+            n = _TABLE_ROWS
+            for i in range(0, len(rec.columns[0]), n):
+                rows = zip(*(c[i : i + n].tolist() for c in rec.columns))
+                yield "".join(map(template.__mod__, rows))
+        elif not human:
+            arity, template = _TEMPLATES.get(name, (0, ""))
+            yield template % rec[1:] if len(rec) == arity else " ".join(map(_fmt, rec)) + "\n"
+        elif name == "command":
+            yield f"command: {rec[1]}\n"
+        elif name == "param":
+            yield f"  {rec[1]} = {rec[2]}\n"
+        elif name == "digit_sum":
+            yield f"{'sum':>16}  {rec[1]:>16.12f}\n"
+        elif name != "schema":
+            yield f"{name} = {_fmt(rec[1])}\n"
+
+
 def emit_records(records: Sequence[tuple]) -> str:
     """Render records as the line-oriented stream, one record per line.
 
     Field values are of the kinds listed in _RECORD_FIELDS, as parse_records
     returns them; boolean records and unknown names are rendered by _fmt.
+    A _Table renders as one record per row.
     """
-    lines = []
-    for rec in records:
-        arity, template = _TEMPLATES.get(rec[0], (0, ""))
-        if len(rec) == arity:
-            lines.append(template % rec[1:])
-        else:
-            lines.append(" ".join(_fmt(v) for v in rec) + "\n")
-    return "".join(lines)
+    return "".join(_chunks(records, human=False))
 
 
 def parse_records(text: str) -> list[tuple]:
@@ -173,44 +216,6 @@ def parse_records(text: str) -> list[tuple]:
                 rec.append(tok)
         out.append(tuple(rec))
     return out
-
-
-_TABLE_HEADERS = {
-    "digit": ("digit", "probability"),
-    "bin": ("digit", "count", "frequency", "nb_prob"),
-    "row": ("x", "wrapped_pdf", "nb_pdf", "difference"),
-}
-
-
-def _render_human(records: Sequence[tuple]) -> str:
-    lines: list[str] = []
-    last_table = None
-    for rec in records:
-        name = rec[0]
-        if name == "schema":
-            continue
-        if name in _TABLE_HEADERS:
-            if last_table != name:
-                lines.append("  ".join(f"{h:>16}" for h in _TABLE_HEADERS[name]))
-                last_table = name
-            cells = []
-            for v in rec[1:]:
-                if isinstance(v, float):
-                    cells.append(f"{v:>16.12f}")
-                else:
-                    cells.append(f"{v:>16}")
-            lines.append("  ".join(cells))
-            continue
-        last_table = None
-        if name == "command":
-            lines.append(f"command: {rec[1]}")
-        elif name == "param":
-            lines.append(f"  {rec[1]} = {rec[2]}")
-        elif name == "digit_sum":
-            lines.append(f"{'sum':>16}  {rec[1]:>16.12f}")
-        else:
-            lines.append(f"{name} = {_fmt(rec[1])}")
-    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -432,11 +437,6 @@ def _value_blocks(args) -> Iterator[np.ndarray]:
     return map(np.abs, blocks) if args.absolute_value else blocks
 
 
-def _read_values(args) -> np.ndarray:
-    """``fit``'s column in one array: the blocks of _value_blocks, joined."""
-    return np.concatenate([np.empty(0), *_value_blocks(args)])
-
-
 # --------------------------------------------------------------------------
 # distribution specs shared by wrap and entropy
 # --------------------------------------------------------------------------
@@ -487,83 +487,61 @@ def _parse_dist(tokens: Sequence[str], allow: tuple[str, ...]):
 
 def _conformance_records(report: ConformanceReport, base: Base) -> list[tuple]:
     hist = report.histogram
-    recs: list[tuple] = [
+    counts = np.array(hist.counts)
+    probs = np.array(first_digit_probs(base))
+    return [
         ("total", hist.total),
         ("skipped_nonpositive", report.n_skipped_nonpositive),
         ("skipped_nonfinite", report.n_skipped_nonfinite),
+        _Table("bin", (np.arange(1, base.b), counts, counts / hist.total, probs)),
+        ("chi_square", report.chi_square),
+        ("chi_square_pvalue", report.chi_square_pvalue),
+        ("ks_stat", report.ks_stat),
+        ("tv_distance", report.tv_distance),
     ]
-    for d, (count, p) in enumerate(zip(hist.counts, first_digit_probs(base)), start=1):
-        recs.append(("bin", d, count, count / hist.total, p))
-    recs.extend(
-        [
-            ("chi_square", report.chi_square),
-            ("chi_square_pvalue", report.chi_square_pvalue),
-            ("ks_stat", report.ks_stat),
-            ("tv_distance", report.tv_distance),
-        ]
-    )
-    return recs
 
 
 def _cmd_digits(args) -> list[tuple]:
     probs = first_digit_probs(Base(args.base))
-    recs: list[tuple] = [
-        ("schema", SCHEMA_VERSION),
-        ("command", "digits"),
-        ("param", "base", str(args.base)),
+    return [
+        _Table("digit", (np.arange(1, args.base), np.array(probs))),
+        ("digit_sum", math.fsum(probs)),
     ]
-    for d, p in enumerate(probs, start=1):
-        recs.append(("digit", d, p))
-    recs.append(("digit_sum", math.fsum(probs)))
-    return recs
 
 
 def _cmd_fit(args) -> list[tuple]:
     base = Base(args.base)
     report = _report(*_usable_significands(_value_blocks(args), base))
-    recs: list[tuple] = [
-        ("schema", SCHEMA_VERSION),
-        ("command", "fit"),
-        ("param", "base", str(args.base)),
+    return [
         ("param", "input", args.path),
         ("param", "input_format", args.input_format),
         ("param", "column", str(args.column)),
         ("param", "absolute_value", "true" if args.absolute_value else "false"),
+        *_conformance_records(report, base),
     ]
-    recs.extend(_conformance_records(report, base))
-    return recs
 
 
 def _cmd_wrap(args) -> list[tuple]:
     base = Base(args.base)
     params = _parse_dist(args.dist, ("lognormal", "mixture"))
     sup, tv = distance_to_nb(params, base, args.tol)
-    recs: list[tuple] = [
-        ("schema", SCHEMA_VERSION),
-        ("command", "wrap"),
-        ("param", "base", str(args.base)),
-        ("param", "tol", str(args.tol)),
-        ("param", "grid_points", str(args.grid_points)),
-        ("param", "dist", " ".join(args.dist)),
-    ]
     x = _log_grid(base, args.grid_points)
     w = wrapped_lognormal_pdf(x, params, base, args.tol)
     r = nb_pdf(x, NBDistribution(base))
-    recs.extend(
-        ("row", *row) for row in zip(x.tolist(), w.tolist(), r.tolist(), (w - r).tolist())
-    )
-    recs.append(("sup_distance", sup))
-    recs.append(("tv_distance", tv))
-    return recs
+    return [
+        ("param", "tol", str(args.tol)),
+        ("param", "grid_points", str(args.grid_points)),
+        ("param", "dist", " ".join(args.dist)),
+        _Table("row", (x, w, r, w - r)),
+        ("sup_distance", sup),
+        ("tv_distance", tv),
+    ]
 
 
 def _cmd_entropy(args) -> list[tuple]:
     density = _parse_dist(args.dist, ("nb", "uniform", "lognormal", "mixture"))
     report = analyze_entropy(density, Base(args.base), args.tol)
     return [
-        ("schema", SCHEMA_VERSION),
-        ("command", "entropy"),
-        ("param", "base", str(args.base)),
         ("param", "tol", str(args.tol)),
         ("param", "dist", " ".join(args.dist)),
         ("entropy", report.entropy),
@@ -577,17 +555,10 @@ def _cmd_entropy(args) -> list[tuple]:
 def _cmd_sequence(args) -> list[tuple]:
     base = Base(args.base)
     report = _report(_generate(args.kind, args.n, base, args.ratio, exponents=False), 0, 0)
-    recs: list[tuple] = [
-        ("schema", SCHEMA_VERSION),
-        ("command", "sequence"),
-        ("param", "base", str(args.base)),
-        ("param", "kind", args.kind),
-        ("param", "n", str(args.n)),
-    ]
+    recs: list[tuple] = [("param", "kind", args.kind), ("param", "n", str(args.n))]
     if args.ratio is not None:
         recs.append(("param", "ratio", str(args.ratio)))
-    recs.extend(_conformance_records(report, base))
-    return recs
+    return recs + _conformance_records(report, base)
 
 
 # --------------------------------------------------------------------------
@@ -712,6 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each returns the records that follow the schema, command and base
+# records, which main writes first
 _HANDLERS = {
     "digits": _cmd_digits,
     "fit": _cmd_fit,
@@ -743,15 +716,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TruncationError, QuadratureError, NotNormalized) as exc:
         print(f"benford {args.cmd}: numeric failure: {exc}", file=sys.stderr)
         return 4
-    if args.format == "records":
-        sys.stdout.write(emit_records(records))
-    else:
-        sys.stdout.write(_render_human(records))
+    # every number is computed before the first byte is written
+    head = [("schema", SCHEMA_VERSION), ("command", args.cmd), ("param", "base", str(args.base))]
+    sys.stdout.writelines(_chunks(head + records, human=args.format == "human"))
     return 0
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: not a failure of the
+        # call; stdout goes to devnull so that the interpreter's last flush
+        # cannot fail again (Python's "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -676,7 +678,8 @@ class TestStreamedFit:
         with self.sizes(tiny=True):
             assert run(capsys, *argv) == (0, out, err)
             args = cli.build_parser().parse_args(argv)
-            assert cli._read_values(args).tobytes() == values.tobytes()
+            joined = np.concatenate([np.empty(0), *cli._value_blocks(args)])
+            assert joined.tobytes() == values.tobytes()
 
     def test_holds_one_full_length_buffer(self, capsys, tmp_path):
         # the significands, 8 bytes a row, and their join, 8 more; a
@@ -942,6 +945,9 @@ _KIND_VALUES = {
     "str": st.text(),
 }
 
+_COLUMN_VALUES = {"int": st.integers(-(2**63), 2**63 - 1), "float": _FLOATS}
+_COLUMN_DTYPES = {"int": np.int64, "float": np.float64}
+
 
 class TestRenderer:
     @pytest.mark.parametrize("name", sorted(_RECORD_FIELDS))
@@ -955,6 +961,50 @@ class TestRenderer:
     def test_other_records_use_the_per_value_renderer(self):
         records = [("custom", 1, 0.1 + 0.2, True, "x y"), ("entropy",), ("param", "a", "b", 2.5)]
         assert emit_records(records) == _emit_oracle(records)
+
+    @pytest.mark.parametrize("name", sorted(cli._TABLE_HEADERS))
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_table_matches_its_rows(self, name, data):
+        # int columns are int64 arrays, float columns float64 ones
+        kinds = _RECORD_FIELDS[name]
+        n = data.draw(st.integers(1, 20))
+        values = [
+            data.draw(st.lists(_COLUMN_VALUES[k], min_size=n, max_size=n)) for k in kinds
+        ]
+        columns = tuple(np.array(v, dtype=_COLUMN_DTYPES[k]) for k, v in zip(kinds, values))
+        rows = [(name, *row) for row in zip(*values)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_TABLE_ROWS", 3)  # blocks of 3 rows, the last one short
+            assert emit_records([cli._Table(name, columns)]) == _emit_oracle(rows)
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early, as ``| head -1`` does, ends the
+    call with exit 0 and nothing on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["digits", "--base", "100000", "--format", "records"],
+            ["wrap", "lognormal", "0", "1", "--grid-points", "100000"],
+        ],
+    )
+    def test_exits_0_quietly(self, argv, tmp_path):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        err = tmp_path / "stderr"
+        with err.open("wb") as fh:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "benford.cli", *argv],
+                stdout=subprocess.PIPE, stderr=fh, env=env,
+            )
+            first = proc.stdout.readline()
+            proc.stdout.close()  # the output is far longer than a pipe's buffer
+            code = proc.wait(timeout=60)
+        assert first  # the call wrote before the pipe closed
+        assert (code, err.read_text()) == (0, "")
 
 
 class TestWrap:

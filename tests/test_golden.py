@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from benford import cli
 from benford.cli import parse_records
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -46,6 +47,25 @@ def test_human_byte_identical(name, argv, monkeypatch):
     monkeypatch.chdir(make_golden.GOLDEN)
     want = (make_golden.GOLDEN / f"{name}.human").read_text(encoding="utf-8")
     assert make_golden.output(argv, "human") == want
+
+
+# every golden call in each format it is captured in
+BLOCK_CASES = [
+    (name, argv, "records") for name, argv in make_golden.GOLDEN_CALLS + make_golden.DENSITY_CALLS
+] + [(name, argv, "human") for name, argv in make_golden.HUMAN_CALLS]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize(
+    "name,argv,fmt", BLOCK_CASES, ids=[f"{c[0]}.{c[2]}" for c in BLOCK_CASES]
+)
+def test_streams_unchanged_at_any_table_block(name, argv, fmt, rows, monkeypatch):
+    # tables are written _TABLE_ROWS rows at a time; the bytes do not
+    # depend on where the blocks end
+    monkeypatch.chdir(make_golden.GOLDEN)
+    want = make_golden.run(argv, fmt)
+    monkeypatch.setattr(cli, "_TABLE_ROWS", rows)
+    assert make_golden.run(argv, fmt) == want
 
 
 def test_ratio_rejections_unchanged():
