@@ -277,8 +277,9 @@ def _read_csv_blocks(
     the block the same way.
 
     A block qualifies if it is UTF-8 text without a byte of _CSV_UNSAFE,
-    every carriage return in it is directly followed by a newline (and is
-    dropped, as csv.reader drops it), every line in it ends within two
+    every carriage return in it is directly followed by a newline (it is
+    left in the text, where float and the header's strip drop it, as
+    csv.reader drops it), every line in it ends within two
     blocks and is no longer than csv.field_size_limit(), and every line
     has as many commas as the header, a non-empty first line that
     resolves the column. The last line of the file may lack its newline,
@@ -304,12 +305,11 @@ def _read_csv_blocks(
         block, tail = block[:cut], block[cut:]
         if not cut or any(c in block for c in _CSV_UNSAFE):
             break
-        if b"\r" in block:
-            if block.count(b"\r") != block.count(b"\r\n"):
-                break
-            block = block.replace(b"\r\n", b"\n")
         a = np.frombuffer(block, dtype=np.uint8)
         ends = np.flatnonzero(a == 10)
+        # the block ends with a newline, so no carriage return is its last byte
+        if b"\r" in block and (a[np.flatnonzero(a == 13) + 1] != 10).any():
+            break
         if np.diff(ends, prepend=-1).max() > limit + 1:
             break
         try:
@@ -319,8 +319,8 @@ def _read_csv_blocks(
         # commas before each line end, then commas on each line
         commas = np.diff(np.searchsorted(np.flatnonzero(a == 44), ends), prepend=0)
         if ncols is None:  # the block starts with the header
-            if ends[0] == 0:
-                break
+            if ends[0] == 0 or (ends[0] == 1 and a[0] == 13):
+                break  # an empty header line
             head, text = text.split("\n", 1)
             try:
                 idx = _column_index(head.split(","), path, column)
@@ -487,13 +487,14 @@ def _parse_dist(tokens: Sequence[str], allow: tuple[str, ...]):
 
 def _conformance_records(report: ConformanceReport, base: Base) -> list[tuple]:
     hist = report.histogram
-    counts = np.array(hist.counts)
-    probs = np.array(first_digit_probs(base))
     return [
         ("total", hist.total),
         ("skipped_nonpositive", report.n_skipped_nonpositive),
         ("skipped_nonfinite", report.n_skipped_nonfinite),
-        _Table("bin", (np.arange(1, base.b), counts, counts / hist.total, probs)),
+        _Table(
+            "bin",
+            (np.arange(1, base.b), hist.counts, hist.counts / hist.total, first_digit_probs(base)),
+        ),
         ("chi_square", report.chi_square),
         ("chi_square_pvalue", report.chi_square_pvalue),
         ("ks_stat", report.ks_stat),
@@ -504,8 +505,8 @@ def _conformance_records(report: ConformanceReport, base: Base) -> list[tuple]:
 def _cmd_digits(args) -> list[tuple]:
     probs = first_digit_probs(Base(args.base))
     return [
-        _Table("digit", (np.arange(1, args.base), np.array(probs))),
-        ("digit_sum", math.fsum(probs)),
+        _Table("digit", (np.arange(1, args.base), probs)),
+        ("digit_sum", math.fsum(probs.tolist())),
     ]
 
 

@@ -68,21 +68,39 @@ _FIB_EXACT = 78  # F_78 < 2**53: the first Fibonacci terms are exact doubles
 _STAT_BLOCK = 2**13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DigitHistogram:
-    """First-digit counts for one base; counts[d-1] is the count of digit d."""
+    """First-digit counts for one base; counts[d-1] is the count of digit d.
+
+    counts is a read-only int64 array, made from a copy of whatever
+    sequence of integers is passed, so the caller's array is neither
+    shared nor frozen.  Histograms compare equal when their base, total
+    and counts are.
+    """
 
     base: Base
-    counts: tuple[int, ...]
+    counts: np.ndarray
     total: int
 
     def __post_init__(self) -> None:
-        if len(self.counts) != self.base.b - 1:
-            raise DomainError(
-                f"expected {self.base.b - 1} digit cells, got {len(self.counts)}"
-            )
-        if any(c < 0 for c in self.counts) or sum(self.counts) != self.total:
-            raise DomainError("histogram counts must be nonnegative and sum to total")
+        counts = np.array(self.counts)
+        if counts.shape != (self.base.b - 1,):
+            raise DomainError(f"expected {self.base.b - 1} digit cells, got {counts.size}")
+        if counts.dtype.kind not in "iu" or (counts < 0).any() or int(counts.sum()) != self.total:
+            raise DomainError("histogram counts must be nonnegative integers and sum to total")
+        counts = counts.astype(np.int64, copy=False)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DigitHistogram):
+            return NotImplemented
+        return (self.base, self.total) == (other.base, other.total) and np.array_equal(
+            self.counts, other.counts
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.total))
 
 
 @dataclass(frozen=True)
@@ -154,7 +172,7 @@ def _histogram(sig: SignificandArray) -> DigitHistogram:
     counts = np.zeros(b, dtype=np.int64)
     for start in range(0, s.size, step):
         counts += np.bincount(s[start : start + step].astype(np.int64), minlength=b)
-    return DigitHistogram(sig.base, tuple(counts[1:].tolist()), s.size)
+    return DigitHistogram(sig.base, counts[1:], s.size)
 
 
 def _ks(u: np.ndarray) -> float:
@@ -207,6 +225,12 @@ def digit_histogram(
     return _histogram(sig), n_nonpos, n_nonfinite
 
 
+def _sum(terms: np.ndarray) -> float:
+    """The sum of terms from left to right, one rounding per addition, as
+    a Python loop adds them; overwrites terms with the partial sums."""
+    return float(np.add.accumulate(terms, out=terms)[-1])
+
+
 def chi_square(hist: DigitHistogram) -> tuple[float, float]:
     """Pearson statistic against the first-digit law and its p-value.
 
@@ -219,11 +243,11 @@ def chi_square(hist: DigitHistogram) -> tuple[float, float]:
         raise InsufficientData(
             f"chi-square needs total >= {5 * (b - 1)}, got {hist.total}"
         )
-    stat = 0.0
-    for obs, p in zip(hist.counts, first_digit_probs(hist.base)):
-        expected = hist.total * p
-        diff = obs - expected
-        stat += diff * diff / expected
+    expected = first_digit_probs(hist.base) * hist.total
+    terms = hist.counts - expected
+    terms *= terms
+    terms /= expected
+    stat = _sum(terms)
     return stat, chi2_sf(stat, b - 2)
 
 
@@ -238,10 +262,12 @@ def ks_uniform(data: np.ndarray | Iterable[float], base: Base) -> float:
 
 def tv_to_nb(hist: DigitHistogram) -> float:
     """Total-variation distance between digit frequencies and the law."""
-    return 0.5 * sum(
-        abs(obs / hist.total - p)
-        for obs, p in zip(hist.counts, first_digit_probs(hist.base))
-    )
+    if hist.total == 0:
+        raise InsufficientData("total variation needs at least one count")
+    terms = hist.counts / hist.total
+    terms -= first_digit_probs(hist.base)
+    np.abs(terms, out=terms)
+    return 0.5 * _sum(terms)
 
 
 def analyze(data: np.ndarray | Iterable[float], base: Base) -> ConformanceReport:

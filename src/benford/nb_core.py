@@ -130,10 +130,17 @@ def first_digit_prob(d: int, dist: NBDistribution) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def first_digit_probs(base: Base) -> tuple[float, ...]:
-    """first_digit_prob for d = 1..b-1, built once per base: the same floats."""
-    dist = NBDistribution(base)
-    return tuple(first_digit_prob(d, dist) for d in range(1, base.b))
+def first_digit_probs(base: Base) -> np.ndarray:
+    """first_digit_prob for d = 1..b-1 as a read-only float64 array, built
+    once per base: the same floats.
+
+    math.log1p, not np.log1p, which differs from it in the last bit of
+    some cells.
+    """
+    probs = np.fromiter((math.log1p(1.0 / d) for d in range(1, base.b)), np.float64, base.b - 1)
+    probs /= base.ln
+    probs.flags.writeable = False
+    return probs
 
 
 def interval_measure(iv: SignificandInterval, dist: NBDistribution) -> float:

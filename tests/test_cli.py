@@ -453,6 +453,7 @@ class TestCsvBlockReader:
             ("a,v\n1,2\n3,4,5\n", "v"),  # long row
             ("a,v\n1,2\n\n", "v"),  # blank line in a two-column file
             ("\nv\n1.5\n", "0"),  # empty header line: csv.reader sees no column
+            ("\r\nv\n1.5\n", "0"),  # the same, ended by \r\n
             ("v\n" + "7" * (csv.field_size_limit() + 1) + "\n", "v"),  # over the field limit
             ("a,b\n1,2\n", "v"),  # no such column
             ("", "v"),  # empty file
@@ -476,7 +477,7 @@ class TestCsvBlockReader:
 
     def test_stops_at_a_lone_carriage_return_in_a_late_block(self, tmp_path, monkeypatch):
         # the reader seeks back to the block's first byte of the file, counting
-        # the carriage returns it dropped from the blocks before
+        # the carriage returns of the blocks before
         f = tmp_path / "late_cr.csv"
         body = "v\r\n" + "1.5\r\n" * 20 + "2.5\r3.5\n" + "4.5\r\n" * 5
         f.write_bytes(body.encode())

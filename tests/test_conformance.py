@@ -43,7 +43,7 @@ D10 = NBDistribution(B10)
 class TestDigitHistogram:
     def test_simple(self):
         hist, np_, nf = digit_histogram([1.0, 2.0, 3.0], B10)
-        assert hist.counts == (1, 1, 1, 0, 0, 0, 0, 0, 0)
+        assert hist.counts.tolist() == [1, 1, 1, 0, 0, 0, 0, 0, 0]
         assert hist.total == 3
         assert (np_, nf) == (0, 0)
 
@@ -71,6 +71,36 @@ class TestDigitHistogram:
             DigitHistogram(B10, (1, 2), 3)
         with pytest.raises(DomainError):
             DigitHistogram(B10, tuple([1] * 9), 10)
+        with pytest.raises(DomainError):
+            DigitHistogram(B10, (-1, 2, 0, 0, 0, 0, 0, 0, 0), 1)
+        with pytest.raises(DomainError):
+            DigitHistogram(B10, (1.5, 1.5, 0, 0, 0, 0, 0, 0, 0), 3)
+        with pytest.raises(DomainError):
+            DigitHistogram(B10, np.ones((3, 3), dtype=np.int64), 9)
+
+    def test_counts_are_a_frozen_copy(self):
+        mine = np.arange(9)
+        hist = DigitHistogram(B10, mine, 36)
+        assert mine.flags.writeable
+        assert not np.shares_memory(hist.counts, mine)
+        mine[0] = 99
+        assert hist.counts.tolist() == list(range(9))
+        assert hist.counts.dtype == np.int64 and not hist.counts.flags.writeable
+        with pytest.raises(ValueError):
+            hist.counts[0] = 1
+        assert DigitHistogram(B10, tuple(range(9)), 36) == hist
+
+    def test_equality_and_hash_follow_the_counts(self):
+        one = DigitHistogram(B10, (1, 1, 1, 0, 0, 0, 0, 0, 0), 3)
+        same, _, _ = digit_histogram([1.0, 2.0, 3.0], B10)
+        other, _, _ = digit_histogram([1.0, 2.0, 4.0], B10)
+        assert one == same and hash(one) == hash(same)
+        assert one != other
+        assert one != DigitHistogram(Base(11), (1, 1, 1, 0, 0, 0, 0, 0, 0, 0), 3)
+        assert one != one.counts.tolist()
+        assert len({one, same, other}) == 2
+        x = sample_nb(1000, B10, seed=4)
+        assert analyze(x, B10) == analyze(x, B10)
 
 
 class TestChiSquare:
@@ -100,6 +130,63 @@ class TestChiSquare:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
             chi_square(DigitHistogram(B10, (44, 0, 0, 0, 0, 0, 0, 0, 0), 44))
+
+
+def _chi_square_loop(hist: DigitHistogram) -> float:
+    """The Pearson statistic as a loop over the cells, with the scalar
+    cell probabilities: the form the statistic had before it was taken
+    on arrays."""
+    dist = NBDistribution(hist.base)
+    stat = 0.0
+    for d, obs in enumerate(hist.counts.tolist(), 1):
+        expected = hist.total * first_digit_prob(d, dist)
+        diff = obs - expected
+        stat += diff * diff / expected
+    return stat
+
+
+def _tv_loop(hist: DigitHistogram) -> float:
+    """Total variation as a loop over the cells, added from left to right."""
+    dist = NBDistribution(hist.base)
+    total = 0.0
+    for d, obs in enumerate(hist.counts.tolist(), 1):
+        total += abs(obs / hist.total - first_digit_prob(d, dist))
+    return 0.5 * total
+
+
+def _random_histogram(b: int, seed: int, kind: str) -> DigitHistogram:
+    """Counts near the law, near uniform, or a few heavy cells among
+    mostly empty ones; the total is at least 5 (b - 1)."""
+    rng = np.random.default_rng(seed)
+    n = 5 * (b - 1) + int(rng.integers(0, 20 * b))
+    if kind == "law":
+        p = np.log1p(1.0 / np.arange(1, b)) / math.log(b)
+        counts = rng.multinomial(n, p / p.sum())
+    elif kind == "uniform":
+        counts = rng.multinomial(n, np.full(b - 1, 1.0 / (b - 1)))
+    else:
+        counts = rng.integers(0, 2, b - 1) * rng.integers(0, 3, b - 1)
+        np.add.at(counts, rng.integers(0, b - 1, 3), n)
+    return DigitHistogram(Base(b), counts, int(counts.sum()))
+
+
+class TestStatisticsOnArrays:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        b=st.integers(2, 10**4),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["law", "uniform", "spiky"]),
+    )
+    @example(b=10**6, seed=1, kind="law")
+    @example(b=2, seed=2, kind="spiky")
+    def test_match_the_cell_loops_bit_for_bit(self, b, seed, kind):
+        hist = _random_histogram(b, seed, kind)
+        assert struct.pack("<d", chi_square(hist)[0]) == struct.pack("<d", _chi_square_loop(hist))
+        assert struct.pack("<d", tv_to_nb(hist)) == struct.pack("<d", _tv_loop(hist))
+
+    def test_tv_of_an_empty_histogram_is_insufficient_data(self):
+        with pytest.raises(InsufficientData):
+            tv_to_nb(DigitHistogram(B10, (0,) * 9, 0))
 
 
 class TestKsUniform:
@@ -165,7 +252,7 @@ class TestStatisticBlocks:
         sig = decompose_array(sample_nb(n, Base(b), seed=n + b), Base(b))
         expected = np.bincount(sig.significand.astype(np.int64), minlength=b)[1:]
         hist = conformance._histogram(sig)
-        assert hist.counts == tuple(expected.tolist())
+        assert np.array_equal(hist.counts, expected)
         assert hist.total == n
 
 
@@ -544,7 +631,7 @@ class TestSequenceExactness:
             j = int(term.significand).bit_length() - 1
             assert 3 * term.exponent + j == (2 * t if ratio == 4.0 else -2 * t)
         hist, _, _ = digit_histogram(gen_sequence("geometric", 3000, Base(8), ratio=ratio), Base(8))
-        assert hist.counts == (1000, 1000, 0, 1000, 0, 0, 0)
+        assert hist.counts.tolist() == [1000, 1000, 0, 1000, 0, 0, 0]
 
     def test_integer_significands_are_exact(self):
         assert gen_sequence_terms("pow2", 3, Base(12))[-1] == SignificandDecomposition(8.0, 0, Base(12))

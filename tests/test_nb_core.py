@@ -107,11 +107,13 @@ class TestFirstDigitProb:
         with pytest.raises(DomainError):
             first_digit_prob(10, D10)
 
-    @pytest.mark.parametrize("b", [2, 3, 10, 16, 1000])
+    @pytest.mark.parametrize("b", [2, 3, 10, 16, 1000, 20000])
     def test_table_holds_the_same_floats(self, b):
         table = first_digit_probs(Base(b))
         dist = NBDistribution(Base(b))
-        assert table == tuple(first_digit_prob(d, dist) for d in range(1, b))
+        assert table.dtype == np.float64
+        assert not table.flags.writeable
+        assert table.tolist() == [first_digit_prob(d, dist) for d in range(1, b)]
         assert first_digit_probs(Base(b)) is table  # built once per base
 
 
