@@ -111,6 +111,22 @@ def _exact(v: float, b: int, k: int) -> tuple[int, int, float]:
     return _exact_ratio(*v.as_integer_ratio(), b, k)
 
 
+# at most 1024 powers of at most _CACHED_POWER_BITS bits: 512 KiB
+_CACHED_POWER_BITS = 4096
+_cached_power = functools.lru_cache(maxsize=1024)(pow)
+
+
+def _int_power(b: int, e: int) -> int:
+    """b**e for e >= 0.  Powers of at most _CACHED_POWER_BITS bits, which
+    hold b**|k| for the exponent k of every double in every base, are
+    cached per (b, e), as the values of one base and magnitude ask for the
+    same few; larger ones, such as those of a long sequence's terms, are
+    computed per call."""
+    if e * b.bit_length() <= _CACHED_POWER_BITS:
+        return _cached_power(b, e)
+    return b**e
+
+
 def _exact_ratio(num: int, den: int, b: int, k: int) -> tuple[int, int, float]:
     """(exponent, digit, significand) of the positive rational num/den.
 
@@ -119,8 +135,8 @@ def _exact_ratio(num: int, den: int, b: int, k: int) -> tuple[int, int, float]:
     num / (den * b**k).
     """
     while True:
-        n = num * b**-k if k < 0 else num
-        d = den * b**k if k > 0 else den
+        n = num * _int_power(b, -k) if k < 0 else num
+        d = den * _int_power(b, k) if k > 0 else den
         if n < d:
             k -= 1
         elif n >= b * d:

@@ -266,16 +266,16 @@ def _lognormal_trunc(s: float, L: float, tol: float, limit: int) -> int | None:
 
 def _block_sum(n: int, ks: np.ndarray, terms: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """sum_k terms(k) at n points, adding the terms one by one in the order
-    of ks, for _BLOCK elements of (point, k) at a time; terms maps a run of
-    orders to their (n, run length) array.  Every point sees the same
-    sequence of operations whatever n, so an array result equals the
-    elementwise scalar results bit for bit."""
-    cols = max(1, _BLOCK // max(1, n))
+    of ks, for _BLOCK elements of (k, point) at a time; terms maps a run of
+    orders to their (run length, n) array, one row per order, and each row
+    is added in place to the running total of all n points.  Every point
+    sees the same sequence of operations whatever n, so an array result
+    equals the elementwise scalar results bit for bit."""
+    rows = max(1, _BLOCK // max(1, n))
     total = np.zeros(n)
-    for i in range(0, ks.size, cols):
-        z = terms(ks[i : i + cols])
-        z[:, 0] += total
-        total = np.add.accumulate(z, axis=1, out=z)[:, -1]
+    for i in range(0, ks.size, rows):
+        for row in terms(ks[i : i + rows]):
+            total += row
     return total
 
 
@@ -286,11 +286,14 @@ def _wl_pdf_at(x: np.ndarray, m: float, s: float, L: float, K: int) -> np.ndarra
     so the sum's relative rounding error stays below (2K + 1) machine
     epsilons.
     """
-    u = np.log(x)[:, None]
+    u = np.log(x)
 
     def terms(k: np.ndarray) -> np.ndarray:
-        z = u + k * L - m
-        return np.exp(z * z / (-2.0 * s * s))
+        z = u + (k * L)[:, None]
+        z -= m
+        z *= z
+        z /= -2.0 * s * s
+        return np.exp(z, out=z)
 
     return _block_sum(x.size, np.arange(-K, K + 1), terms) / (x * s * _SQRT2PI)
 
@@ -331,11 +334,14 @@ def _dual_at(x: np.ndarray, m: float, s: float, L: float, J: int) -> np.ndarray:
     The Poisson dual of _wl_pdf_at's sum, with c_k = exp(-2 pi^2 k^2 s^2 / L^2).
     The terms are added from k = J down to 1, smallest first, by _block_sum.
     """
-    theta = ((np.log(x) - m) * (2.0 * math.pi / L))[:, None]
+    theta = (np.log(x) - m) * (2.0 * math.pi / L)
     a = _dual_rate(s, L)
 
     def terms(k: np.ndarray) -> np.ndarray:
-        return np.cos(theta * k) * np.exp(-a * (k * k))
+        z = theta * k[:, None]
+        np.cos(z, out=z)
+        z *= np.exp(-a * (k * k))[:, None]
+        return z
 
     return (1.0 + 2.0 * _block_sum(x.size, np.arange(J, 0, -1), terms)) / (x * L)
 

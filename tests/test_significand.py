@@ -242,6 +242,30 @@ def test_largest_radices_decompose_exactly(x, b):
     assert_exact(x, b, d.significand, d.exponent)
 
 
+class TestExactPowers:
+    @pytest.mark.parametrize("b", [2, 3, 10, 1000, 2**53])
+    def test_every_double_takes_cached_powers(self, b, monkeypatch):
+        taken = []
+
+        def record(b, e):
+            taken.append(e * b.bit_length())
+            return b**e
+
+        monkeypatch.setattr(significand, "_int_power", record)
+        for x in (5e-324, DBL_MAX):
+            k, d = exact_decomposition(x, b)
+            for estimate in range(k - 3, k + 4):
+                assert significand._exact(x, b, estimate)[:2] == (k, d)
+        assert max(taken) <= significand._CACHED_POWER_BITS
+
+    def test_larger_powers_are_exact_and_not_retained(self):
+        before = significand._cached_power.cache_info().currsize
+        e = significand._CACHED_POWER_BITS
+        assert significand._int_power(2, e) == 2**e
+        assert significand._int_power(10, 10**4) == 10 ** (10**4)
+        assert significand._cached_power.cache_info().currsize == before
+
+
 def test_first_digit_is_the_digit_of_the_double():
     # the double 1e-6 is 9.99999999999999954748e-7; 1e-5 lies above 10**-5
     assert first_digit(1e-6, Base(10)) == 9

@@ -34,6 +34,7 @@ from benford.wrapping import (
     _cached_log_grid,
     _dual_at,
     _dual_order,
+    _dual_rate,
     _log_grid,
     _lognormal_trunc,
     _wl_pdf_at,
@@ -573,6 +574,61 @@ class TestArrayContract:
             assert peak < 8 * 2**20, series.__name__
         sup, tv = distance_to_nb(LogNormalParams(0.0, 1000.0), B2)
         assert sup < 1e-8 and tv < 1e-8
+
+
+def point_major_direct(x, m, s, L, K):
+    """_wl_pdf_at from the full (n, 2K + 1) matrix of its terms, the columns
+    added left to right in increasing k."""
+    k = np.arange(-K, K + 1)
+    z = np.log(x)[:, None] + k * L - m
+    z = np.exp(z * z / (-2.0 * s * s))
+    total = np.zeros(x.size)
+    for column in z.T:
+        total = total + column
+    return total / (x * s * math.sqrt(2.0 * math.pi))
+
+
+def point_major_dual(x, m, s, L, J):
+    """_dual_at from the full (n, J) matrix of its terms, the columns added
+    left to right from k = J down to 1."""
+    k = np.arange(J, 0, -1)
+    theta = (np.log(x) - m) * (2.0 * math.pi / L)
+    z = np.cos(theta[:, None] * k) * np.exp(-_dual_rate(s, L) * (k * k))
+    total = np.zeros(x.size)
+    for column in z.T:
+        total = total + column
+    return (1.0 + 2.0 * total) / (x * L)
+
+
+class TestSummationOrder:
+    """The block loop adds each point's terms in the order of the full term
+    matrix's columns, wherever the block boundaries fall."""
+
+    # one block holds _BLOCK // n orders: 32768, 16, 1, 2 and 3
+    SIZES = (1, GRID, _BLOCK, _BLOCK // 2, _BLOCK // 3)
+
+    @pytest.mark.parametrize("b", (2, 10))
+    @pytest.mark.parametrize("n", SIZES)
+    def test_direct_sum_equals_point_major_reference_bitwise(self, b, n):
+        L = math.log(b)
+        x = log_grid(b, n)
+        K = _BLOCK // n + 1  # 2K + 1 terms fill more than two blocks
+        s = max(0.3, K * L / 4.0)
+        got = _wl_pdf_at(x, 0.3, s, L, K)
+        want = point_major_direct(x, 0.3, s, L, K)
+        assert np.all(want > 0.0)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("b", (2, 10))
+    @pytest.mark.parametrize("n", SIZES)
+    def test_dual_sum_equals_point_major_reference_bitwise(self, b, n):
+        L = math.log(b)
+        x = log_grid(b, n)
+        J = _BLOCK // n + 2  # J terms fill more than one block
+        s = L * math.sqrt(23.0 / (2.0 * J * J)) / math.pi  # c_J = exp(-23)
+        got = _dual_at(x, 0.3, s, L, J)
+        want = point_major_dual(x, 0.3, s, L, J)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestLogGrid:
