@@ -110,6 +110,10 @@ def _fmt(value) -> str:
 
 
 _KIND_FORMATS = {"str": "%s", "int": "%s", "float": "%.12g"}
+# parse_records' converter per field kind; each raises KeyError or ValueError
+_KIND_PARSERS = {
+    "str": str, "int": int, "float": float, "bool": {"true": True, "false": False}.__getitem__
+}
 
 # one %-template per record name whose fields all render without _fmt's
 # per-value dispatch; "%.12g" renders a float exactly as _fmt does
@@ -204,16 +208,10 @@ def parse_records(text: str) -> list[tuple]:
             )
         rec: list = [name]
         for kind, tok in zip(kinds, values):
-            if kind == "int":
-                rec.append(int(tok))
-            elif kind == "float":
-                rec.append(float(tok))
-            elif kind == "bool":
-                if tok not in ("true", "false"):
-                    raise DomainError(f"line {lineno}: bad boolean {tok!r}")
-                rec.append(tok == "true")
-            else:
-                rec.append(tok)
+            try:
+                rec.append(_KIND_PARSERS[kind](tok))
+            except (KeyError, ValueError):
+                raise DomainError(f"line {lineno}: bad {kind} field {tok!r}") from None
         out.append(tuple(rec))
     return out
 
@@ -555,7 +553,7 @@ def _cmd_entropy(args) -> list[tuple]:
 
 def _cmd_sequence(args) -> list[tuple]:
     base = Base(args.base)
-    report = _report(_generate(args.kind, args.n, base, args.ratio, exponents=False), 0, 0)
+    report = _report(_generate(args.kind, args.n, base, args.ratio), 0, 0)
     recs: list[tuple] = [("param", "kind", args.kind), ("param", "n", str(args.n))]
     if args.ratio is not None:
         recs.append(("param", "ratio", str(args.ratio)))

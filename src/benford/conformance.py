@@ -3,8 +3,8 @@
 Digit histograms with explicit skip accounting, Pearson chi-square against
 the law's cell probabilities, a Kolmogorov-Smirnov uniformity statistic on
 log-mapped significands, seeded samplers, and deterministic sequence
-generators that give each term as (significand, exponent), so factorials
-and large powers never overflow.
+generators that make significands only, so factorials and large powers
+never overflow; gen_sequence_terms rounds log_b(term) - log_b(s) for k.
 """
 
 from __future__ import annotations
@@ -410,8 +410,8 @@ class _LogLinear(NamedTuple):
         return num**t, den**t
 
 
-def _settle(seq: _LogLinear, t: int) -> tuple[int, float]:
-    """Exponent and significand of term t, with the exact leading digit d.
+def _settle(seq: _LogLinear, t: int) -> float:
+    """Significand of term t, with the exact leading digit d.
 
     The significand comes from the 60-digit log.  One within 1e-40
     (relative) of an integer, which in practice only a term equal to
@@ -426,15 +426,15 @@ def _settle(seq: _LogLinear, t: int) -> tuple[int, float]:
         d = int(s)
         tie = min(s - d, d + 1 - s) <= _DEC_TIE * s
     if tie:
-        k, d, q = _exact_ratio(*seq.term(t), seq.base.b, k)
+        _, d, q = _exact_ratio(*seq.term(t), seq.base.b, k)
     else:
         q = float(s)
-    return k, min(max(q, float(d)), math.nextafter(d + 1.0, 0.0))
+    return min(max(q, float(d)), math.nextafter(d + 1.0, 0.0))
 
 
-def _kernel(seq: _LogLinear, t0: int, sig: np.ndarray, exps: np.ndarray | None) -> None:
-    """Fill sig (and exps) with the significands (and exponents) of terms
-    t0, t0 + 1, ... of a log-linear sequence.
+def _kernel(seq: _LogLinear, t0: int, sig: np.ndarray) -> None:
+    """Fill sig with the significands of terms t0, t0 + 1, ... of a
+    log-linear sequence.
 
     Term t = t0 + start + j, for a block start and j < _BLOCK, has
     log_b = x0 + j L with x0 = (t0 + start) L - c.  The block's
@@ -443,8 +443,8 @@ def _kernel(seq: _LogLinear, t0: int, sig: np.ndarray, exps: np.ndarray | None) 
     hi = h1 + h2 split so that j h1 and j h2 are exact, it is
     frac(frac(j h1) + frac(j h2) + j lo).  The sum u = frac(offset + phase)
     errs by at most _U_ERR, and s = b**u is a float power.  A term whose s
-    lies within that error of an integer may have the wrong leading digit
-    or exponent; _settle redoes it.
+    lies within that error of an integer may have the wrong leading digit;
+    _settle redoes it.
     """
     n = len(sig)
     m = min(n, _BLOCK)
@@ -457,17 +457,13 @@ def _kernel(seq: _LogLinear, t0: int, sig: np.ndarray, exps: np.ndarray | None) 
     h2 = hi - h1  # at most _BLOCK_BITS significant bits, as j < 2**_BLOCK_BITS
     j = np.arange(m, dtype=np.float64)
     phase = j * h1
-    whole = np.floor(phase)
-    phase -= whole
+    phase -= np.floor(phase)
     part = j * h2
-    ipart = np.floor(part)
-    whole += ipart
-    phase += part - ipart
+    part -= np.floor(part)
+    phase += part
     j *= lo
     phase += j
-    np.floor(phase, out=ipart)
-    whole += ipart
-    phase -= ipart
+    phase -= np.floor(phase)
     fb = float(seq.base.b)
     tol = seq.base.ln * _U_ERR + _POW_ERR
     for start in range(0, n, m):
@@ -475,36 +471,25 @@ def _kernel(seq: _LogLinear, t0: int, sig: np.ndarray, exps: np.ndarray | None) 
         with localcontext() as ctx:
             ctx.prec = _DEC_PREC
             x0 = (t0 + start) * seq.L - seq.c
-            k0 = int(x0.to_integral_value(rounding=ROUND_FLOOR))
-            offset = float(x0 - k0)
+            offset = float(x0 - x0.to_integral_value(rounding=ROUND_FLOOR))
         s = sig[start:stop]
         np.add(phase[: stop - start], offset, out=s)
-        carry = np.floor(s)
-        s -= carry
-        if exps is not None:
-            carry += whole[: stop - start]
-            carry += k0
-            exps[start:stop] = carry
+        s -= np.floor(s)
         np.power(fb, s, out=s)
         gap = np.rint(s)
         gap -= s
         np.abs(gap, out=gap)
         for i in np.flatnonzero(gap <= tol * s).tolist():
-            k, sig[start + i] = _settle(seq, t0 + start + i)
-            if exps is not None:
-                exps[start + i] = k
+            sig[start + i] = _settle(seq, t0 + start + i)
 
 
-def _factorial(n: int, base: Base, exponents: bool) -> SignificandArray:
-    """Significands (and exponents) of 1!, ..., n! by a carried product.
+def _factorial(n: int, base: Base) -> SignificandArray:
+    """Significands of 1!, ..., n! by a carried product.
 
     Factor i has exponent k_i, the count of powers b**j <= i with j >= 1,
     and significand f_i = float(i) / float(b**k_i): both operands are
-    exact, so f_i is correctly rounded, as decompose_array gives it.  The
-    product carries only a significand, divided by b while it is at least
-    b.  Term i has exponent ``(k + wraps)[:i].sum()``, with wraps counting
-    those divisions; they are counted again from the same products
-    ``sig[i-1] * f_i`` the carry formed.
+    exact, so f_i is correctly rounded, as decompose_array gives it.
+    The product carries only a significand, divided by b while it is >= b.
     """
     if n > _FACTORIAL_CAP:
         raise DomainError(f"factorial sequences are capped at n = {_FACTORIAL_CAP}")
@@ -523,20 +508,12 @@ def _factorial(n: int, base: Base, exponents: bool) -> SignificandArray:
         return s
 
     sig = np.fromiter(itertools.accumulate(factors.tolist(), carry), np.float64, n)
-    exps = None
-    if exponents:
-        product = factors
-        product[1:] *= sig[:-1]  # sig[i-1] * f_i; f_1 = 1 is carried as is
-        once = product / b  # a second division needs a product rounded to b**2
-        exps = np.cumsum(k + (product >= b) + (once >= b))
-    return SignificandArray(exps, sig, base)
+    return SignificandArray(None, sig, base)
 
 
-def _generate(
-    kind: str, n: int, base: Base, ratio: float | None, exponents: bool
-) -> SignificandArray:
-    """The first n terms as significands in [1, b) and, if asked, exponents
-    (``exponent`` is None otherwise), in new arrays the caller owns.
+def _generate(kind: str, n: int, base: Base, ratio: float | None) -> SignificandArray:
+    """The significands in [1, b) of the first n terms, in a new array the
+    caller owns; ``exponent`` is None.
 
     Every path leaves a significand in its term's exact digit cell, so
     ``digit`` is its integer part; a factorial's is its carried product's.
@@ -548,7 +525,7 @@ def _generate(
     if ratio is not None and kind != "geometric":
         raise DomainError(f"{kind} sequences take no ratio, got {ratio!r}")
     if kind == "factorial":
-        return _factorial(n, base, exponents)
+        return _factorial(n, base)
     head = 0
     if kind == "fibonacci":
         seq = _LogLinear.of(base, None)
@@ -563,20 +540,40 @@ def _generate(
             # r**y = b**k: term t has significand c**((t k) mod y), period y
             c, k, y = rational
             sig = np.resize([float(c ** (t * k % y)) for t in range(1, y + 1)], n)
-            exps = np.arange(1, n + 1, dtype=np.int64) * k // y if exponents else None
-            return SignificandArray(exps, sig, base)
+            return SignificandArray(None, sig, base)
         seq = _LogLinear.of(base, r)
     sig = np.empty(n)
-    exps = np.empty(n, dtype=np.int64) if exponents else None
     if head:
         fib = np.array([_fibonacci(t) for t in range(1, head + 1)], dtype=np.float64)
-        exact = decompose_array(fib, base)
-        sig[:head] = exact.significand
-        if exps is not None:
-            exps[:head] = exact.exponent
+        sig[:head] = decompose_array(fib, base).significand
     if n > head:
-        _kernel(seq, head + 1, sig[head:], None if exps is None else exps[head:])
-    return SignificandArray(exps, sig, base)
+        _kernel(seq, head + 1, sig[head:])
+    return SignificandArray(None, sig, base)
+
+
+def _exponents(kind: str, sig: np.ndarray, base: Base, ratio: float | None) -> np.ndarray:
+    """Exponents, int64, of terms 1, 2, ... with significands sig:
+    rint((ln term_t - ln s_t) / ln b), with ln term_t = t ln r (pow2,
+    geometric), Binet's t ln phi - ln(5) / 2 + log1p(-(-phi**-2)**t)
+    (fibonacci) or the running sum of ln i (factorial).
+
+    Before rint the quotient errs by at most about 1.45 t |ln r| 4.4e-16,
+    four roundings divided by ln b >= ln 2: under 3e-3 for |ln r| <= 745
+    (DBL_MAX, 5e-324) and t <= 2**32, against the 0.5 rounding allows.
+    The significand's own error, at most 2**-50 in log_b s in the kernel
+    and 2.8e-15 in the factorial's drift, moves it by under 1e-14.  So a
+    factorial significand whose carried product crossed a cell edge gets
+    the exponent that matches it.
+    """
+    t = np.arange(1, sig.size + 1)
+    if kind == "factorial":
+        ln_term = np.cumsum(np.log(t))
+    elif kind == "fibonacci":
+        phi = (1.0 + math.sqrt(5.0)) / 2.0
+        ln_term = t * math.log(phi) - math.log(5.0) / 2.0 + np.log1p(-((-(phi**-2)) ** t))
+    else:
+        ln_term = t * math.log(2.0 if kind == "pow2" else ratio)
+    return np.rint((ln_term - np.log(sig)) / base.ln).astype(np.int64)
 
 
 def gen_sequence_terms(
@@ -586,17 +583,15 @@ def gen_sequence_terms(
 
     The generator never materializes the raw magnitudes, so factorials and
     large powers cannot overflow; only the significand matters for digit
-    statistics anyway.
+    statistics anyway; _exponents reads each exponent off the logarithms.
     """
-    terms = _generate(kind, n, base, ratio, exponents=True)
-    return [
-        SignificandDecomposition(s, e, base)
-        for s, e in zip(terms.significand.tolist(), terms.exponent.tolist())
-    ]
+    sig = _generate(kind, n, base, ratio).significand
+    exps = _exponents(kind, sig, base, ratio)
+    return [SignificandDecomposition(s, e, base) for s, e in zip(sig.tolist(), exps.tolist())]
 
 
 def gen_sequence(
     kind: str, n: int, base: Base, ratio: float | None = None
 ) -> np.ndarray:
     """Significands of the first n sequence terms; see gen_sequence_terms."""
-    return _generate(kind, n, base, ratio, exponents=False).significand
+    return _generate(kind, n, base, ratio).significand

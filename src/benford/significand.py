@@ -151,7 +151,7 @@ class SignificandArray:
 
     Every significand lies in its value's exact digit cell [d, d + 1), so
     the exact leading digit is its integer part, ``digit``.  The sequence
-    generator leaves ``exponent`` None when it is not asked for.
+    generator and ``fit``'s fold leave ``exponent`` None.
     """
 
     exponent: np.ndarray | None  # int64

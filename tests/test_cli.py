@@ -17,7 +17,7 @@ from scipy import stats as scipy_stats
 
 from benford import Base, analyze, cli, gen_sequence, nb_entropy_closed, sample_nb
 from benford.cli import _RECORD_FIELDS, emit_records, main, parse_records
-from benford.errors import BenfordError
+from benford.errors import BenfordError, DomainError
 from test_significand import FULL_RANGE_BASES, FULL_RANGE_VALUES, exact_decomposition
 
 entropy_module = importlib.import_module("benford.entropy")
@@ -1360,6 +1360,13 @@ class TestRecordsFormat:
     def test_parse_rejects_unknown_records(self):
         with pytest.raises(Exception):
             parse_records("bogus 1 2\n")
+
+    @pytest.mark.parametrize(
+        "text", ["total x", "chi_square 1.2.3", "constraint_met maybe"], ids=["int", "float", "bool"]
+    )
+    def test_parse_rejects_malformed_fields_with_their_line(self, text):
+        with pytest.raises(DomainError, match="^line 2: bad "):
+            parse_records("total 3\n" + text + "\n")
 
     def test_sequence_consistent_with_library(self, capsys):
         sig = gen_sequence("fibonacci", 3000, Base(10))

@@ -403,16 +403,16 @@ class TestRatioRule:
         assert [(t.significand, t.exponent) for t in terms] == [
             (2.0 ** (-1074 * t % 4), -1074 * t // 4) for t in range(1, 9)
         ]
-        digits = conformance._generate("geometric", 8, Base(16), 5e-324, exponents=False).digit
+        digits = conformance._generate("geometric", 8, Base(16), 5e-324).digit
         assert digits.tolist() == [4, 1] * 4
 
     @pytest.mark.parametrize("b", [7, 786432])
     def test_largest_double_below_one_runs(self, b):
         # (1 - 2**-53)**t = b**-1 * b (1 - 2**-53)**t: digit b - 1 for t << 2**53
-        terms = conformance._generate(
-            "geometric", 1000, Base(b), math.nextafter(1.0, 0.0), exponents=True
-        )
-        assert (terms.digit == b - 1).all() and (terms.exponent == -1).all()
+        ratio = math.nextafter(1.0, 0.0)
+        terms = conformance._generate("geometric", 1000, Base(b), ratio)
+        exps = conformance._exponents("geometric", terms.significand, Base(b), ratio)
+        assert (terms.digit == b - 1).all() and (exps == -1).all()
         assert (terms.significand < b).all()
 
 
@@ -602,8 +602,9 @@ class TestSequenceExactness:
         kind, b, ratio = case
         n = 10**6
         # the arrays behind gen_sequence_terms, without 10**6 objects
-        terms = conformance._generate(kind, n, Base(b), ratio, exponents=True)
-        sig, exps, digits = terms.significand, terms.exponent, terms.digit
+        terms = conformance._generate(kind, n, Base(b), ratio)
+        sig, digits = terms.significand, terms.digit
+        exps = conformance._exponents(kind, sig, Base(b), ratio)
         assert np.array_equal(sig, gen_sequence(kind, n, Base(b), ratio=ratio))
         rng = np.random.default_rng(b)
         picks = sorted(set(rng.integers(EXACT_T, n, 300).tolist()) | {n})
@@ -701,10 +702,39 @@ class TestSequenceExactness:
             sig.append(s)
             wraps.append(w)
         exps = np.cumsum(factors.exponent + np.array(wraps, dtype=np.uint8))
-        terms = conformance._generate("factorial", n, base, None, exponents=True)
+        terms = conformance._generate("factorial", n, base, None)
         assert terms.significand.tobytes() == np.array(sig).tobytes()
-        assert terms.exponent.dtype == exps.dtype and np.array_equal(terms.exponent, exps)
+        got = conformance._exponents("factorial", terms.significand, base, None)
+        assert got.dtype == exps.dtype and np.array_equal(got, exps)
         assert gen_sequence("factorial", n, base).tobytes() == terms.significand.tobytes()
+
+    def test_exponents_round_exactly_at_the_extreme_ratios(self):
+        # the rounded quotient errs most where t |ln r| / ln b is largest;
+        # DBL_MAX**t = 2**(1024 t) (1 - 2**-53)**t lies just below 2**(1024 t)
+        n = 10**6
+        t = np.arange(1, n + 1, dtype=np.int64)
+        dbl_max = math.ldexp(2.0 - 2.0**-52, 1023)
+        sig2 = conformance._generate("geometric", n, Base(2), dbl_max).significand
+        # in base 2**53 the terms' significands are sig2 * 2**((1024 t - 1) mod 53),
+        # scaled exactly here: the generator would settle a fifth of them one by
+        # one, as every s above 3e13 lies within its flag window of an integer
+        sig53 = sig2 * 2.0 ** ((1024 * t - 1) % 53)
+        tiny = conformance._generate("geometric", n, Base(2**53), 5e-324).significand
+        for b, ratio, sig, want in [
+            (2, dbl_max, sig2, 1024 * t - 1),
+            (2**53, dbl_max, sig53, (1024 * t - 1) // 53),
+            (2**53, 5e-324, tiny, (-1074 * t) // 53),
+        ]:
+            exps = conformance._exponents("geometric", sig, Base(b), ratio)
+            assert np.array_equal(exps, want), (b, ratio)
+        sig = conformance._generate("geometric", n, Base(3), dbl_max).significand
+        exps = conformance._exponents("geometric", sig, Base(3), dbl_max)
+        picks = sorted(set(np.random.default_rng(3).integers(1, n, 200).tolist()) | {1, n})
+        with localcontext() as ctx:
+            ctx.prec = 80
+            log3_r = Decimal(dbl_max).ln() / Decimal(3).ln()
+            for i in picks:
+                assert exps[i - 1] == int((i * log3_r).to_integral_value(ROUND_FLOOR)), i
 
 
 class TestSequenceCost:
@@ -739,10 +769,10 @@ class TestSequenceCost:
         # the generator's significands, 8 bytes per term; the digits, log
         # map and KS differences live in cache-sized blocks
         n = 10**6
-        conformance._report(conformance._generate("pow2", 1000, B10, None, False), 0, 0)
+        conformance._report(conformance._generate("pow2", 1000, B10, None), 0, 0)
         tracemalloc.start()
         try:
-            conformance._report(conformance._generate("pow2", n, B10, None, False), 0, 0)
+            conformance._report(conformance._generate("pow2", n, B10, None), 0, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
