@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/data/make_golden.py
 
 Writes two small seeded input files (CSV and JSONL, with negatives and
-junk cells), the ``--format records`` output of every call in
+junk cells) and a CSV of round numbers and their neighbours, the ``--format records`` output of every call in
 ``GOLDEN_CALLS`` and ``DENSITY_CALLS`` (``<name>.records``), the
 ``--format human`` output of every call in ``HUMAN_CALLS``
 (``<name>.human``), the exit codes of the density calls
@@ -24,6 +24,7 @@ import io
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +45,11 @@ GOLDEN_CALLS = [
     ("fit_jsonl_b16", ["fit", "fit.jsonl", "--column", "amount", "--input-format",
                        "jsonl", "--base", "16"]),
 ]
+# round numbers d * b**k of bases 3, 10 and 1000 sit on digit-cell edges
+for _b in (3, 10, 1000):
+    GOLDEN_CALLS.append(
+        (f"fit_boundary_b{_b}", ["fit", "boundary.csv", "--column", "amount", "--base", str(_b)])
+    )
 for _b in (10, 16, 1000):
     for _kind in ("pow2", "fibonacci", "factorial"):
         GOLDEN_CALLS.append(
@@ -133,6 +139,39 @@ def ratio_rejections() -> dict[str, list[str]]:
     return out
 
 
+BOUNDARY_DIGITS = {3: (1, 2), 10: tuple(range(1, 10)),
+                   1000: (1, 2, 3, 5, 9, 10, 99, 100, 101, 500, 998, 999)}
+BOUNDARY_STRIDES = {3: 20, 10: 12, 1000: 4}  # every n-th exponent k
+BOUNDARY_ULPS = 2
+
+
+def boundary_values() -> list[float]:
+    """d * b**k correctly rounded and its neighbours up to BOUNDARY_ULPS
+    ulps away, over the whole double range, in each base of
+    BOUNDARY_DIGITS; plus subnormals and the neighbours of DBL_MIN and
+    DBL_MAX."""
+    out: set[float] = set()
+    for b, digits in BOUNDARY_DIGITS.items():
+        kmin = math.floor(math.log(5e-324) / math.log(b)) - 1
+        kmax = math.ceil(math.log(sys.float_info.max) / math.log(b)) + 1
+        for k in range(kmin, kmax + 1, BOUNDARY_STRIDES[b]):
+            for d in digits:
+                try:
+                    x = float(d * Fraction(b) ** k)
+                except OverflowError:
+                    continue
+                for direction in (0.0, math.inf):
+                    y = x
+                    for _ in range(BOUNDARY_ULPS + 1):
+                        if 0.0 < y < math.inf:
+                            out.add(y)
+                        y = math.nextafter(y, direction)
+    tiny, dbl_min, dbl_max = 5e-324, sys.float_info.min, sys.float_info.max
+    out.update([tiny, 2 * tiny, 3 * tiny, 1000 * tiny, dbl_min, math.nextafter(dbl_min, 0.0),
+                math.nextafter(dbl_min, 1.0), dbl_max, math.nextafter(dbl_max, 0.0)])
+    return sorted(out)
+
+
 def write_inputs(n: int = 3000, seed: int = 20261018) -> None:
     rng = np.random.default_rng(seed)
     values = np.exp(rng.uniform(-8.0, 8.0, n) + 2.0 * rng.standard_normal(n))
@@ -152,6 +191,10 @@ def write_inputs(n: int = 3000, seed: int = 20261018) -> None:
     (GOLDEN / "fit.jsonl").write_text(
         "".join(f'{{"id": {i}, "amount": {c}}}\n' for i, c in enumerate(json_cells))
         + "not json\n",
+        encoding="utf-8",
+    )
+    (GOLDEN / "boundary.csv").write_text(
+        "id,amount\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(boundary_values())),
         encoding="utf-8",
     )
 
