@@ -70,7 +70,7 @@ class SignificandDecomposition:
 
 # Significands this close (relative) to an integer may sit on the wrong
 # side of it after rounding; they, and every value whose scale b**k is not
-# a normal float, take the exact integer path.  The fast path's quotient
+# a normal float, are flagged and settled exactly.  The fast path's quotient
 # errs by at most about 2 ulps: one from rounding b**k, one from dividing.
 _NEAR_INTEGER = 8 * sys.float_info.epsilon
 _DBL_MIN = sys.float_info.min
@@ -100,6 +100,36 @@ def _power_table(b: int) -> tuple[int, np.ndarray, np.ndarray]:
     P.setflags(write=False)
     normal.setflags(write=False)
     return kmin, P, normal
+
+
+@functools.lru_cache(maxsize=64)
+def _power_lo(b: int) -> np.ndarray:
+    """lo[j], the exact remainder b**(kmin + j) - P[j] of _power_table(b),
+    correctly rounded after scaling by 2**-e, where P[j] = m * 2**e with m
+    in [1/2, 1): m + lo[j] is b**k * 2**-e to about 2**-106 relative, and
+    nothing in it underflows.  NaN where P[j] is not normal or the scaled
+    remainder is nonzero but below 2**-900, too small for the error bound
+    of _settle_flagged to stay normal; values that would use those go to
+    _exact.  Built from Python ints the first time a base settles
+    flagged values in numpy.
+    """
+    kmin, P, normal = _power_table(b)
+    lo = np.full(P.size, math.nan)
+    for j in np.flatnonzero(normal).tolist():
+        k, p = kmin + j, float(P[j])
+        pn, pd = p.as_integer_ratio()
+        bn, bd = (b**k, 1) if k >= 0 else (1, b**-k)
+        num, den = bn * pd - pn * bd, bd * pd  # b**k - p
+        e = math.frexp(p)[1]
+        if e >= 0:
+            den <<= e
+        else:
+            num <<= -e
+        r = num / den  # int true division rounds correctly
+        if num == 0 or abs(r) >= 2.0**-900:
+            lo[j] = r
+    lo.setflags(write=False)
+    return lo
 
 
 def _exact(v: float, b: int, k: int) -> tuple[int, int, float]:
@@ -171,11 +201,25 @@ def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:
     exactly from the binary exponent.  In any other base, the exponent is
     a base-b logarithm estimate k and the significand s = v / float(b)**k.
     A value is flagged when s lands outside [1, b), as it does where the
-    estimate is off by one, or within a few ulps of an integer, or when v
-    is subnormal or its scale is not a normal float.  Flagged values are
-    redone exactly, which also walks a misestimated exponent to the exact
-    one, so every digit is the exact leading digit.  The significands are
-    a new array, never a view of ``values``.
+    estimate is off by one, or within 8 eps s of an integer, or when v is
+    subnormal or its scale is not a normal float.  Round numbers d * b**k
+    and their float neighbours are flagged.  Flagged values are settled
+    exactly, so every digit is the exact leading digit:
+
+    - in numpy (:func:`_settle_flagged`), where the sign of v - d * b**k,
+      evaluated against a double-double b**k, clears its rounding error
+      bound of 4 eps (|t1| + |t2|): almost every flagged normal value in
+      a base b < 2**48, the guard 8 eps b < 1/2 under which the
+      near-integer window holds at most one integer;
+    - one by one in integer arithmetic (:func:`_exact`) otherwise: a sign
+      within the bound (v exactly d * b**k on a scale that is no double,
+      such as 0.5 in base 314), a subnormal v, a scale that is not normal,
+      every flagged value of a base of 2**48 or more, and every flagged
+      value of an array with fewer than 32, where numpy's fixed cost
+      exceeds the loop's.
+
+    An array with no flagged value runs neither.  The significands are a
+    new array, never a view of ``values``.
     """
     v = np.asarray(values, dtype=np.float64)
     ok = (v > 0.0) & (v < math.inf)
@@ -201,6 +245,13 @@ def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:
             | (v < _DBL_MIN)
             | ~normal[j]
         )
+    # the numpy step needs 8 eps b < 1/2, so that the near-integer window
+    # holds at most one integer: b < 2**48
+    if flagged.size >= _SETTLE_MIN and _NEAR_INTEGER * b < 0.5:
+        flagged = np.concatenate([
+            _settle_flagged(v, s, j, flagged[i : i + _SETTLE_SLICE], b)
+            for i in range(0, flagged.size, _SETTLE_SLICE)
+        ])
     for i, x in zip(flagged.tolist(), v[flagged].tolist()):
         k, d, exact_s = _exact(x, b, int(j[i]) + kmin)
         jj = k - kmin
@@ -210,6 +261,87 @@ def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:
         j[i] = jj
     j += kmin
     return SignificandArray(j, s, base)
+
+
+# Veltkamp's splitter: a double times it splits into two halves of at most
+# 26 bits, whose products are exact
+_SPLIT = 2.0**27 + 1.0
+# the rounding error of r in _settle_flagged is below 1.51 eps (|t1| + |t2|)
+_SIGN_BOUND = 4 * sys.float_info.epsilon
+# flagged values settle in slices: about 15 temporaries of a slice are live
+# at once, under 0.5 MiB, so a block of round numbers does not raise the
+# peak memory of a call over that of a block of other data
+_SETTLE_SLICE = 1 << 12
+# fewer flagged values than this settle one by one: the numpy step costs
+# about 45 us a call, _exact 1-4 us a value (2-core host), so a scalar
+# call such as sequence's ratio check stays on _exact
+_SETTLE_MIN = 32
+
+
+def _two_product(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, err) with p = a * c rounded and a * c = p + err exactly (Dekker,
+    Numer. Math. 18, 1971), for products that neither overflow nor underflow."""
+    p = a * c
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * c
+    ch = t - (t - c)
+    cl = c - ch
+    return p, ((ah * ch - p) + ah * cl + al * ch) + al * cl
+
+
+def _settle_flagged(
+    v: np.ndarray, s: np.ndarray, j: np.ndarray, flagged: np.ndarray, b: int
+) -> np.ndarray:
+    """Settle flagged values whose digit cell is certain, in numpy.
+
+    An estimate off by one is re-aimed first, so that s = v / P[j] is
+    within a few ulps of [1, b].  With d = rint(s), v lies in
+    [d - 1, d + 1) * b**k, and the sign of v - d * b**k picks the cell.
+    That sign comes from v - d * (P[j] + lo[j]) (see _power_lo), evaluated
+    after scaling by 2**-e, where P[j] = m * 2**e with m in [1/2, 1).
+    There, with d * m = p + err (Dekker), v * 2**-e - p is exact
+    (Sterbenz), and only three operations round:
+    t1 = (v * 2**-e - p) - err, t2 = d * lo and r = t1 - t2.  Where |r| is at least
+    _SIGN_BOUND * (|t1| + |t2|), the sign is certain, and (k, digit)
+    follows; the significand is the quotient v / P[k] clamped into
+    [digit, digit + 1), as the per-value path takes it.
+    Writes those values' s and j in place and returns the indices left for
+    _exact: a sign within the bound, a subnormal v, a scale P[k] or
+    remainder that is not normal, and an s still outside [1, b] by more
+    than its near-integer window.  Needs 8 eps b < 1/2.
+    """
+    _, P, normal = _power_table(b)
+    lo = _power_lo(b)
+    x, jf, sf = v[flagged], j[flagged], s[flagged]
+    jf -= sf < 1.0
+    jf += sf >= b
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sf = x / P[jf]
+        d = np.rint(sf)
+        m, e = np.frexp(P[jf])
+        p, err = _two_product(d, m)
+        t1 = np.ldexp(x, -e)
+        t1 -= p
+        t1 -= err
+        t2 = d * lo[jf]
+        r = t1 - t2
+        sure = np.abs(r) >= _SIGN_BOUND * (np.abs(t1) + np.abs(t2))
+        sure &= (sf >= 1.0 - _NEAR_INTEGER) & (sf <= b * (1.0 + _NEAR_INTEGER))
+        sure &= x >= _DBL_MIN
+        digit = d - (r < 0.0)
+        up, down = digit == b, digit == 0.0
+        jf += up
+        jf -= down
+        digit[up] = 1.0
+        digit[down] = b - 1.0
+        sure &= normal[jf]
+        sig = np.minimum(np.maximum(x / P[jf], digit), np.nextafter(digit + 1.0, 0.0))
+    done = flagged[sure]
+    s[done] = sig[sure]
+    j[done] = jf[sure]
+    return flagged[~sure]
 
 
 def decompose(value: float, base: Base) -> SignificandDecomposition:

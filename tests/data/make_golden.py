@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/data/make_golden.py
 
 Writes two small seeded input files (CSV and JSONL, with negatives and
-junk cells) and a CSV of round numbers and their neighbours, the ``--format records`` output of every call in
-``GOLDEN_CALLS`` and ``DENSITY_CALLS`` (``<name>.records``), the
+junk cells) and a CSV of round numbers and their neighbours, the
+``--format records`` output of every call in ``GOLDEN_CALLS`` and
+``DENSITY_CALLS`` (``<name>.records``), the
 ``--format human`` output of every call in ``HUMAN_CALLS``
 (``<name>.human``), the exit codes of the density calls
 (``density_exit_codes.json``), and which ratios near powers of the base
@@ -48,7 +49,8 @@ GOLDEN_CALLS = [
 # round numbers d * b**k of bases 3, 10 and 1000 sit on digit-cell edges
 for _b in (3, 10, 1000):
     GOLDEN_CALLS.append(
-        (f"fit_boundary_b{_b}", ["fit", "boundary.csv", "--column", "amount", "--base", str(_b)])
+        (f"fit_boundary_b{_b}",
+         ["fit", "boundary.csv", "--column", "amount", "--base", str(_b)])
     )
 for _b in (10, 16, 1000):
     for _kind in ("pow2", "fibonacci", "factorial"):
@@ -167,8 +169,9 @@ def boundary_values() -> list[float]:
                             out.add(y)
                         y = math.nextafter(y, direction)
     tiny, dbl_min, dbl_max = 5e-324, sys.float_info.min, sys.float_info.max
-    out.update([tiny, 2 * tiny, 3 * tiny, 1000 * tiny, dbl_min, math.nextafter(dbl_min, 0.0),
-                math.nextafter(dbl_min, 1.0), dbl_max, math.nextafter(dbl_max, 0.0)])
+    out.update([tiny, 2 * tiny, 3 * tiny, 1000 * tiny, dbl_min, dbl_max,
+                math.nextafter(dbl_min, 0.0), math.nextafter(dbl_min, 1.0),
+                math.nextafter(dbl_max, 0.0)])
     return sorted(out)
 
 

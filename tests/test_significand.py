@@ -348,3 +348,234 @@ def test_power_of_two_base_corpus_is_exact(b, monkeypatch):
 @given(st.lists(POSITIVE_DOUBLES, min_size=1, max_size=40), st.sampled_from(POW2_BASES))
 def test_property_power_of_two_bases_are_exact(xs, b):
     assert_pow2_exact(np.array(xs), b)
+
+
+# --------------------------------------------------------------------------
+# flagged values settled in numpy, against the per-value settle loop
+# --------------------------------------------------------------------------
+
+
+def reference_decompose(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(exponents, significands) of decompose_array in a base that is not a
+    power of two, with every flagged value settled one by one by _exact:
+    the kernel as it was before flagged values were settled in numpy."""
+    kmin, P, normal = significand._power_table(b)
+    v = np.asarray(values, dtype=np.float64)
+    j = np.floor(np.log(v) / math.log(b)).astype(np.int64) - kmin
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = v / P[j]
+        flagged = np.flatnonzero(
+            (np.abs(s - np.rint(s)) <= significand._NEAR_INTEGER * s)
+            | ~((s >= 1.0) & (s < b))
+            | (v < DBL_MIN)
+            | ~normal[j]
+        )
+    for i, x in zip(flagged.tolist(), v[flagged].tolist()):
+        k, d, exact_s = significand._exact(x, b, int(j[i]) + kmin)
+        jj = k - kmin
+        si = x / float(P[jj]) if normal[jj] and x >= DBL_MIN else exact_s
+        s[i] = min(max(si, float(d)), math.nextafter(d + 1.0, 0.0))
+        j[i] = jj
+    return j + kmin, s
+
+
+def _nudged(x: float, ulps: int) -> list[float]:
+    """x and its float neighbours up to ``ulps`` away, positive and finite."""
+    out = []
+    for direction in (0.0, math.inf):
+        y = x
+        for _ in range(ulps + 1):
+            if 0.0 < y < math.inf:
+                out.append(y)
+            y = math.nextafter(y, direction)
+    return out
+
+
+def _exponent_range(b: int) -> tuple[int, int]:
+    return (math.floor(math.log(5e-324) / math.log(b)) - 1,
+            math.ceil(math.log(DBL_MAX) / math.log(b)) + 1)
+
+
+def _digits(b: int) -> list[int]:
+    if b <= 40:
+        return list(range(1, b))
+    return [1, 2, 3, 5, 9, 10, 99, 100, 101, 500, b // 2, b - 2, b - 1]
+
+
+def boundary_corpus(b: int, target: int = 4000, ulps: int = 3) -> np.ndarray:
+    """d * b**k correctly rounded and up to ``ulps`` ulps either side, for
+    exponents k strided over the whole double range (both ends and k in
+    {-1, 0, 1} always included), plus subnormals and the neighbours of
+    DBL_MIN and DBL_MAX; as the bench's boundary files are built."""
+    kmin, kmax = _exponent_range(b)
+    ks = list(range(kmin, kmax + 1))
+    stride = max(1, round(len(ks) * len(_digits(b)) * (2 * ulps + 1) / target))
+    ks = set(ks[::stride]) | set(ks[:3]) | set(ks[-3:]) | {-1, 0, 1}
+    return _round_numbers(b, ks, ulps)
+
+
+def dbl_min_corpus(b: int, ulps: int = 3) -> np.ndarray:
+    """d * b**k and neighbours for the nine k nearest log_b DBL_MIN, where
+    the scales b**k stop being normal."""
+    k = math.floor(math.log(DBL_MIN) / math.log(b))
+    return _round_numbers(b, range(k - 4, k + 5), ulps)
+
+
+def _round_numbers(b: int, ks, ulps: int) -> np.ndarray:
+    out: set[float] = set()
+    for k in ks:
+        for d in _digits(b):
+            try:
+                x = float(d * Fraction(b) ** k)
+            except OverflowError:
+                continue
+            out.update(_nudged(x, ulps))
+    for x in (5e-324, 1000 * 5e-324, DBL_MIN, DBL_MAX, DBL_MAX / b):
+        out.update(_nudged(x, ulps))
+    return np.array(sorted(out))
+
+
+# every non-power-of-two base from 3 to 40, large ones, and the bases
+# either side of the guard 8 eps b < 1/2 (b < 2**48)
+SETTLE_BASES = [b for b in range(3, 41) if b & (b - 1)] + [
+    1000, 65535, 999983, 10**6, 2**48 - 1, 2**48 + 1, 2**53 - 1,
+]
+
+
+def assert_matches_reference(x: np.ndarray, b: int) -> None:
+    want_k, want_s = reference_decompose(x, b)
+    got = decompose_array(x, Base(b))
+    assert got.significand.tobytes() == want_s.tobytes(), b
+    assert (got.exponent == want_k).all(), b
+
+
+def count_exact(monkeypatch) -> list[float]:
+    """Patch _exact to record every value it is given; returns the record."""
+    taken: list[float] = []
+    exact = significand._exact
+
+    def record(x, b, k):
+        taken.append(x)
+        return exact(x, b, k)
+
+    monkeypatch.setattr(significand, "_exact", record)
+    return taken
+
+
+@pytest.mark.parametrize("b", SETTLE_BASES)
+def test_settled_values_match_the_per_value_loop(b):
+    assert_matches_reference(boundary_corpus(b), b)
+    assert_matches_reference(dbl_min_corpus(b), b)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("b", [3, 10, 1000])
+def test_settled_values_do_not_depend_on_the_slice(b, rows, monkeypatch):
+    monkeypatch.setattr(significand, "_SETTLE_SLICE", rows)
+    assert_matches_reference(boundary_corpus(b, target=1000), b)
+
+
+@pytest.mark.parametrize("b", [10, 1000])
+def test_few_boundary_values_take_the_exact_path(b, monkeypatch):
+    # the corpus of the bench's boundary files: one ulp either side, about
+    # 6000 values; what is left for _exact is mostly subnormal
+    x = boundary_corpus(b, target=6000, ulps=1)
+    taken = count_exact(monkeypatch)
+    decompose_array(x, Base(b))
+    assert len(taken) <= 0.05 * x.size, (len(taken), x.size)
+
+
+@pytest.mark.parametrize("b", [2**48 + 1, 2**53 - 1])
+def test_bases_past_the_guard_settle_every_flagged_value_exactly(b, monkeypatch):
+    # above 2**48 the near-integer window of a significand near b can hold
+    # more than one integer; the window still flags, and _exact settles
+    x = boundary_corpus(b)
+    taken = count_exact(monkeypatch)
+    decompose_array(x, Base(b))
+    assert len(taken) >= 0.9 * x.size
+
+
+def test_base_7_settles_in_numpy_down_to_dbl_min(monkeypatch):
+    # 7**-364 is about 2.4e-308: its remainder to the double, unscaled,
+    # would underflow; scaled, every value above it settles in numpy
+    x = np.array(sorted({
+        y for k in range(-368, -355) for d in range(1, 7)
+        for y in _nudged(float(d * Fraction(7) ** k), 3)
+    }))
+    assert_matches_reference(x, 7)
+    taken = count_exact(monkeypatch)
+    decompose_array(x, Base(7))
+    assert 0 < max(taken) <= float(Fraction(7) ** -364) < 2.5e-308
+
+
+def test_unflagged_values_enter_no_settle_code(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("an unflagged value reached the settle code")
+
+    monkeypatch.setattr(significand, "_settle_flagged", forbidden)
+    monkeypatch.setattr(significand, "_exact", forbidden)
+    rng = np.random.default_rng(20)
+    x = np.exp(rng.uniform(-600.0, 600.0, 10_000))
+    for b in (3, 10, 1000):
+        decompose_array(x, Base(b))
+    decompose(123.456, Base(10))
+
+
+def test_few_flagged_values_settle_one_by_one(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("fewer than _SETTLE_MIN flagged values reached numpy")
+
+    monkeypatch.setattr(significand, "_settle_flagged", forbidden)
+    taken = count_exact(monkeypatch)
+    decompose(2.0, Base(10))  # sequence pow2's ratio check
+    x = np.concatenate([[300.0, 0.5, 1e-6] * 10, np.linspace(1.5, 2.5, 1000) + 1e-3])
+    decompose_array(x, Base(10))
+    assert len(taken) == 31 == significand._SETTLE_MIN - 1
+
+
+@st.composite
+def round_numbers(draw):
+    """(b, xs): a drawn base and values d * b**k of drawn digits and
+    exponents, correctly rounded, then moved up to 3 ulps."""
+    b = draw(st.sampled_from(SETTLE_BASES))
+    kmin, kmax = _exponent_range(b)
+    triples = st.tuples(st.integers(1, b - 1), st.integers(kmin, kmax), st.integers(-3, 3))
+    xs = []
+    for d, k, offset in draw(st.lists(triples, min_size=1, max_size=20)):
+        try:
+            x = float(d * Fraction(b) ** k)
+        except OverflowError:
+            x = DBL_MAX
+        for _ in range(abs(offset)):
+            x = math.nextafter(x, math.inf if offset > 0 else 0.0)
+        # out of range round numbers and steps past the ends stay at the ends
+        xs.append(min(max(x, 5e-324), DBL_MAX))
+    return b, np.array(xs)
+
+
+@settings(deadline=None)
+@given(round_numbers())
+def test_property_round_numbers_match_the_per_value_loop(bxs):
+    b, xs = bxs
+    with pytest.MonkeyPatch.context() as mp:
+        # any number of flagged values settles in numpy
+        mp.setattr(significand, "_SETTLE_MIN", 1)
+        assert_matches_reference(xs, b)
+        d = decompose_array(xs, Base(b))
+    for x, s, k in zip(xs.tolist(), d.significand.tolist(), d.exponent.tolist()):
+        assert_exact(x, b, s, k)
+
+
+@pytest.mark.parametrize("b", [6, 10, 208, 314, 416, 628, 1000])
+def test_round_numbers_on_an_inexact_scale_keep_their_digit(b, monkeypatch):
+    # 0.5 is exactly 157 * 314**-1, and 314**-1 is no double: v - d * b**k
+    # is zero, its rounded evaluation can land on either side of zero, and
+    # only the error bound sends such values to _exact
+    xs = []
+    for k in (-1, -2, -3):
+        for d in range(1, b):
+            q = d * Fraction(b) ** k
+            if q.denominator & (q.denominator - 1) == 0:
+                xs.append(float(q))
+    monkeypatch.setattr(significand, "_SETTLE_MIN", 1)
+    assert_matches_reference(np.array(xs), b)
