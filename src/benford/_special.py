@@ -6,7 +6,7 @@ integer shape it is a finite Poisson tail (Abramowitz & Stegun 26.4):
     Q(a, x) = [a half-integer] erfc(sqrt(x)) + sum_c x^c e^-x / Gamma(c + 1)
 
 over c = a - 1, a - 2, ... down to 0 or 1/2.  The sum starts at its
-largest term, whose log for c >= 30 is taken in Stirling form so that no
+largest term, whose log for c >= 20 is taken in Stirling form so that no
 O(c) quantities cancel; the other terms follow by the ratios c/x going
 down and x/(c + 1) going up.  Every term is positive, nothing cancels and
 nothing iterates to convergence.
@@ -24,8 +24,8 @@ __all__ = ["reg_gamma_upper", "chi2_sf"]
 
 
 def _log_term(c: float, x: float) -> float:
-    """ln(x^c e^-x / Gamma(c + 1)); x >= c when c >= 30."""
-    if c < 30.0:
+    """ln(x^c e^-x / Gamma(c + 1)); x >= c when c >= 20."""
+    if c < 20.0:
         return c * math.log(x) - x - math.lgamma(c + 1.0)
     t = (x - c) / c  # lambda - 1, lambda = x / c
     stirling = 1 / (12 * c) - 1 / (360 * c**3) + 1 / (1260 * c**5) - 1 / (1680 * c**7)

@@ -32,9 +32,9 @@ import numpy as np
 from .conformance import (
     ConformanceReport,
     SEQUENCE_KINDS,
-    _generate,
     _report,
     _usable_significands,
+    gen_sequence,
 )
 from .entropy import analyze_entropy
 from .errors import (
@@ -209,9 +209,14 @@ def parse_records(text: str) -> list[tuple]:
         rec: list = [name]
         for kind, tok in zip(kinds, values):
             try:
-                rec.append(_KIND_PARSERS[kind](tok))
+                value = _KIND_PARSERS[kind](tok)
             except (KeyError, ValueError):
-                raise DomainError(f"line {lineno}: bad {kind} field {tok!r}") from None
+                value = None
+            # a number must be in the form emit_records writes it: "5" and
+            # "1.5", not "05", "+5", "1_000", "1.50" or "NaN"
+            if value is None or kind in _KIND_FORMATS and _KIND_FORMATS[kind] % value != tok:
+                raise DomainError(f"line {lineno}: bad {kind} field {tok!r}")
+            rec.append(value)
         out.append(tuple(rec))
     return out
 
@@ -510,7 +515,7 @@ def _cmd_digits(args) -> list[tuple]:
 
 def _cmd_fit(args) -> list[tuple]:
     base = Base(args.base)
-    report = _report(*_usable_significands(_value_blocks(args), base))
+    report = _report(base, *_usable_significands(_value_blocks(args), base))
     return [
         ("param", "input", args.path),
         ("param", "input_format", args.input_format),
@@ -553,7 +558,7 @@ def _cmd_entropy(args) -> list[tuple]:
 
 def _cmd_sequence(args) -> list[tuple]:
     base = Base(args.base)
-    report = _report(_generate(args.kind, args.n, base, args.ratio), 0, 0)
+    report = _report(base, gen_sequence(args.kind, args.n, base, args.ratio), 0, 0)
     recs: list[tuple] = [("param", "kind", args.kind), ("param", "n", str(args.n))]
     if args.ratio is not None:
         recs.append(("param", "ratio", str(args.ratio)))

@@ -22,7 +22,6 @@ from .errors import DomainError, EmptyData, InsufficientData, NonPositiveInput, 
 from .nb_core import first_digit_probs
 from .significand import (
     Base,
-    SignificandArray,
     SignificandDecomposition,
     _exact_ratio,
     decompose,
@@ -136,15 +135,16 @@ def _slices(data: np.ndarray | Iterable[float]) -> Iterator[np.ndarray]:
 
 def _usable_significands(
     blocks: Iterable[np.ndarray], base: Base
-) -> tuple[SignificandArray, int, int]:
+) -> tuple[np.ndarray, int, int]:
     """Significands of the usable values of float64 blocks, with skip counts.
 
     Each block is filtered and decomposed on its own, and only its
     significands are kept; they are joined once, after the last block,
-    into a new array that the caller owns.  So the only full-length
-    arrays are the significands and their join.  No usable value in any
-    block is EmptyData, raised only once the blocks are exhausted, so an
-    error of whatever yields them comes first.
+    into a new float64 array that the caller owns and that shares no
+    memory with any block.  So the only full-length arrays are the
+    significands and their join.  No usable value in any block is
+    EmptyData, raised only once the blocks are exhausted, so an error of
+    whatever yields them comes first.
     """
     parts: list[np.ndarray] = []
     n_nonpos = n_nonfinite = 0
@@ -156,23 +156,23 @@ def _usable_significands(
             parts.append(decompose_array(usable, base).significand)
     if not parts:
         raise EmptyData("no usable entries after skipping nonpositive/nonfinite")
-    sig = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return SignificandArray(None, sig, base), n_nonpos, n_nonfinite
+    s = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return s, n_nonpos, n_nonfinite
 
 
-def _histogram(sig: SignificandArray) -> DigitHistogram:
-    """Digit counts, summed over slices of the significands.
+def _histogram(base: Base, s: np.ndarray) -> DigitHistogram:
+    """Digit counts, summed over slices of the significands s.
 
     A slice's digits are its significands' integer parts.  Each slice is
     at least b long, so its count array of length b costs no more than
     the slice does.
     """
-    s, b = sig.significand, sig.base.b
+    b = base.b
     step = max(_STAT_BLOCK, b)
     counts = np.zeros(b, dtype=np.int64)
     for start in range(0, s.size, step):
         counts += np.bincount(s[start : start + step].astype(np.int64), minlength=b)
-    return DigitHistogram(sig.base, counts[1:], s.size)
+    return DigitHistogram(base, counts[1:], s.size)
 
 
 def _ks(u: np.ndarray) -> float:
@@ -202,16 +202,15 @@ def _ks(u: np.ndarray) -> float:
     return float(max(d_plus, d_minus))
 
 
-def _log_ks(sig: SignificandArray) -> float:
+def _log_ks(base: Base, s: np.ndarray) -> float:
     """KS statistic of the log-mapped significands, u = ln s / ln b.
 
-    The log is taken in place, so sig's significand buffer, which the
-    caller owns, ends up holding the sorted u.
+    The log is taken in place, so s, a buffer the caller owns, ends up
+    holding the sorted u.
     """
-    u = sig.significand
-    np.log(u, out=u)
-    u /= sig.base.ln
-    return _ks(u)
+    np.log(s, out=s)
+    s /= base.ln
+    return _ks(s)
 
 
 def digit_histogram(
@@ -221,8 +220,8 @@ def digit_histogram(
 
     Returns (histogram, n_skipped_nonpositive, n_skipped_nonfinite).
     """
-    sig, n_nonpos, n_nonfinite = _usable_significands(_slices(data), base)
-    return _histogram(sig), n_nonpos, n_nonfinite
+    s, n_nonpos, n_nonfinite = _usable_significands(_slices(data), base)
+    return _histogram(base, s), n_nonpos, n_nonfinite
 
 
 def _sum(terms: np.ndarray) -> float:
@@ -257,7 +256,7 @@ def ks_uniform(data: np.ndarray | Iterable[float], base: Base) -> float:
     Exact sorted-sample form: max over i of max(i/n - u_(i), u_(i) - (i-1)/n).
     Nonpositive and nonfinite entries are skipped as in digit_histogram.
     """
-    return _log_ks(_usable_significands(_slices(data), base)[0])
+    return _log_ks(base, _usable_significands(_slices(data), base)[0])
 
 
 def tv_to_nb(hist: DigitHistogram) -> float:
@@ -278,26 +277,25 @@ def analyze(data: np.ndarray | Iterable[float], base: Base) -> ConformanceReport
     left as they are: the significands are a new array.  The CLI's ``fit``
     verb feeds the same fold the blocks its readers yield.
     """
-    return _report(*_usable_significands(_slices(data), base))
+    return _report(base, *_usable_significands(_slices(data), base))
 
 
-def _report(sig: SignificandArray, n_nonpos: int, n_nonfinite: int) -> ConformanceReport:
-    """Conformance statistics of values already decomposed, with their skip counts.
+def _report(base: Base, s: np.ndarray, n_nonpos: int, n_nonfinite: int) -> ConformanceReport:
+    """Conformance statistics of the significands s, with their skip counts.
 
-    The caller hands over sig's significand buffer: KS takes the log and
-    sorts in place there, so no other full-length array is made, and sig
-    holds no significands or digits afterwards.  Every caller owns that
-    buffer: ``analyze`` and the CLI's ``fit`` verb pass the significands
-    _usable_significands joined, and the ``sequence`` verb the generator's
-    output.
+    The caller hands over the float64 buffer s: KS takes the log and sorts
+    in place there, so no other full-length array is made, and s holds no
+    significands afterwards.  Every caller owns that buffer: ``analyze``
+    and the CLI's ``fit`` verb pass the significands _usable_significands
+    joined, and the ``sequence`` verb gen_sequence's output.
     """
-    hist = _histogram(sig)
+    hist = _histogram(base, s)
     stat, pvalue = chi_square(hist)
     return ConformanceReport(
         histogram=hist,
         chi_square=stat,
         chi_square_pvalue=pvalue,
-        ks_stat=_log_ks(sig),
+        ks_stat=_log_ks(base, s),
         tv_distance=tv_to_nb(hist),
         n_skipped_nonpositive=n_nonpos,
         n_skipped_nonfinite=n_nonfinite,
@@ -483,23 +481,15 @@ def _kernel(seq: _LogLinear, t0: int, sig: np.ndarray) -> None:
             sig[start + i] = _settle(seq, t0 + start + i)
 
 
-def _factorial(n: int, base: Base) -> SignificandArray:
-    """Significands of 1!, ..., n! by a carried product.
-
-    Factor i has exponent k_i, the count of powers b**j <= i with j >= 1,
-    and significand f_i = float(i) / float(b**k_i): both operands are
-    exact, so f_i is correctly rounded, as decompose_array gives it.
-    The product carries only a significand, divided by b while it is >= b.
+def _factorial(n: int, base: Base) -> np.ndarray:
+    """Significands of 1!, ..., n! by a carried product of the factors'
+    significands, which decompose_array gives; the product is divided by
+    b while it is >= b.
     """
     if n > _FACTORIAL_CAP:
         raise DomainError(f"factorial sequences are capped at n = {_FACTORIAL_CAP}")
     b = float(base.b)
-    powers = [base.b]
-    while powers[-1] * base.b <= n:
-        powers.append(powers[-1] * base.b)
-    i = np.arange(1, n + 1)
-    k = np.searchsorted(powers, i, side="right")
-    factors = i / np.array([1] + powers, dtype=np.float64)[k]
+    factors = decompose_array(np.arange(1.0, n + 1.0), base).significand
 
     def carry(s: float, f: float) -> float:
         s *= f
@@ -507,16 +497,15 @@ def _factorial(n: int, base: Base) -> SignificandArray:
             s /= b
         return s
 
-    sig = np.fromiter(itertools.accumulate(factors.tolist(), carry), np.float64, n)
-    return SignificandArray(None, sig, base)
+    return np.fromiter(itertools.accumulate(factors.tolist(), carry), np.float64, n)
 
 
-def _generate(kind: str, n: int, base: Base, ratio: float | None) -> SignificandArray:
-    """The significands in [1, b) of the first n terms, in a new array the
-    caller owns; ``exponent`` is None.
+def _generate(kind: str, n: int, base: Base, ratio: float | None) -> np.ndarray:
+    """The significands in [1, b) of the first n terms, in a new float64
+    array the caller owns.
 
     Every path leaves a significand in its term's exact digit cell, so
-    ``digit`` is its integer part; a factorial's is its carried product's.
+    the digit is its integer part; a factorial's is its carried product's.
     """
     if n < 1:
         raise DomainError(f"sequence length must be >= 1, got {n!r}")
@@ -539,8 +528,7 @@ def _generate(kind: str, n: int, base: Base, ratio: float | None) -> Significand
         if rational is not None:
             # r**y = b**k: term t has significand c**((t k) mod y), period y
             c, k, y = rational
-            sig = np.resize([float(c ** (t * k % y)) for t in range(1, y + 1)], n)
-            return SignificandArray(None, sig, base)
+            return np.resize([float(c ** (t * k % y)) for t in range(1, y + 1)], n)
         seq = _LogLinear.of(base, r)
     sig = np.empty(n)
     if head:
@@ -548,7 +536,7 @@ def _generate(kind: str, n: int, base: Base, ratio: float | None) -> Significand
         sig[:head] = decompose_array(fib, base).significand
     if n > head:
         _kernel(seq, head + 1, sig[head:])
-    return SignificandArray(None, sig, base)
+    return sig
 
 
 def _exponents(kind: str, sig: np.ndarray, base: Base, ratio: float | None) -> np.ndarray:
@@ -585,7 +573,7 @@ def gen_sequence_terms(
     large powers cannot overflow; only the significand matters for digit
     statistics anyway; _exponents reads each exponent off the logarithms.
     """
-    sig = _generate(kind, n, base, ratio).significand
+    sig = _generate(kind, n, base, ratio)
     exps = _exponents(kind, sig, base, ratio)
     return [SignificandDecomposition(s, e, base) for s, e in zip(sig.tolist(), exps.tolist())]
 
@@ -593,5 +581,6 @@ def gen_sequence_terms(
 def gen_sequence(
     kind: str, n: int, base: Base, ratio: float | None = None
 ) -> np.ndarray:
-    """Significands of the first n sequence terms; see gen_sequence_terms."""
-    return _generate(kind, n, base, ratio).significand
+    """Significands of the first n sequence terms, in a new float64 array
+    the caller owns; see gen_sequence_terms."""
+    return _generate(kind, n, base, ratio)

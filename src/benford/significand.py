@@ -180,11 +180,12 @@ class SignificandArray:
     """Elementwise decomposition of an array: ``significand * b**exponent``.
 
     Every significand lies in its value's exact digit cell [d, d + 1), so
-    the exact leading digit is its integer part, ``digit``.  The sequence
-    generator and ``fit``'s fold leave ``exponent`` None.
+    the exact leading digit is its integer part, ``digit``.  Only
+    :func:`decompose_array` builds one; code that needs the significands
+    alone passes the bare float64 array.
     """
 
-    exponent: np.ndarray | None  # int64
+    exponent: np.ndarray  # int64
     significand: np.ndarray  # float64
     base: Base
 
@@ -219,9 +220,12 @@ def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:
       exceeds the loop's.
 
     An array with no flagged value runs neither.  The significands are a
-    new array, never a view of ``values``.
+    new array, never a view of ``values``.  An input that is not 1-d is a
+    DomainError.
     """
     v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise DomainError(f"expected a 1-d array, got {v.ndim} dimensions")
     ok = (v > 0.0) & (v < math.inf)
     if not ok.all():
         bad = float(v[~ok][0])

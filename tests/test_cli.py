@@ -1362,7 +1362,21 @@ class TestRecordsFormat:
             parse_records("bogus 1 2\n")
 
     @pytest.mark.parametrize(
-        "text", ["total x", "chi_square 1.2.3", "constraint_met maybe"], ids=["int", "float", "bool"]
+        "text",
+        [
+            "total x",
+            "chi_square 1.2.3",
+            "constraint_met maybe",
+            # tokens that parse but would re-emit as other bytes
+            "total 1_000",
+            "total +5",
+            "total 05",
+            "chi_square 1.50",
+            "chi_square NaN",
+            "total 5\r",
+        ],
+        ids=["int", "float", "bool", "int-underscore", "int-plus", "int-leading-zero",
+             "float-trailing-zero", "float-NaN", "int-carriage-return"],
     )
     def test_parse_rejects_malformed_fields_with_their_line(self, text):
         with pytest.raises(DomainError, match="^line 2: bad "):

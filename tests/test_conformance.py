@@ -251,7 +251,7 @@ class TestStatisticBlocks:
     def test_blocked_histogram_matches_bincount(self, b, n):
         sig = decompose_array(sample_nb(n, Base(b), seed=n + b), Base(b))
         expected = np.bincount(sig.significand.astype(np.int64), minlength=b)[1:]
-        hist = conformance._histogram(sig)
+        hist = conformance._histogram(Base(b), sig.significand)
         assert np.array_equal(hist.counts, expected)
         assert hist.total == n
 
@@ -403,7 +403,7 @@ class TestRatioRule:
         assert [(t.significand, t.exponent) for t in terms] == [
             (2.0 ** (-1074 * t % 4), -1074 * t // 4) for t in range(1, 9)
         ]
-        digits = conformance._generate("geometric", 8, Base(16), 5e-324).digit
+        digits = conformance._generate("geometric", 8, Base(16), 5e-324).astype(np.int64)
         assert digits.tolist() == [4, 1] * 4
 
     @pytest.mark.parametrize("b", [7, 786432])
@@ -411,9 +411,9 @@ class TestRatioRule:
         # (1 - 2**-53)**t = b**-1 * b (1 - 2**-53)**t: digit b - 1 for t << 2**53
         ratio = math.nextafter(1.0, 0.0)
         terms = conformance._generate("geometric", 1000, Base(b), ratio)
-        exps = conformance._exponents("geometric", terms.significand, Base(b), ratio)
-        assert (terms.digit == b - 1).all() and (exps == -1).all()
-        assert (terms.significand < b).all()
+        exps = conformance._exponents("geometric", terms, Base(b), ratio)
+        assert (terms.astype(np.int64) == b - 1).all() and (exps == -1).all()
+        assert (terms < b).all()
 
 
 class TestAnalyze:
@@ -603,7 +603,7 @@ class TestSequenceExactness:
         n = 10**6
         # the arrays behind gen_sequence_terms, without 10**6 objects
         terms = conformance._generate(kind, n, Base(b), ratio)
-        sig, digits = terms.significand, terms.digit
+        sig, digits = terms, terms.astype(np.int64)
         exps = conformance._exponents(kind, sig, Base(b), ratio)
         assert np.array_equal(sig, gen_sequence(kind, n, Base(b), ratio=ratio))
         rng = np.random.default_rng(b)
@@ -703,10 +703,10 @@ class TestSequenceExactness:
             wraps.append(w)
         exps = np.cumsum(factors.exponent + np.array(wraps, dtype=np.uint8))
         terms = conformance._generate("factorial", n, base, None)
-        assert terms.significand.tobytes() == np.array(sig).tobytes()
-        got = conformance._exponents("factorial", terms.significand, base, None)
+        assert terms.tobytes() == np.array(sig).tobytes()
+        got = conformance._exponents("factorial", terms, base, None)
         assert got.dtype == exps.dtype and np.array_equal(got, exps)
-        assert gen_sequence("factorial", n, base).tobytes() == terms.significand.tobytes()
+        assert gen_sequence("factorial", n, base).tobytes() == terms.tobytes()
 
     def test_exponents_round_exactly_at_the_extreme_ratios(self):
         # the rounded quotient errs most where t |ln r| / ln b is largest;
@@ -714,12 +714,12 @@ class TestSequenceExactness:
         n = 10**6
         t = np.arange(1, n + 1, dtype=np.int64)
         dbl_max = math.ldexp(2.0 - 2.0**-52, 1023)
-        sig2 = conformance._generate("geometric", n, Base(2), dbl_max).significand
+        sig2 = conformance._generate("geometric", n, Base(2), dbl_max)
         # in base 2**53 the terms' significands are sig2 * 2**((1024 t - 1) mod 53),
         # scaled exactly here: the generator would settle a fifth of them one by
         # one, as every s above 3e13 lies within its flag window of an integer
         sig53 = sig2 * 2.0 ** ((1024 * t - 1) % 53)
-        tiny = conformance._generate("geometric", n, Base(2**53), 5e-324).significand
+        tiny = conformance._generate("geometric", n, Base(2**53), 5e-324)
         for b, ratio, sig, want in [
             (2, dbl_max, sig2, 1024 * t - 1),
             (2**53, dbl_max, sig53, (1024 * t - 1) // 53),
@@ -727,7 +727,7 @@ class TestSequenceExactness:
         ]:
             exps = conformance._exponents("geometric", sig, Base(b), ratio)
             assert np.array_equal(exps, want), (b, ratio)
-        sig = conformance._generate("geometric", n, Base(3), dbl_max).significand
+        sig = conformance._generate("geometric", n, Base(3), dbl_max)
         exps = conformance._exponents("geometric", sig, Base(3), dbl_max)
         picks = sorted(set(np.random.default_rng(3).integers(1, n, 200).tolist()) | {1, n})
         with localcontext() as ctx:
@@ -769,11 +769,45 @@ class TestSequenceCost:
         # the generator's significands, 8 bytes per term; the digits, log
         # map and KS differences live in cache-sized blocks
         n = 10**6
-        conformance._report(conformance._generate("pow2", 1000, B10, None), 0, 0)
+        conformance._report(B10, conformance._generate("pow2", 1000, B10, None), 0, 0)
         tracemalloc.start()
         try:
-            conformance._report(conformance._generate("pow2", n, B10, None), 0, 0)
+            conformance._report(B10, conformance._generate("pow2", n, B10, None), 0, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 12 * n
+
+
+class TestBufferOwnership:
+    # _report takes the log of the significands it is given and sorts them
+    # in place, so every producer must hand over a buffer of its own
+
+    @pytest.mark.parametrize(
+        "kind, n, b, ratio",
+        [
+            ("pow2", 1000, 10, None),  # the kernel
+            ("geometric", 1000, 8, 4.0),  # log_8 4 = 2/3: the closed form
+            ("fibonacci", conformance._FIB_EXACT, 10, None),  # exact terms only
+            ("fibonacci", 1000, 10, None),  # exact terms, then the kernel
+            ("factorial", 1000, 10, None),
+        ],
+    )
+    def test_every_sequence_call_returns_a_new_writeable_buffer(self, kind, n, b, ratio):
+        first = gen_sequence(kind, n, Base(b), ratio)
+        second = gen_sequence(kind, n, Base(b), ratio)
+        for sig in (first, second):
+            assert sig.dtype == np.float64 and sig.shape == (n,) and sig.flags.writeable
+        assert not np.shares_memory(first, second)
+        want = second.tobytes()
+        conformance._report(Base(b), first, 0, 0)
+        assert second.tobytes() == want
+        assert gen_sequence(kind, n, Base(b), ratio).tobytes() == want
+
+    @pytest.mark.parametrize("b", [10, 16])
+    def test_usable_significands_of_one_clean_block_are_a_new_array(self, b):
+        # nothing is skipped, so the block itself goes to decompose_array
+        block = sample_nb(1000, Base(b), seed=b)
+        s, n_nonpos, n_nonfinite = conformance._usable_significands([block], Base(b))
+        assert (n_nonpos, n_nonfinite) == (0, 0)
+        assert s.dtype == np.float64 and not np.shares_memory(s, block)

@@ -55,6 +55,14 @@ class TestDecompose:
             with pytest.raises(NonPositiveInput):
                 decompose(bad, base)
 
+    @pytest.mark.parametrize("b", [10, 16])
+    @pytest.mark.parametrize(
+        "x", [np.array([[1.0, 2.5], [3.5, 4.5]]), np.array(3.5)], ids=["2-d", "0-d"]
+    )
+    def test_array_form_rejects_shapes_other_than_1d(self, x, b):
+        with pytest.raises(DomainError, match="1-d"):
+            decompose_array(x, Base(b))
+
     def test_exact_powers_decompose_exactly(self):
         # float(b)**k is b**k rounded: at or above b**k it decomposes to
         # significand 1.0 and exponent k; below it, to digit b-1 at k-1
