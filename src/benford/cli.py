@@ -24,7 +24,11 @@ import json.scanner
 import math
 import os
 import re
+import signal
+import stat
+import struct
 import sys
+import threading
 from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -187,12 +191,14 @@ def parse_records(text: str) -> list[tuple]:
 
     Inverse of emit_records: re-emitting the parse reproduces the input
     byte for byte.  Records end at "\n" alone, so a field keeps any other
-    character, such as U+0085 or U+2028 in a column name.
+    character, such as U+0085 or U+2028 in a column name; a blank line, or
+    text after the last "\n", is no record.
     """
     out: list[tuple] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    *lines, last = text.split("\n")
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
-            continue
+            raise DomainError(f"line {lineno}: blank line")
         tokens = line.split(" ")
         name = tokens[0]
         kinds = _RECORD_FIELDS.get(name)
@@ -218,6 +224,8 @@ def parse_records(text: str) -> list[tuple]:
                 raise DomainError(f"line {lineno}: bad {kind} field {tok!r}")
             rec.append(value)
         out.append(tuple(rec))
+    if last:
+        raise DomainError(f"line {len(lines) + 1}: no newline at the end")
     return out
 
 
@@ -273,7 +281,7 @@ _CSV_UNSAFE = b'"\x00\x1c\x1d\x1e\x1f'
 
 
 def _read_csv_blocks(
-    fh, path: str, column: str
+    fh, path: str, column: str, split: int | None = None, rest=None
 ) -> Generator[np.ndarray, None, tuple[int | None, int]]:
     """Yield the column's values a block at a time, parsed by comma
     splitting, for as long as csv.reader provably splits every line of
@@ -291,14 +299,28 @@ def _read_csv_blocks(
     Returns the column index and the number of lines parsed; when that is
     0 the index means nothing. The first block that does not qualify
     stops the reader, and ``fh`` is left at its first byte, a line
-    boundary from which csv.reader reads the rest.
+    boundary from which csv.reader reads the rest. Without ``split``,
+    the reader seeks only there.
+
+    With ``split``, a line boundary of the file, the reader reads no byte
+    past it until every line before it is parsed. Then ``rest()`` gives
+    the lines from there to EOF as an _Answer, whose values it yields,
+    leaving ``fh`` at EOF; or None, and the reader reads on.
     """
     limit = csv.field_size_limit()
     ncols = idx = None
     nlines = start = 0  # lines and bytes parsed
     tail = b""
     while True:
-        chunk = fh.read(_CSV_BLOCK)
+        if start == split:
+            answer = rest()
+            if answer is not None:
+                yield from answer.blocks
+                fh.seek(0, os.SEEK_END)
+                return idx, nlines
+            split = None
+        # a block read up to the split ends with its newline, so tail is empty there
+        chunk = fh.read(_CSV_BLOCK if split is None else min(_CSV_BLOCK, split - start - len(tail)))
         if not chunk:
             if not tail:
                 return idx, nlines
@@ -341,11 +363,12 @@ def _read_csv_blocks(
     return idx, nlines
 
 
-def _read_csv(path: str, column: str) -> Iterator[np.ndarray]:
+def _read_csv(path: str, column: str, split: int | None = None, rest=None) -> Iterator[np.ndarray]:
     """The column's values as float64 blocks: the block reader's, then
-    csv.reader's, _CHUNK_ROWS rows at a time, from the line it stopped at."""
+    csv.reader's, _CHUNK_ROWS rows at a time, from the line it stopped at.
+    ``split`` and ``rest`` go to the block reader."""
     with open(path, "rb") as fh:
-        idx, nlines = yield from _read_csv_blocks(fh, path, column)
+        idx, nlines = yield from _read_csv_blocks(fh, path, column, split, rest)
         reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
         try:
             if nlines:
@@ -385,19 +408,50 @@ def _json_int(text: str) -> float:
 _SCAN = json.scanner.make_scanner(json.JSONDecoder(parse_int=_json_int))
 
 
-def _read_jsonl(path: str, column: str) -> Iterator[np.ndarray]:
+def _lines(fh) -> io.TextIOWrapper:
     # a record ends at "\n" alone, as in JSON Lines and parse_records
-    with open(path, encoding="utf-8", newline="\n") as fh:
+    return io.TextIOWrapper(fh, encoding="utf-8", newline="\n")
+
+
+def _read_jsonl(path: str, column: str, split: int | None = None, rest=None) -> Iterator[np.ndarray]:
+    """The values of _parse_jsonl. With ``split``, a line boundary of the
+    file, the lines before it are read first; then ``rest()`` gives the
+    lines from there to EOF as an _Answer, or None, and they are read."""
+    with open(path, "rb") as fh:
         try:
-            yield from _parse_jsonl(fh, path, column)
+            if split is None:
+                yield from _parse_jsonl(_lines(fh), path, column)
+                return
+            seen, some = yield from _jsonl_blocks(_lines(io.BufferedReader(_Upto(fh, split))), column)
+            answer = rest()
+            if answer is None:
+                more = yield from _jsonl_blocks(_lines(fh), column)
+            else:
+                yield from answer.blocks
+                more = answer.seen, answer.some
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
+    _check_field(seen or more[0], some or more[1], path, column)
 
 
 def _parse_jsonl(lines: Iterable[str], path: str, column: str) -> Iterator[np.ndarray]:
     """One float per non-blank line, as float64 blocks of _CHUNK_ROWS lines:
     the ``column`` field of a line that is exactly one JSON object, else
     NaN."""
+    seen, some = yield from _jsonl_blocks(lines, column)
+    _check_field(seen, some, path, column)
+
+
+def _check_field(seen: bool, some: bool, path: str, column: str) -> None:
+    if some and not seen:
+        raise IngestError(f"{path}: no field named {column!r} in any record")
+
+
+def _jsonl_blocks(
+    lines: Iterable[str], column: str
+) -> Generator[np.ndarray, None, tuple[bool, bool]]:
+    """_parse_jsonl's blocks; returns whether a line had the field, and
+    whether there was a non-blank line."""
     lines = iter(lines)
     seen = some = False
     while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
@@ -429,14 +483,181 @@ def _parse_jsonl(lines: Iterable[str], path: str, column: str) -> Iterator[np.nd
                 values.append(math.nan)
         some = some or bool(values)
         yield np.array(values, dtype=np.float64)
-    if some and not seen:
-        raise IngestError(f"{path}: no field named {column!r} in any record")
+    return seen, some
+
+
+# A regular file of at least this many bytes is read in two halves at
+# once, the second by a forked child; see _split_read.
+_SPLIT_BYTES = 1 << 20
+
+
+def _split_at(path: str) -> int | None:
+    """The offset just past the first newline from the middle of the file
+    on, where _split_read splits it; None where the file is read in one
+    piece. That is a file under _SPLIT_BYTES, one whose size is not known
+    (stdin, a pipe), one with no newline in its second half, or any file
+    where os.fork is missing or other threads run, since a child forked
+    from them could deadlock."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    try:
+        info = os.stat(path)  # opens no pipe, which would take its writer's data
+        if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_BYTES:
+            return None
+        with open(path, "rb") as fh:
+            pos = fh.seek(info.st_size // 2)
+            while chunk := fh.read(1 << 16):
+                if (i := chunk.find(b"\n")) >= 0:
+                    return pos + i + 1 if pos + i + 1 < info.st_size else None
+                pos += len(chunk)
+    except OSError:
+        pass  # the reader raises it
+    return None
+
+
+class _Upto(io.RawIOBase):
+    """A binary file, read from where it stands up to the offset ``stop``,
+    where it ends."""
+
+    def __init__(self, fh, stop: int) -> None:
+        self.fh, self.left = fh, stop - fh.tell()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self.fh.readinto(memoryview(buf)[: self.left])
+        self.left -= n
+        return n
+
+
+class _HeaderThen:
+    """A CSV file's header line, then the file from where it stands: what
+    the child's block reader reads. The block reader seeks only where it
+    stops, so a seek marks a half it declined."""
+
+    def __init__(self, head: bytes, fh) -> None:
+        self.head, self.fh, self.stopped = head, fh, False
+
+    def read(self, n: int) -> bytes:
+        head, self.head = self.head, b""
+        return head or self.fh.read(n)
+
+    def seek(self, pos: int) -> None:
+        self.stopped = True
+
+
+class _Answer(NamedTuple):
+    """The child's values, _CHUNK_ROWS at a time, and its JSONL flags."""
+
+    blocks: Iterator[np.ndarray]
+    seen: bool
+    some: bool
+
+
+# the child's "ok": its JSONL seen and some flags and its number of values,
+# which follow as float64 bytes; it declines by writing nothing
+_OK = struct.Struct("=??q")
+
+
+def _collect(gen: Generator) -> tuple[list, object]:
+    """A generator's items, and what it returns."""
+    items = []
+    while True:
+        try:
+            items.append(next(gen))
+        except StopIteration as stop:
+            return items, stop.value
+
+
+def _answer(out: int, path: str, column: str, csv_format: bool, split: int) -> None:
+    """The child's side of _split_read: the values of the lines from
+    ``split`` to EOF, through the readers' fast paths, written to the pipe
+    ``out`` after _OK; nothing if the fast path declines a block, and an
+    error of any kind escapes to the caller."""
+    with open(path, "rb") as fh:
+        if csv_format:
+            head = fh.readline(_CSV_BLOCK)  # the block reader needs the header first
+            if not head.endswith(b"\n"):
+                return
+            fh.seek(split)
+            view = _HeaderThen(head, fh)
+            blocks = list(_read_csv_blocks(view, path, column))
+            if view.stopped:
+                return
+            seen = some = True
+        else:
+            fh.seek(split)
+            blocks, (seen, some) = _collect(_jsonl_blocks(_lines(fh), column))
+    with open(out, "wb") as pipe:
+        pipe.write(_OK.pack(seen, some, sum(b.size for b in blocks)))
+        for b in blocks:
+            pipe.write(b)
+
+
+def _received(pipe, n: int) -> Iterator[np.ndarray]:
+    """The child's n values, read from the pipe _CHUNK_ROWS at a time."""
+    for start in range(0, n, _CHUNK_ROWS):
+        block = np.empty(min(_CHUNK_ROWS, n - start))
+        if pipe.readinto(block) < block.nbytes:
+            raise OSError("the reader of the file's second half ended early")
+        yield block
+
+
+def _take(pipe) -> _Answer | None:
+    """The child's answer, waited for; None if it declined."""
+    ok = pipe.read(_OK.size)
+    if len(ok) < _OK.size:
+        return None
+    seen, some, n = _OK.unpack(ok)
+    return _Answer(_received(pipe, n), seen, some)
+
+
+def _split_read(path: str, column: str, csv_format: bool, split: int) -> Iterator[np.ndarray]:
+    """The column's blocks as the reader yields them, its lines from
+    ``split`` on parsed meanwhile by a forked child.
+
+    The parent reads the lines before ``split`` with the reader. It takes
+    the child's values only if its own fast path reached ``split`` and the
+    child's did not decline; otherwise it reads on from ``split`` itself,
+    so every error and line number is the reader's. The child leaves only
+    by os._exit: it flushes no stdio and runs no atexit hook. The parent
+    reaps it, killed if need be, however the blocks end.
+    """
+    read = _read_csv if csv_format else _read_jsonl
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: read in one piece
+        os.close(r)
+        os.close(w)
+        yield from read(path, column)
+        return
+    if pid == 0:
+        try:
+            os.close(r)
+            _answer(w, path, column, csv_format, split)
+        finally:
+            os._exit(0)
+    os.close(w)
+    pipe = open(r, "rb")
+    try:
+        yield from read(path, column, split, functools.partial(_take, pipe))
+    finally:
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)  # a child that has exited stays a zombie until reaped
+        os.waitpid(pid, 0)
 
 
 def _value_blocks(args) -> Iterator[np.ndarray]:
     """``fit``'s column as float64 blocks in file order, magnitudes with
     --absolute-value; no reader holds the whole column."""
-    blocks = (_read_csv if args.input_format == "csv" else _read_jsonl)(args.path, args.column)
+    csv_format = args.input_format == "csv"
+    split = _split_at(args.path)
+    if split is None:
+        blocks = (_read_csv if csv_format else _read_jsonl)(args.path, args.column)
+    else:
+        blocks = _split_read(args.path, args.column, csv_format, split)
     return map(np.abs, blocks) if args.absolute_value else blocks
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -330,7 +331,7 @@ def outcome(read, *args):
         return type(exc).__name__, str(exc)
 
 
-def _decline(fh, path, column):
+def _decline(fh, path, column, split=None, rest=None):
     """A block reader that parses no line."""
     return None, 0
     yield
@@ -620,6 +621,48 @@ class TestJsonlScanner:
         assert got.tobytes() == want.tobytes()
 
 
+def _main(argv):
+    """main's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def split_reads(split=True):
+    """Every ``fit`` file read in two halves, or in one piece. Yields a log
+    of the forks and of the child's answers the parent waited for."""
+    log = []
+    fork, take = os.fork, cli._take
+
+    def spy_fork():
+        log.append("fork")
+        return fork()
+
+    def spy_take(pipe):
+        answer = take(pipe)
+        log.append("declined" if answer is None else "ok")
+        return answer
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_SPLIT_BYTES", 1 if split else 1 << 62)
+        mp.setattr(os, "fork", spy_fork)
+        mp.setattr(cli, "_take", spy_take)
+        yield log
+
+
+def _split_and_sequential(argv):
+    """main's outcome with the file read in two halves, and in one piece,
+    and the log of the split read."""
+    with split_reads() as log:
+        got = _main(argv)
+    with split_reads(False) as none:
+        want = _main(argv)
+    assert none == []
+    return got, want, log
+
+
 def _streamed_inputs():
     """Files of about 20,000 rows, larger than one default CSV block, whose
     CSV ones stop the block reader after row 15,000, so that csv.reader
@@ -654,6 +697,18 @@ class TestStreamedFit:
                 mp.setattr(cli, "_CSV_BLOCK", 64)
                 mp.setattr(cli, "_CHUNK_ROWS", 3)
             yield
+
+    @pytest.mark.parametrize("name", sorted(_streamed_inputs()))
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_split_read_matches_the_sequential_one(self, tmp_path, name, tiny):
+        f = tmp_path / name
+        f.write_bytes(_streamed_inputs()[name])
+        argv = _fit_argv(f)
+        with self.sizes(tiny):
+            got, want, log = _split_and_sequential(argv)
+        assert got == want and got[0] == 0
+        # the CSV files stop the child's fast path at row 15,000 of 20,000
+        assert log == (["fork", "ok"] if name.endswith(".jsonl") else ["fork", "declined"])
 
     @pytest.mark.parametrize("name", sorted(_streamed_inputs()))
     @pytest.mark.parametrize("extra", [(), ("--absolute-value",), ("--base", "16")])
@@ -714,15 +769,148 @@ class TestStreamedFit:
         ],
     )
     @pytest.mark.parametrize("tiny", [False, True])
-    def test_errors_keep_their_precedence(self, capsys, tmp_path, name, body, message, tiny):
+    def test_errors_keep_their_precedence(self, tmp_path, name, body, message, tiny):
         # a reader's error comes before the fold's EmptyData, and the
-        # blocks folded before it print nothing
+        # blocks folded before it print nothing, whether or not the file
+        # is read in two halves
         f = tmp_path / name
         f.write_bytes(body)
         with self.sizes(tiny):
-            code, out, err = run(capsys, *_fit_argv(f))
+            (code, out, err), want, _ = _split_and_sequential(_fit_argv(f))
+        assert (code, out, err) == want
         assert (code, out) == (3, "")
         assert message in err and "Traceback" not in err
+
+
+def _two_halves(fmt: str, defect: str, where: str) -> bytes:
+    """A file of 4,000 rows, with a defect in the row a quarter or three
+    quarters of the way in: a quote, a lone carriage return, a byte that
+    is not UTF-8, or none."""
+    cells = [repr(v) for v in sample_nb(4000, Base(10), seed=5).tolist()]
+    if fmt == "csv":
+        lines = [b"id,a"] + [b"%d,%s" % (i, c.encode()) for i, c in enumerate(cells)]
+    else:
+        lines = [b'{"id": %d, "a": %s}' % (i, c.encode()) for i, c in enumerate(cells)]
+    i = len(lines) // 4 if where == "first" else 3 * len(lines) // 4
+    if defect == "quote":
+        lines[i] = b'%d,"%s"' % (i, cells[i].encode())  # "1.5" reads as 1.5
+    elif defect == "lone_cr":
+        lines[i] += b"\r" + lines[i]  # a line end for csv.reader
+    elif defect == "latin1":
+        lines[i] = lines[i].replace(b"id", b"\xe9d") if fmt == "jsonl" else lines[i] + b"\xe9"
+    return b"\n".join(lines) + b"\n"
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitRead:
+    """A file read in two halves, the second by a forked child, gives what
+    the sequential read gives, to the byte, and leaves no child behind."""
+
+    @pytest.mark.parametrize(
+        "fmt, defect, where, log",
+        [
+            ("csv", None, None, ["fork", "ok"]),
+            ("jsonl", None, None, ["fork", "ok"]),
+            # the child declines, and the parent reads on from the split
+            ("csv", "quote", "second", ["fork", "declined"]),
+            ("csv", "lone_cr", "second", ["fork", "declined"]),
+            ("csv", "latin1", "second", ["fork", "declined"]),
+            ("jsonl", "latin1", "second", ["fork", "declined"]),
+            # the parent's fast path stops, or it raises, before the split
+            ("csv", "quote", "first", ["fork"]),
+            ("csv", "lone_cr", "first", ["fork"]),
+            ("csv", "latin1", "first", ["fork"]),
+            ("jsonl", "latin1", "first", ["fork"]),
+        ],
+    )
+    @pytest.mark.parametrize("extra", [(), ("--absolute-value", "--base", "16")])
+    def test_matches_the_sequential_read(self, tmp_path, fmt, defect, where, log, extra):
+        f = tmp_path / f"halves.{fmt}"
+        f.write_bytes(_two_halves(fmt, defect, where))
+        got, want, seen = _split_and_sequential(_fit_argv(f, *extra))
+        assert got == want
+        assert seen == log
+        assert got[0] == (3 if defect == "latin1" else 0), got[2]
+        _assert_no_child()
+
+    @pytest.mark.parametrize(
+        "first, second, code",
+        [
+            (('{"b": 1.5}', 3000), ('{"a": 2.5}', 1000), 0),  # the field only in the child's half
+            (('{"a": 2.5}', 1000), ('{"b": 1.5}', 3000), 0),  # only in the parent's
+            (("   ", 6000), ('{"b": 1.5}', 1000), 3),  # no field, and non-blank lines only in the child's
+        ],
+        ids=["child-half", "parent-half", "no-field"],
+    )
+    def test_jsonl_field_flags_join_both_halves(self, tmp_path, first, second, code):
+        # the file's middle lies in the lines of ``first``
+        f = tmp_path / "flags.jsonl"
+        f.write_text("\n".join([first[0]] * first[1] + [second[0]] * second[1]) + "\n", encoding="utf-8")
+        got, want, log = _split_and_sequential(_fit_argv(f))
+        assert got == want and got[0] == code, got[2]
+        assert log == ["fork", "ok"]
+
+    def test_boundary_corpus_values_are_bit_identical(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "golden", "boundary.csv")
+        args = cli.build_parser().parse_args(["fit", path, "--column", "amount"])
+        with split_reads() as log:
+            got = joined(cli._value_blocks(args))
+        assert log == ["fork", "ok"]
+        with split_reads(False):
+            want = joined(cli._value_blocks(args))
+        assert got.size == want.size > 5000
+        assert got.tobytes() == want.tobytes()
+        _assert_no_child()
+
+    def test_child_values_come_in_chunks(self, tmp_path, monkeypatch):
+        f = tmp_path / "halves.csv"
+        f.write_bytes(_two_halves("csv", None, None))
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+        args = cli.build_parser().parse_args(_fit_argv(f))
+        with split_reads() as log:
+            sizes = [b.size for b in cli._value_blocks(args)]
+        assert log == ["fork", "ok"]
+        # the parent's half in file blocks, the child's in chunks of 7 values
+        assert max(sizes[-100:]) == 7 and sum(sizes) == 4000
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("extra", [(), ("--absolute-value",)])
+    def test_a_dropped_reader_reaps_its_child(self, tmp_path, fmt, extra):
+        f = tmp_path / f"halves.{fmt}"
+        f.write_bytes(_two_halves(fmt, None, None))
+        args = cli.build_parser().parse_args(_fit_argv(f, *extra))
+        with split_reads() as log:
+            blocks = cli._value_blocks(args)
+            assert next(blocks).size
+            if not extra:
+                blocks.close()  # as a consumer that stops early does
+            del blocks  # --absolute-value's map over the reader is dropped
+        assert log == ["fork"]
+        _assert_no_child()
+
+    def test_small_files_pipes_and_threads_read_in_one_piece(self, tmp_path):
+        f = tmp_path / "halves.csv"
+        f.write_bytes(_two_halves("csv", None, None))
+        assert cli._split_at(str(f)) is None  # under _SPLIT_BYTES
+        with split_reads():
+            assert cli._split_at(str(f)) == f.read_bytes().index(b"\n", f.stat().st_size // 2) + 1
+            os.mkfifo(tmp_path / "fifo")
+            assert cli._split_at(str(tmp_path / "fifo")) is None
+            assert cli._split_at(str(tmp_path / "missing")) is None
+            (tmp_path / "one_line").write_bytes(b"a" * 100 + b"\n")
+            assert cli._split_at(str(tmp_path / "one_line")) is None
+            stop = threading.Event()
+            thread = threading.Thread(target=stop.wait)
+            thread.start()
+            try:
+                assert cli._split_at(str(f)) is None
+            finally:
+                stop.set()
+                thread.join()
 
 
 _CSV_HEADER = st.lists(
@@ -782,37 +970,52 @@ def _assert_records_round_trip(argv, code, out):
         assert emit_records(parse_records(out)) == out, argv
 
 
+def _draw_fit_argv(data, tmp_path) -> list[str]:
+    """A ``fit`` call on a drawn file, written to tmp_path."""
+    column = data.draw(_FIT_COLUMNS, label="column")
+    fmt, other = data.draw(st.sampled_from([("csv", "jsonl"), ("jsonl", "csv")]))
+    body = data.draw(_fit_file(column, fmt == "csv"), label="file")
+    f = tmp_path / "input"
+    f.write_bytes(body)
+    argv = ["fit", str(f), "--column", column]
+    read_as = data.draw(st.sampled_from([fmt, fmt, fmt, other]), label="read as")
+    if read_as == "jsonl" or data.draw(st.booleans(), label="explicit csv"):
+        argv += ["--input-format", read_as]
+    if data.draw(st.booleans(), label="absolute value"):
+        argv.append("--absolute-value")
+    if data.draw(st.booleans(), label="with base"):
+        base = st.sampled_from([2, 3, 10, 16, 1000]) | st.integers(-1, 40)
+        argv += ["--base", str(data.draw(base, label="base"))]
+    return argv + ["--format", "records"]
+
+
+_FUZZ_SETTINGS = settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
 class TestFitFuzz:
-    @settings(
-        deadline=None, max_examples=250,
-        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
-    )
+    @settings(_FUZZ_SETTINGS, max_examples=250)
     @given(data=st.data(), block=st.integers(16, 64))
     def test_exit_codes(self, tmp_path, monkeypatch, data, block):
         # blocks this small put the seam between the block reader and
         # csv.reader anywhere in the file
         monkeypatch.setattr(cli, "_CSV_BLOCK", block)
-        column = data.draw(_FIT_COLUMNS, label="column")
-        fmt, other = data.draw(st.sampled_from([("csv", "jsonl"), ("jsonl", "csv")]))
-        body = data.draw(_fit_file(column, fmt == "csv"), label="file")
-        f = tmp_path / "input"
-        f.write_bytes(body)
-        argv = ["fit", str(f), "--column", column]
-        read_as = data.draw(st.sampled_from([fmt, fmt, fmt, other]), label="read as")
-        if read_as == "jsonl" or data.draw(st.booleans(), label="explicit csv"):
-            argv += ["--input-format", read_as]
-        if data.draw(st.booleans(), label="absolute value"):
-            argv.append("--absolute-value")
-        if data.draw(st.booleans(), label="with base"):
-            base = st.sampled_from([2, 3, 10, 16, 1000]) | st.integers(-1, 40)
-            argv += ["--base", str(data.draw(base, label="base"))]
-        argv += ["--format", "records"]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 2, 3, 4), (argv, body, code)
-        assert "Traceback" not in err.getvalue()
-        _assert_records_round_trip(argv, code, out.getvalue())
+        argv = _draw_fit_argv(data, tmp_path)
+        code, out, err = _main(argv)
+        assert code in (0, 2, 3, 4), (argv, code)
+        assert "Traceback" not in err
+        _assert_records_round_trip(argv, code, out)
+
+    @settings(_FUZZ_SETTINGS, max_examples=100)
+    @given(data=st.data(), block=st.integers(16, 64))
+    def test_split_read_matches_the_sequential_one(self, tmp_path, monkeypatch, data, block):
+        # each half stops its fast path anywhere, or not at all
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        argv = _draw_fit_argv(data, tmp_path)
+        got, want, _ = _split_and_sequential(argv)
+        assert got == want, argv
 
 
 class TestParser:
@@ -1381,6 +1584,23 @@ class TestRecordsFormat:
     def test_parse_rejects_malformed_fields_with_their_line(self, text):
         with pytest.raises(DomainError, match="^line 2: bad "):
             parse_records("total 3\n" + text + "\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("total 3\n\ntotal 4\n", 2),
+            ("total 3\n \ntotal 4\n", 2),
+            ("total 3\n\r\n", 2),
+            ("total 3", 1),
+        ],
+        ids=["blank", "whitespace", "carriage-return", "no-final-newline"],
+    )
+    def test_parse_rejects_text_that_would_re_emit_otherwise(self, text, line):
+        with pytest.raises(DomainError, match=f"^line {line}: "):
+            parse_records(text)
+
+    def test_parse_reads_the_empty_stream(self):
+        assert parse_records("") == [] and emit_records([]) == ""
 
     def test_sequence_consistent_with_library(self, capsys):
         sig = gen_sequence("fibonacci", 3000, Base(10))

@@ -68,6 +68,19 @@ def test_streams_unchanged_at_any_table_block(name, argv, fmt, rows, monkeypatch
     assert make_golden.run(argv, fmt) == want
 
 
+# every golden fit call in each format it is captured in
+FIT_CASES = [case for case in BLOCK_CASES if case[1][0] == "fit"]
+
+
+@pytest.mark.parametrize("name,argv,fmt", FIT_CASES, ids=[f"{c[0]}.{c[2]}" for c in FIT_CASES])
+def test_fit_streams_unchanged_when_read_in_two_halves(name, argv, fmt, monkeypatch):
+    # the golden inputs are under the size at which a file is split
+    monkeypatch.chdir(make_golden.GOLDEN)
+    monkeypatch.setattr(cli, "_SPLIT_BYTES", 1)
+    want = (make_golden.GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+    assert make_golden.output(argv, fmt) == want
+
+
 def test_ratio_rejections_unchanged():
     want = json.loads((make_golden.GOLDEN / "ratio_rejections.json").read_text())
     assert make_golden.ratio_rejections() == want
