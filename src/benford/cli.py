@@ -268,118 +268,138 @@ def _column_index(header: list[str], path: str, column: str) -> int:
     return idx
 
 
-# The block reader reads this many bytes at a time; a block and the
-# unfinished line carried over from the last one make at most two.
+# _blocks reads this many bytes at a time; a block is one read and the
+# unfinished line carried over from the last one, unless a line is longer.
 _CSV_BLOCK = 1 << 18
-# csv.reader's rows and JSON lines are converted this many at a time.
+# csv.reader's rows and the child's values are passed on this many at a time.
 _CHUNK_ROWS = 1 << 13
 # Bytes on which csv.reader and plain comma splitting could disagree:
 # quotes and NUL change how csv.reader splits, and 0x1c-0x1f are stripped
 # by str.strip but rejected by float.  A carriage return is safe only
-# just before a newline; see _read_csv_blocks.
+# just before a newline; see _csv_text.
 _CSV_UNSAFE = b'"\x00\x1c\x1d\x1e\x1f'
 
 
-def _read_csv_blocks(
-    fh, path: str, column: str, split: int | None = None, rest=None
-) -> Generator[np.ndarray, None, tuple[int | None, int]]:
-    """Yield the column's values a block at a time, parsed by comma
-    splitting, for as long as csv.reader provably splits every line of
-    the block the same way.
+def _blocks(fh, stop: int | None, parse) -> Generator[np.ndarray, None, int]:
+    """Yield ``parse(block)`` for the lines of the binary file ``fh`` from
+    where it stands up to the offset ``stop``, a line boundary, or to EOF.
 
-    A block qualifies if it is UTF-8 text without a byte of _CSV_UNSAFE,
+    A block is one read of _CSV_BLOCK bytes and the unfinished line carried
+    over from the last one, cut at its last newline; a line that they do
+    not end is read to its end. The last line of the file may lack its
+    newline. ``parse`` returns the block's float64 values, or None to
+    decline it, which stops the loop.
+
+    Returns the number of values yielded, and leaves ``fh`` at the first
+    byte not parsed: ``stop`` or EOF, or the first byte of the declined
+    block, a line boundary. Only ``stop`` and a declined block need a file
+    that can tell and seek, so a pipe is read to EOF.
+    """
+    n, tail = 0, b""
+    while True:
+        chunk = fh.read(_CSV_BLOCK if stop is None else min(_CSV_BLOCK, stop - fh.tell()))
+        block = tail + chunk
+        if not chunk:  # EOF, after a last line without its newline, or stop
+            tail = b""
+        elif cut := block.rfind(b"\n") + 1:
+            block, tail = block[:cut], block[cut:]
+        else:
+            block += fh.readline(-1 if stop is None else stop - fh.tell())
+            tail = b""
+        if not block:
+            return n
+        values = parse(block)
+        if values is None:
+            fh.seek(-len(block) - len(tail), os.SEEK_CUR)
+            return n
+        n += values.size
+        yield values
+
+
+def _csv_text(block: bytes, ncols: int) -> str | None:
+    """The text of a block of whole lines if csv.reader provably splits
+    each of them into ``ncols`` cells at its commas; else None.
+
+    That holds if the block is UTF-8 text without a byte of _CSV_UNSAFE,
     every carriage return in it is directly followed by a newline (it is
     left in the text, where float and the header's strip drop it, as
-    csv.reader drops it), every line in it ends within two
-    blocks and is no longer than csv.field_size_limit(), and every line
-    has as many commas as the header, a non-empty first line that
-    resolves the column. The last line of the file may lack its newline,
-    as it may for csv.reader.
-
-    Returns the column index and the number of lines parsed; when that is
-    0 the index means nothing. The first block that does not qualify
-    stops the reader, and ``fh`` is left at its first byte, a line
-    boundary from which csv.reader reads the rest. Without ``split``,
-    the reader seeks only there.
-
-    With ``split``, a line boundary of the file, the reader reads no byte
-    past it until every line before it is parsed. Then ``rest()`` gives
-    the lines from there to EOF as an _Answer, whose values it yields,
-    leaving ``fh`` at EOF; or None, and the reader reads on.
+    csv.reader drops it), and every line in it has ``ncols - 1`` commas
+    and is no longer than csv.field_size_limit(). A last line without a
+    newline gets one, as csv.reader ends it at EOF as at a newline.
     """
-    limit = csv.field_size_limit()
-    ncols = idx = None
-    nlines = start = 0  # lines and bytes parsed
-    tail = b""
-    while True:
-        if start == split:
-            answer = rest()
-            if answer is not None:
-                yield from answer.blocks
-                fh.seek(0, os.SEEK_END)
-                return idx, nlines
-            split = None
-        # a block read up to the split ends with its newline, so tail is empty there
-        chunk = fh.read(_CSV_BLOCK if split is None else min(_CSV_BLOCK, split - start - len(tail)))
-        if not chunk:
-            if not tail:
-                return idx, nlines
-            chunk = b"\n"  # csv.reader ends the last line at EOF as at a newline
-        block = tail + chunk
-        cut = block.rfind(b"\n") + 1
-        block, tail = block[:cut], block[cut:]
-        if not cut or any(c in block for c in _CSV_UNSAFE):
-            break
-        a = np.frombuffer(block, dtype=np.uint8)
-        ends = np.flatnonzero(a == 10)
-        # the block ends with a newline, so no carriage return is its last byte
-        if b"\r" in block and (a[np.flatnonzero(a == 13) + 1] != 10).any():
-            break
-        if np.diff(ends, prepend=-1).max() > limit + 1:
-            break
+    if not block.endswith(b"\n"):
+        block += b"\n"
+    if any(c in block for c in _CSV_UNSAFE):
+        return None
+    a = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(a == 10)
+    # the block ends with a newline, so no carriage return is its last byte
+    if b"\r" in block and (a[np.flatnonzero(a == 13) + 1] != 10).any():
+        return None
+    if np.diff(ends, prepend=-1).max() > csv.field_size_limit() + 1:
+        return None
+    # commas before each line end, then commas on each line
+    commas = np.diff(np.searchsorted(np.flatnonzero(a == 44), ends), prepend=0)
+    if (commas != ncols - 1).any():
+        return None
+    try:
+        return block.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+class _CsvRows:
+    """The ``parse`` of _blocks for a CSV file's rows: the cells of column
+    ``idx`` of a block that _csv_text reads, split at commas and converted
+    by _floats; None for any other block. Each row gives one value."""
+
+    seen = True  # the header names the column
+
+    def __init__(self, idx: int, ncols: int) -> None:
+        self.idx, self.ncols = idx, ncols
+
+    def __call__(self, block: bytes) -> np.ndarray | None:
+        text = _csv_text(block, self.ncols)
+        if text is None:
+            return None
+        cells = text.replace("\n", ",").split(",")[self.idx : -1 : self.ncols]
+        return np.array(_floats(cells), dtype=np.float64)
+
+
+def _csv_header(fh, path: str, column: str) -> _CsvRows | None:
+    """The parser of the rows of the CSV file ``fh``, built from its header
+    line, after which ``fh`` is left. None, with ``fh`` back at its start,
+    where _csv_text does not read the header line, the line is empty, or
+    it does not resolve the column: csv.reader then reads the whole file."""
+    head = fh.readline()
+    ncols = head.count(b",") + 1
+    text = _csv_text(head, ncols)
+    if text is not None and text.rstrip("\r\n"):
         try:
-            text = block.decode("utf-8")
-        except UnicodeDecodeError:
-            break
-        # commas before each line end, then commas on each line
-        commas = np.diff(np.searchsorted(np.flatnonzero(a == 44), ends), prepend=0)
-        if ncols is None:  # the block starts with the header
-            if ends[0] == 0 or (ends[0] == 1 and a[0] == 13):
-                break  # an empty header line
-            head, text = text.split("\n", 1)
-            try:
-                idx = _column_index(head.split(","), path, column)
-            except IngestError:
-                break  # csv.reader raises it, unless it fails first
-            ncols = int(commas[0]) + 1
-            commas = commas[1:]
-        if (commas != ncols - 1).any():
-            break
-        cells = text.replace("\n", ",").split(",")[idx:-1:ncols]
-        nlines += ends.size
-        start += cut  # bytes of the file, carriage returns included
-        yield np.array(_floats(cells), dtype=np.float64)
-    fh.seek(start)
-    return idx, nlines
+            return _CsvRows(_column_index(text.split(","), path, column), ncols)
+        except IngestError:
+            pass  # csv.reader raises it, unless it fails first
+    fh.seek(0)
+    return None
 
 
-def _read_csv(path: str, column: str, split: int | None = None, rest=None) -> Iterator[np.ndarray]:
-    """The column's values as float64 blocks: the block reader's, then
-    csv.reader's, _CHUNK_ROWS rows at a time, from the line it stopped at.
-    ``split`` and ``rest`` go to the block reader."""
+def _read_csv(path: str, column: str) -> Iterator[np.ndarray]:
+    """The column's values as float64 blocks: _split_read's, then
+    csv.reader's, _CHUNK_ROWS rows at a time, from the row the block
+    parser stopped at, or from the header if it could not read it."""
     with open(path, "rb") as fh:
-        idx, nlines = yield from _read_csv_blocks(fh, path, column, split, rest)
+        parse = _csv_header(fh, path, column)
+        lines = 0 if parse is None else 1 + (yield from _split_read(fh, path, parse))
         reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
         try:
-            if nlines:
-                yield from _csv_column(reader, idx)
-            else:
+            if parse is None:
                 yield from _parse_csv(reader, path, column)
+            else:
+                yield from _csv_column(reader, parse.idx)
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
         except csv.Error as exc:
-            line = nlines + reader.line_num
-            raise IngestError(f"{path}: line {line}: {exc}") from None
+            raise IngestError(f"{path}: line {lines + reader.line_num}: {exc}") from None
 
 
 def _parse_csv(reader, path: str, column: str) -> Iterator[np.ndarray]:
@@ -408,55 +428,21 @@ def _json_int(text: str) -> float:
 _SCAN = json.scanner.make_scanner(json.JSONDecoder(parse_int=_json_int))
 
 
-def _lines(fh) -> io.TextIOWrapper:
-    # a record ends at "\n" alone, as in JSON Lines and parse_records
-    return io.TextIOWrapper(fh, encoding="utf-8", newline="\n")
+class _JsonlRows:
+    """The ``parse`` of _blocks for a JSON-lines file: one float per
+    non-blank line, the ``column`` field of a line that is exactly one JSON
+    object, else NaN. A line ends at "\\n" alone, as in JSON Lines and
+    parse_records. ``seen`` tells whether a line had the field. A block
+    that is not UTF-8 raises UnicodeDecodeError."""
 
+    def __init__(self, column: str) -> None:
+        self.column, self.seen = column, False
 
-def _read_jsonl(path: str, column: str, split: int | None = None, rest=None) -> Iterator[np.ndarray]:
-    """The values of _parse_jsonl. With ``split``, a line boundary of the
-    file, the lines before it are read first; then ``rest()`` gives the
-    lines from there to EOF as an _Answer, or None, and they are read."""
-    with open(path, "rb") as fh:
-        try:
-            if split is None:
-                yield from _parse_jsonl(_lines(fh), path, column)
-                return
-            seen, some = yield from _jsonl_blocks(_lines(io.BufferedReader(_Upto(fh, split))), column)
-            answer = rest()
-            if answer is None:
-                more = yield from _jsonl_blocks(_lines(fh), column)
-            else:
-                yield from answer.blocks
-                more = answer.seen, answer.some
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
-    _check_field(seen or more[0], some or more[1], path, column)
-
-
-def _parse_jsonl(lines: Iterable[str], path: str, column: str) -> Iterator[np.ndarray]:
-    """One float per non-blank line, as float64 blocks of _CHUNK_ROWS lines:
-    the ``column`` field of a line that is exactly one JSON object, else
-    NaN."""
-    seen, some = yield from _jsonl_blocks(lines, column)
-    _check_field(seen, some, path, column)
-
-
-def _check_field(seen: bool, some: bool, path: str, column: str) -> None:
-    if some and not seen:
-        raise IngestError(f"{path}: no field named {column!r} in any record")
-
-
-def _jsonl_blocks(
-    lines: Iterable[str], column: str
-) -> Generator[np.ndarray, None, tuple[bool, bool]]:
-    """_parse_jsonl's blocks; returns whether a line had the field, and
-    whether there was a non-blank line."""
-    lines = iter(lines)
-    seen = some = False
-    while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
+    def __call__(self, block: bytes) -> np.ndarray:
+        column = self.column
         values: list[float] = []
-        for line in chunk:
+        seen = False
+        for line in block.decode("utf-8").split("\n"):
             line = line.strip()
             if not line:
                 continue
@@ -481,9 +467,21 @@ def _jsonl_blocks(
                     values.append(math.nan)
             else:  # bool, array or object
                 values.append(math.nan)
-        some = some or bool(values)
-        yield np.array(values, dtype=np.float64)
-    return seen, some
+        self.seen = self.seen or seen
+        return np.array(values, dtype=np.float64)
+
+
+def _read_jsonl(path: str, column: str) -> Iterator[np.ndarray]:
+    """The column's values as float64 blocks, by _split_read; a file whose
+    every non-blank line lacks the field is a data error."""
+    parse = _JsonlRows(column)
+    with open(path, "rb") as fh:
+        try:
+            n = yield from _split_read(fh, path, parse)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+    if n and not parse.seen:
+        raise IngestError(f"{path}: no field named {column!r} in any record")
 
 
 # A regular file of at least this many bytes is read in two halves at
@@ -515,82 +513,32 @@ def _split_at(path: str) -> int | None:
     return None
 
 
-class _Upto(io.RawIOBase):
-    """A binary file, read from where it stands up to the offset ``stop``,
-    where it ends."""
-
-    def __init__(self, fh, stop: int) -> None:
-        self.fh, self.left = fh, stop - fh.tell()
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        n = self.fh.readinto(memoryview(buf)[: self.left])
-        self.left -= n
-        return n
-
-
-class _HeaderThen:
-    """A CSV file's header line, then the file from where it stands: what
-    the child's block reader reads. The block reader seeks only where it
-    stops, so a seek marks a half it declined."""
-
-    def __init__(self, head: bytes, fh) -> None:
-        self.head, self.fh, self.stopped = head, fh, False
-
-    def read(self, n: int) -> bytes:
-        head, self.head = self.head, b""
-        return head or self.fh.read(n)
-
-    def seek(self, pos: int) -> None:
-        self.stopped = True
-
-
 class _Answer(NamedTuple):
-    """The child's values, _CHUNK_ROWS at a time, and its JSONL flags."""
+    """The child's values, _CHUNK_ROWS at a time, their number, and its
+    parser's ``seen``."""
 
     blocks: Iterator[np.ndarray]
+    n: int
     seen: bool
-    some: bool
 
 
-# the child's "ok": its JSONL seen and some flags and its number of values,
-# which follow as float64 bytes; it declines by writing nothing
-_OK = struct.Struct("=??q")
+# the child's "ok": its parser's seen and its number of values, which
+# follow as float64 bytes; it declines by writing nothing
+_OK = struct.Struct("=?q")
 
 
-def _collect(gen: Generator) -> tuple[list, object]:
-    """A generator's items, and what it returns."""
-    items = []
-    while True:
-        try:
-            items.append(next(gen))
-        except StopIteration as stop:
-            return items, stop.value
-
-
-def _answer(out: int, path: str, column: str, csv_format: bool, split: int) -> None:
+def _answer(out: int, path: str, split: int, parse) -> None:
     """The child's side of _split_read: the values of the lines from
-    ``split`` to EOF, through the readers' fast paths, written to the pipe
-    ``out`` after _OK; nothing if the fast path declines a block, and an
-    error of any kind escapes to the caller."""
-    with open(path, "rb") as fh:
-        if csv_format:
-            head = fh.readline(_CSV_BLOCK)  # the block reader needs the header first
-            if not head.endswith(b"\n"):
-                return
-            fh.seek(split)
-            view = _HeaderThen(head, fh)
-            blocks = list(_read_csv_blocks(view, path, column))
-            if view.stopped:
-                return
-            seen = some = True
-        else:
-            fh.seek(split)
-            blocks, (seen, some) = _collect(_jsonl_blocks(_lines(fh), column))
+    ``split`` to EOF, written to the pipe ``out`` after _OK; nothing if
+    ``parse`` declines a block, and an error of any kind escapes to the
+    caller."""
+    with open(path, "rb") as fh:  # an offset of its own, not the parent's
+        fh.seek(split)
+        blocks = list(_blocks(fh, None, parse))
+        if fh.read(1):
+            return  # parse declined the block that starts here
     with open(out, "wb") as pipe:
-        pipe.write(_OK.pack(seen, some, sum(b.size for b in blocks)))
+        pipe.write(_OK.pack(parse.seen, sum(b.size for b in blocks)))
         for b in blocks:
             pipe.write(b)
 
@@ -609,40 +557,50 @@ def _take(pipe) -> _Answer | None:
     ok = pipe.read(_OK.size)
     if len(ok) < _OK.size:
         return None
-    seen, some, n = _OK.unpack(ok)
-    return _Answer(_received(pipe, n), seen, some)
+    seen, n = _OK.unpack(ok)
+    return _Answer(_received(pipe, n), n, seen)
 
 
-def _split_read(path: str, column: str, csv_format: bool, split: int) -> Iterator[np.ndarray]:
-    """The column's blocks as the reader yields them, its lines from
-    ``split`` on parsed meanwhile by a forked child.
+def _split_read(fh, path: str, parse) -> Generator[np.ndarray, None, int]:
+    """What _blocks(fh, None, parse) yields and returns, with the lines
+    from _split_at's offset on parsed meanwhile by a forked child.
 
-    The parent reads the lines before ``split`` with the reader. It takes
-    the child's values only if its own fast path reached ``split`` and the
-    child's did not decline; otherwise it reads on from ``split`` itself,
-    so every error and line number is the reader's. The child leaves only
-    by os._exit: it flushes no stdio and runs no atexit hook. The parent
+    The parent parses the lines before the split. It takes the child's
+    values only if it reached the split and the child did not decline;
+    otherwise it reads on from where it stopped, so every value, error and
+    line number is the sequential read's. The child leaves only by
+    os._exit: it flushes no stdio and runs no atexit hook. The parent
     reaps it, killed if need be, however the blocks end.
     """
-    read = _read_csv if csv_format else _read_jsonl
+    split = _split_at(path)
+    if split is None:
+        return (yield from _blocks(fh, None, parse))
     r, w = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # no process to spare: read in one piece
         os.close(r)
         os.close(w)
-        yield from read(path, column)
-        return
+        return (yield from _blocks(fh, None, parse))
     if pid == 0:
         try:
             os.close(r)
-            _answer(w, path, column, csv_format, split)
+            _answer(w, path, split, parse)
         finally:
             os._exit(0)
     os.close(w)
     pipe = open(r, "rb")
     try:
-        yield from read(path, column, split, functools.partial(_take, pipe))
+        n = yield from _blocks(fh, split, parse)
+        if fh.tell() < split:
+            return n  # parse declined a block before the split
+        answer = _take(pipe)
+        if answer is None:
+            return n + (yield from _blocks(fh, None, parse))
+        yield from answer.blocks
+        fh.seek(0, os.SEEK_END)
+        parse.seen = parse.seen or answer.seen
+        return n + answer.n
     finally:
         pipe.close()
         os.kill(pid, signal.SIGKILL)  # a child that has exited stays a zombie until reaped
@@ -652,12 +610,7 @@ def _split_read(path: str, column: str, csv_format: bool, split: int) -> Iterato
 def _value_blocks(args) -> Iterator[np.ndarray]:
     """``fit``'s column as float64 blocks in file order, magnitudes with
     --absolute-value; no reader holds the whole column."""
-    csv_format = args.input_format == "csv"
-    split = _split_at(args.path)
-    if split is None:
-        blocks = (_read_csv if csv_format else _read_jsonl)(args.path, args.column)
-    else:
-        blocks = _split_read(args.path, args.column, csv_format, split)
+    blocks = (_read_csv if args.input_format == "csv" else _read_jsonl)(args.path, args.column)
     return map(np.abs, blocks) if args.absolute_value else blocks
 
 

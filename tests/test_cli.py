@@ -331,29 +331,31 @@ def outcome(read, *args):
         return type(exc).__name__, str(exc)
 
 
-def _decline(fh, path, column, split=None, rest=None):
-    """A block reader that parses no line."""
-    return None, 0
-    yield
+def _decline(fh, path, column):
+    """A header reader that reads no header, so no block is parsed."""
+    return None
 
 
 def reference_csv(path, column):
-    """_read_csv with the block reader declining: the csv.reader path."""
+    """_read_csv with the header declined: the csv.reader path."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_read_csv_blocks", _decline)
+        mp.setattr(cli, "_csv_header", _decline)
         return read_csv(path, column)
 
 
 def csv_blocks(path, column):
-    """The values the block reader parsed, the lines it parsed and the
-    byte it stopped at."""
+    """The values the block parser parsed, the lines it parsed, the
+    header among them, and the byte it stopped at."""
     with open(path, "rb") as fh:
-        gen, parts = cli._read_csv_blocks(fh, str(path), column), []
+        parse = cli._csv_header(fh, str(path), column)
+        if parse is None:
+            return joined([]), 0, fh.tell()
+        gen, parts = cli._blocks(fh, None, parse), []
         while True:
             try:
                 parts.append(next(gen))
             except StopIteration as stop:
-                return joined(parts), stop.value[1], fh.tell()
+                return joined(parts), 1 + stop.value, fh.tell()
 
 
 # cells csv.reader and comma splitting read alike, and cells on which
@@ -461,9 +463,14 @@ class TestCsvBlockReader:
         ],
     )
     def test_declines_what_it_cannot_prove(self, tmp_path, body, column):
+        # the header line is read on its own, before any row; where it does
+        # not name the column, csv.reader reads the file from its first byte
         f = tmp_path / "odd.csv"
         f.write_text(body, encoding="utf-8", newline="")
-        assert self.blocks(f, column)[1:] == (0, 0)
+        got, nlines, stop = self.blocks(f, column)
+        assert got.size == 0
+        header = column in body.split("\n")[0].split(",")
+        assert (nlines, stop) == ((1, body.index("\n") + 1) if header else (0, 0))
 
     @pytest.mark.parametrize("block", [16, cli._CSV_BLOCK])
     def test_reads_crlf_line_ends(self, tmp_path, monkeypatch, block):
@@ -491,8 +498,11 @@ class TestCsvBlockReader:
         assert read_csv(str(f), "v").tobytes() == want.tobytes()
 
     def test_declines_non_utf8(self, tmp_path):
+        # in a row, the header alone is parsed; in the header, nothing is
         f = tmp_path / "latin1.csv"
         f.write_bytes(b"v\n1.5\n2\xff\n")
+        assert self.blocks(f)[1:] == (1, 2)
+        f.write_bytes(b"v\xff\n1.5\n")
         assert self.blocks(f)[1:] == (0, 0)
 
     def test_stops_at_a_late_block_and_csv_reader_reads_on(self, tmp_path, monkeypatch):
@@ -508,13 +518,13 @@ class TestCsvBlockReader:
         assert want.size == 26
         assert read_csv(str(f), "v").tobytes() == want.tobytes()
 
-    def test_stops_at_a_line_that_two_blocks_cannot_hold(self, tmp_path, monkeypatch):
+    def test_reads_a_line_that_two_reads_do_not_end(self, tmp_path, monkeypatch):
         f = tmp_path / "long.csv"
         f.write_text("v\n1.5\n" + "2" * 100 + "\n3\n")
         monkeypatch.setattr(cli, "_CSV_BLOCK", 32)  # no read of 64 bytes ends the line
         got, nlines, stop = self.blocks(f)
-        assert (got.tolist(), nlines, stop) == ([1.5], 2, 6)
-        assert read_csv(str(f), "v").tolist() == [1.5, float("2" * 100), 3.0]
+        assert (got.tolist(), nlines, stop) == ([1.5, float("2" * 100), 3.0], 4, 109)
+        assert read_csv(str(f), "v").tobytes() == reference_csv(str(f), "v").tobytes()
 
 
 def jsonl_oracle(lines, column):
@@ -580,18 +590,36 @@ _JSON_LINES = (
             "[" * 50,
             '{"a": ' + "9" * 400 + "}",
             '{"a": -' + "9" * 4400 + "}",
+            # str.splitlines ends a line at each of these; "\n" alone does not
+            '{"a": 1.5, "b": "x\u2028y"}',
+            '{"a": "2.5\x85"}',
+            '{"a": 3.5, "b": "\x0b"}',
+            '{"b": "\x0c", "a": 4.5}',
+            '{"a": 5.5, "b": "x\ry"}',
         ]
     )
 )
 
 
 class TestJsonlScanner:
-    @settings(deadline=None, max_examples=300)
-    @given(st.lists(_JSON_LINES, max_size=10), st.sampled_from(["a", "b"]), st.integers(1, 4))
-    def test_matches_json_loads_per_line(self, lines, column, chunk):
+    @settings(
+        deadline=None, max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.lists(_JSON_LINES, max_size=10),
+        st.sampled_from(["a", "b"]),
+        st.integers(16, 256),
+        st.booleans(),
+    )
+    def test_matches_json_loads_per_line(self, tmp_path, lines, column, block, final_newline):
+        # blocks this small cut the file anywhere, and no read ends the longest lines
+        text = "\n".join(lines) + ("\n" if final_newline else "")
+        (tmp_path / "p").write_bytes(text.encode("utf-8"))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_CHUNK_ROWS", chunk)
-            got = outcome(lambda *a: joined(cli._parse_jsonl(*a)), lines, "p", column)
+            mp.chdir(tmp_path)  # the oracle names the file "p"
+            mp.setattr(cli, "_CSV_BLOCK", block)
+            got = outcome(lambda *a: joined(cli._read_jsonl(*a)), "p", column)
         digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
@@ -891,6 +919,64 @@ class TestSplitRead:
             del blocks  # --absolute-value's map over the reader is dropped
         assert log == ["fork"]
         _assert_no_child()
+
+    @pytest.mark.parametrize(
+        "head, code",
+        [(b'id,"a"', 0), (b"\xe9d,a", 3), (b"", 3), (b"id,b", 3)],
+        ids=["quoted", "latin1", "empty", "no-column"],
+    )
+    def test_no_child_where_the_header_defeats_the_fast_path(self, tmp_path, head, code):
+        # csv.reader reads such a file from its first line, in one piece
+        body = _two_halves("csv", None, None)
+        f = tmp_path / "header.csv"
+        f.write_bytes(head + body[body.index(b"\n") :])
+        with split_reads():
+            assert cli._split_at(str(f)) is not None
+        got, want, log = _split_and_sequential(_fit_argv(f))
+        assert got == want and got[0] == code, got[2]
+        assert log == []
+        _assert_no_child()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"a": 1}\n\xe2\x82',  # cut off by the end of the file
+            b'{"a": 1}\n' * 3 + b'{"a": "\xe2\x82x"}\n{"a": 2}\n',  # in a line
+            b'{"a": 1}\n' * 3 + b'{"a": "\xff"}\n{"a": 2}\n',
+            b'{"a": 1}\n' * 3 + b'{"a": 1}\xe2\x82\n{"a": 2}\n',  # at a line end
+        ],
+        ids=["eof", "continuation", "start", "line-end"],
+    )
+    def test_utf8_errors_give_the_text_readers_reason(self, tmp_path, monkeypatch, body):
+        # the oracle reads the same bytes as one text; every block size
+        # from 16 bytes puts a read's edge at each byte of the bad sequence
+        with pytest.raises(UnicodeDecodeError) as exc:
+            io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", newline="\n").read()
+        f = tmp_path / "bad.jsonl"
+        f.write_bytes(body)
+        want = f"benford fit: {f}: not UTF-8 text ({exc.value.reason})\n"
+        for block in range(16, 16 + len(body)):
+            monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+            got, sequential, _ = _split_and_sequential(_fit_argv(f))
+            assert got == sequential == (3, "", want), block
+        _assert_no_child()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_reads_a_pipe_to_its_end(self, tmp_path, fmt):
+        # a pipe can neither tell nor seek, and a read that declines no block needs neither
+        body = _two_halves(fmt, None, None)
+        f, fifo = tmp_path / f"file.{fmt}", tmp_path / f"fifo.{fmt}"
+        f.write_bytes(body)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(body,), daemon=True)
+        writer.start()
+        with split_reads() as log:
+            got = _main(_fit_argv(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert log == []
+        code, out, err = _main(_fit_argv(f))
+        assert got == (code, out.replace(str(f), str(fifo)), err) and code == 0, got[2]
 
     def test_small_files_pipes_and_threads_read_in_one_piece(self, tmp_path):
         f = tmp_path / "halves.csv"
