@@ -54,13 +54,7 @@ from .errors import (
 )
 from .nb_core import NBDistribution, first_digit_probs, nb_pdf
 from .significand import Base
-from .wrapping import (
-    LogNormalParams,
-    MixtureParams,
-    _log_grid,
-    distance_to_nb,
-    wrapped_lognormal_pdf,
-)
+from .wrapping import LogNormalParams, MixtureParams, _distances, _log_grid, _WrappedLogNormal
 
 __all__ = ["main", "entrypoint", "emit_records", "parse_records"]
 
@@ -292,8 +286,8 @@ def _blocks(fh, stop: int | None, parse) -> Generator[np.ndarray, None, int]:
 
     Returns the number of values yielded, and leaves ``fh`` at the first
     byte not parsed: ``stop`` or EOF, or the first byte of the declined
-    block, a line boundary. Only ``stop`` and a declined block need a file
-    that can tell and seek, so a pipe is read to EOF.
+    block, a line boundary. Only ``stop`` needs a file that can tell and
+    seek; a declined block goes back by _unread, so a _Pipe is read to EOF.
     """
     n, tail = 0, b""
     while True:
@@ -310,10 +304,43 @@ def _blocks(fh, stop: int | None, parse) -> Generator[np.ndarray, None, int]:
             return n
         values = parse(block)
         if values is None:
-            fh.seek(-len(block) - len(tail), os.SEEK_CUR)
+            _unread(fh, block + tail)
             return n
         n += values.size
         yield values
+
+
+class _Pipe(io.RawIOBase):
+    """A binary file that cannot seek, such as a pipe, as a raw reader that
+    takes back what was read from it: ``unread(data)`` makes ``data`` the
+    next bytes it reads. So csv.reader reads on from a block that the block
+    parser took from a pipe and declined."""
+
+    def __init__(self, fh) -> None:
+        self.fh, self.head = fh, io.BytesIO()
+
+    def readable(self) -> bool:
+        return True
+
+    def unread(self, data: bytes) -> None:
+        self.head = io.BytesIO(data + self.head.read())
+
+    def readinto(self, b) -> int:
+        return self.head.readinto(b) or self.fh.readinto(b)
+
+    def readline(self, size: int = -1) -> bytes:
+        line = self.head.readline(size)
+        if line.endswith(b"\n") or len(line) == size:
+            return line
+        return line + self.fh.readline(size - len(line) if size >= 0 else -1)
+
+
+def _unread(fh, data: bytes) -> None:
+    """Make ``data``, the bytes last read from ``fh``, its next bytes again."""
+    if isinstance(fh, _Pipe):
+        fh.unread(data)
+    else:
+        fh.seek(-len(data), os.SEEK_CUR)
 
 
 def _csv_text(block: bytes, ncols: int) -> str | None:
@@ -368,7 +395,7 @@ class _CsvRows:
 
 def _csv_header(fh, path: str, column: str) -> _CsvRows | None:
     """The parser of the rows of the CSV file ``fh``, built from its header
-    line, after which ``fh`` is left. None, with ``fh`` back at its start,
+    line, after which ``fh`` is left. None, with the line read again next,
     where _csv_text does not read the header line, the line is empty, or
     it does not resolve the column: csv.reader then reads the whole file."""
     head = fh.readline()
@@ -379,7 +406,7 @@ def _csv_header(fh, path: str, column: str) -> _CsvRows | None:
             return _CsvRows(_column_index(text.split(","), path, column), ncols)
         except IngestError:
             pass  # csv.reader raises it, unless it fails first
-    fh.seek(0)
+    _unread(fh, head)
     return None
 
 
@@ -387,7 +414,8 @@ def _read_csv(path: str, column: str) -> Iterator[np.ndarray]:
     """The column's values as float64 blocks: _split_read's, then
     csv.reader's, _CHUNK_ROWS rows at a time, from the row the block
     parser stopped at, or from the header if it could not read it."""
-    with open(path, "rb") as fh:
+    with open(path, "rb") as f:
+        fh = f if f.seekable() else _Pipe(f)
         parse = _csv_header(fh, path, column)
         lines = 0 if parse is None else 1 + (yield from _split_read(fh, path, parse))
         reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
@@ -701,10 +729,10 @@ def _cmd_fit(args) -> list[tuple]:
 
 def _cmd_wrap(args) -> list[tuple]:
     base = Base(args.base)
-    params = _parse_dist(args.dist, ("lognormal", "mixture"))
-    sup, tv = distance_to_nb(params, base, args.tol)
+    wl = _WrappedLogNormal.of(_parse_dist(args.dist, ("lognormal", "mixture")), base, args.tol)
+    sup, tv = _distances(wl, base)
     x = _log_grid(base, args.grid_points)
-    w = wrapped_lognormal_pdf(x, params, base, args.tol)
+    w = wl.pdf(x)
     r = nb_pdf(x, NBDistribution(base))
     return [
         ("param", "tol", str(args.tol)),
@@ -777,11 +805,15 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and the subparsers it makes, that read every
     negative number in decimal or exponent notation as a value, and refuse
-    any argument with a newline, which would end a record it is echoed in."""
+    any argument with a newline, which would end a record it is echoed in.
+
+    ``verbs`` holds the parser of each verb, as build_parser fills it in.
+    """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+        self.verbs: dict[str, _Parser] = {}
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
@@ -789,6 +821,21 @@ class _Parser(argparse.ArgumentParser):
             if "\n" in arg:
                 self.error(f"argument {arg!r} holds a newline")
         return super().parse_known_args(args, namespace)
+
+    def parse_args(self, args=None, namespace=None):
+        """ArgumentParser.parse_args, which hands every token after the verb
+        to the verb's parser: an argv that starts with a verb goes to that
+        parser alone. The top-level parse still takes sys.argv (args None),
+        any argv with no verb first or with a newline, whose error names
+        the top-level usage, and one with tokens the verb's parser leaves,
+        which it refuses."""
+        verb = self.verbs.get(args[0]) if args and namespace is None else None
+        if verb is not None and not any("\n" in arg for arg in args):
+            parsed, extras = verb.parse_known_args(args[1:])
+            if not extras:
+                parsed.cmd = args[0]
+                return parsed
+        return super().parse_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -809,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    sub.add_parser("digits", parents=[common], help="print the first-digit table")
+    digits = sub.add_parser("digits", parents=[common], help="print the first-digit table")
 
     fit = sub.add_parser(
         "fit", parents=[common], help="test a dataset for conformance", epilog=_KS_HELP
@@ -858,6 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     seq.add_argument("--ratio", type=float, default=None, help="geometric ratio")
 
+    parser.verbs = {"digits": digits, "fit": fit, "wrap": wrap, "entropy": ent, "sequence": seq}
     return parser
 
 

@@ -108,29 +108,51 @@ def _trapezoid_integrals(
     """(H, <ln x>, error of H, error of <ln x>) of a wrapped log-normal or
     mixture, by the trapezoidal rule in u = ln x.
 
-    The nodes jL/N are nested: each doubling of N evaluates g only at the
-    N new midpoints.  The rule stops once the aliasing bound of the
-    normalization, 2 sum_{j>=1} c_{jN} for the narrowest component, and the
-    change of H_u from N/2 to N are both below the quadrature tolerance;
-    their sum, the truncation effect and the mean-log tail make H's error.
+    The nodes jL/N are nested: each doubling of N adds the N midpoints.
+    The rule stops once the aliasing bound of the normalization,
+    2 sum_{j>=1} c_{jN} for the narrowest component, and the change of H_u
+    from N/2 to N are both below the quadrature tolerance; their sum, the
+    truncation effect and the mean-log tail make H's error.
+
+    The aliasing bound alone gives, before any evaluation, the least N_a
+    at which the rule can stop.  So g is evaluated in one batch on the
+    nodes of every stage up to min(2 N_a, _MAX_NODES), laid out stage after
+    stage, the N midpoints of stage N as entries N to 2N; past the batch,
+    each doubling evaluates its midpoints alone.  Either way each stage
+    adds the sums of its own nodes, in order.
     """
     L = base.ln
     wl = _WrappedLogNormal.of(params, base, tol)
     rate = wl.alias_rate()
 
-    def sums(u: np.ndarray) -> tuple[float, float]:
+    def alias_bound(n: int) -> float:
+        q = math.exp(-rate * n * n)
+        # sum_{j>=1} q^(j^2) <= q / (1 - q)
+        return 2.0 * q / -math.expm1(-rate * n * n)
+
+    def midpoints(n: int) -> np.ndarray:
+        return (np.arange(n) + 0.5) * (L / n)
+
+    def g_and_h(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = np.exp(u)
         g = x * wl.pdf(x)
-        return float(np.sum(g)), float(np.sum(_neg_g_log_g(g)))
+        return g, _neg_g_log_g(g)
+
+    n_a = _FIRST_NODES
+    while alias_bound(n_a) >= _QUAD_TOL and n_a < _MAX_NODES:
+        n_a *= 2
+    n, stages = _FIRST_NODES, [np.arange(_FIRST_NODES) * (L / _FIRST_NODES)]
+    while n < min(2 * n_a, _MAX_NODES):
+        stages.append(midpoints(n))
+        n *= 2
+    batch_g, batch_h = g_and_h(np.concatenate(stages))
 
     n = _FIRST_NODES
-    sum_g, sum_h = sums(np.arange(n) * (L / n))
+    sum_g, sum_h = float(np.sum(batch_g[:n])), float(np.sum(batch_h[:n]))
     h_prev = math.nan  # no change to compare before the first doubling
     while True:
         h_u = sum_h * (L / n)
-        q = math.exp(-rate * n * n)
-        # sum_{j>=1} q^(j^2) <= q / (1 - q)
-        alias = 2.0 * q / -math.expm1(-rate * n * n)
+        alias = alias_bound(n)
         change = abs(h_u - h_prev)
         if alias < _QUAD_TOL and change < _QUAD_TOL:
             break
@@ -139,9 +161,12 @@ def _trapezoid_integrals(
                 f"trapezoidal rule not converged with {n} nodes "
                 f"(aliasing bound {alias:g}, last change {change:g})"
             )
-        dg, dh = sums((np.arange(n) + 0.5) * (L / n))
-        sum_g += dg
-        sum_h += dh
+        if 2 * n <= batch_g.size:
+            g, h = batch_g[n : 2 * n], batch_h[n : 2 * n]
+        else:
+            g, h = g_and_h(midpoints(n))
+        sum_g += float(np.sum(g))
+        sum_h += float(np.sum(h))
         n *= 2
         h_prev = h_u
     norm = sum_g * (L / n)

@@ -486,6 +486,14 @@ def _log_grid(base: Base, n: int) -> np.ndarray:
     return _build_log_grid(base.b, n)
 
 
+def _distances(wl: _WrappedLogNormal, base: Base) -> tuple[float, float]:
+    """distance_to_nb of the planned density wl."""
+    n = _DISTANCE_GRID
+    x = _log_grid(base, n)
+    diff = np.abs(wl.pdf(x) - nb_pdf(x, NBDistribution(base)))
+    return float(diff.max()), float(np.sum(diff * x)) * 0.5 * base.ln / n
+
+
 def distance_to_nb(
     params: LogNormalParams | MixtureParams, base: Base, tol: float = 1e-9
 ) -> tuple[float, float]:
@@ -496,11 +504,7 @@ def distance_to_nb(
     coordinate, where the densities are smoothest; the TV integral uses the
     midpoint rule in that coordinate.
     """
-    n = _DISTANCE_GRID
-    x = _log_grid(base, n)
-    wrapped = _WrappedLogNormal.of(params, base, tol).pdf(x)
-    diff = np.abs(wrapped - nb_pdf(x, NBDistribution(base)))
-    return float(diff.max()), float(np.sum(diff * x)) * 0.5 * base.ln / n
+    return _distances(_WrappedLogNormal.of(params, base, tol), base)
 
 
 def wrap_mixture_pdf(

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import importlib
@@ -16,10 +17,22 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from benford import Base, analyze, cli, gen_sequence, nb_entropy_closed, sample_nb
+from benford import (
+    Base,
+    analyze,
+    cli,
+    distance_to_nb,
+    gen_sequence,
+    nb_entropy_closed,
+    sample_nb,
+    wrapped_lognormal_pdf,
+)
 from benford.cli import _RECORD_FIELDS, emit_records, main, parse_records
 from benford.errors import BenfordError, DomainError
 from test_significand import FULL_RANGE_BASES, FULL_RANGE_VALUES, exact_decomposition
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "data"))
+import make_golden  # noqa: E402
 
 entropy_module = importlib.import_module("benford.entropy")
 conformance_module = importlib.import_module("benford.conformance")
@@ -961,10 +974,37 @@ class TestSplitRead:
             assert got == sequential == (3, "", want), block
         _assert_no_child()
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_reads_a_pipe_to_its_end(self, tmp_path, fmt):
-        # a pipe can neither tell nor seek, and a read that declines no block needs neither
-        body = _two_halves(fmt, None, None)
+    @pytest.mark.parametrize(
+        "fmt, defect, too_long",
+        [
+            ("csv", None, False),
+            ("jsonl", None, False),
+            # the fast path declines the header, or a quoted cell in a late block,
+            # and csv.reader reads on from the bytes it took from the pipe, to the
+            # end or to a field too long for it
+            ("csv", "quoted_header", False),
+            ("csv", "quoted_header", True),
+            ("csv", "late_quote", False),
+            ("csv", "late_quote", True),
+        ],
+        ids=[
+            "csv",
+            "jsonl",
+            "quoted_header",
+            "quoted_header-csv_error",
+            "late_quote",
+            "late_quote-csv_error",
+        ],
+    )
+    def test_reads_a_pipe_to_its_end(self, tmp_path, monkeypatch, fmt, defect, too_long):
+        # a pipe can neither tell nor seek; a declined block goes back through _Pipe
+        body = _two_halves(fmt, "quote" if defect == "late_quote" else None, "second")
+        if defect == "quoted_header":
+            body = b'"id","a"' + body[body.index(b"\n") :]
+        if too_long:
+            body += b'4000,"' + b"1" * (csv.field_size_limit() + 1) + b'"\n'  # csv.Error
+        if defect == "late_quote":
+            monkeypatch.setattr(cli, "_CSV_BLOCK", 4096)  # the quote is in block 17 of 23
         f, fifo = tmp_path / f"file.{fmt}", tmp_path / f"fifo.{fmt}"
         f.write_bytes(body)
         os.mkfifo(fifo)
@@ -976,7 +1016,24 @@ class TestSplitRead:
         assert not writer.is_alive()
         assert log == []
         code, out, err = _main(_fit_argv(f))
-        assert got == (code, out.replace(str(f), str(fifo)), err) and code == 0, got[2]
+        assert got == (code, out.replace(str(f), str(fifo)), err.replace(str(f), str(fifo)))
+        if too_long:
+            assert code == 3 and ": line 4002: field larger than field limit" in err, err
+        else:
+            assert code == 0, err
+
+    def test_pipe_reads_what_it_takes_back_first(self):
+        pipe = cli._Pipe(io.BufferedReader(io.BytesIO(b"c\nd\ne")))
+        assert pipe.readline() == b"c\n"
+        pipe.unread(b"a\nb")
+        assert pipe.readline() == b"a\n"
+        pipe.unread(b"a\n")  # ahead of the bytes it still holds
+        assert pipe.readline() == b"a\n"
+        assert pipe.readline() == b"bd\n"  # a line from both
+        pipe.unread(b"xy")
+        assert pipe.readline(1) == b"x"
+        assert pipe.read() == b"ye"
+        assert pipe.read() == pipe.readline() == b""
 
     def test_small_files_pipes_and_threads_read_in_one_piece(self, tmp_path):
         f = tmp_path / "halves.csv"
@@ -1104,6 +1161,29 @@ class TestFitFuzz:
         assert got == want, argv
 
 
+_CAP_ARGVS = [
+    "digits --base 100000000000000000000",
+    "digits --base 1000001",
+    "sequence pow2 --n 100 --base 100000000000000000000",
+    "sequence pow2 --n 10000001",
+    "sequence pow2 --n 1000000000000",
+    "wrap lognormal 0 1 --grid-points 1000001",
+    "fit x.csv --base 1000001",
+    "wrap lognormal 0 1 --grid-points 0",
+    "wrap lognormal 0 1 --grid-points -3",
+    "sequence pow2 --n 0",
+    "digits --base 1",
+]
+_NEWLINE_ARGVS = [
+    ["wrap", "lognormal", "0\n", "1"],
+    ["entropy", "mixture", "1", "0", "1\n"],
+    ["fit", "quoted.csv", "--column", "a\nb", "--input-format", "jsonl"],
+    ["fit", "in\nput.csv"],
+    ["sequence", "geometric", "--ratio", "1.1\n"],
+    ["digits", "--base", "10\n"],
+]
+
+
 class TestParser:
     def test_seed_flag_is_gone(self, capsys):
         code, out, err = run(capsys, "digits", "--seed", "1")
@@ -1124,22 +1204,7 @@ class TestParser:
         assert code == 0
         assert "param tol 1e-07\n" in out
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            "digits --base 100000000000000000000",
-            "digits --base 1000001",
-            "sequence pow2 --n 100 --base 100000000000000000000",
-            "sequence pow2 --n 10000001",
-            "sequence pow2 --n 1000000000000",
-            "wrap lognormal 0 1 --grid-points 1000001",
-            "fit x.csv --base 1000001",
-            "wrap lognormal 0 1 --grid-points 0",
-            "wrap lognormal 0 1 --grid-points -3",
-            "sequence pow2 --n 0",
-            "digits --base 1",
-        ],
-    )
+    @pytest.mark.parametrize("argv", _CAP_ARGVS)
     def test_sizes_above_the_caps_are_usage_errors(self, capsys, monkeypatch, argv):
         # rejected while parsing, as are sizes below the least: no handler
         # allocates or loops at that size, or checks it again
@@ -1179,22 +1244,118 @@ class TestParser:
         assert [code for code, _, _ in reused] == [2] + [0] * (len(calls) - 1)
         assert "param absolute_value false" in reused[2][1]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["wrap", "lognormal", "0\n", "1"],
-            ["entropy", "mixture", "1", "0", "1\n"],
-            ["fit", "quoted.csv", "--column", "a\nb", "--input-format", "jsonl"],
-            ["fit", "in\nput.csv"],
-            ["sequence", "geometric", "--ratio", "1.1\n"],
-            ["digits", "--base", "10\n"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", _NEWLINE_ARGVS)
     def test_newline_in_an_argument_is_a_usage_error(self, capsys, argv):
         # float and int strip it, but an echoed token would end its record
         code, out, err = run(capsys, *argv, "--format", "records")
         assert (code, out) == (2, "")
         assert "holds a newline" in err
+
+
+def _parsed(argv, reference):
+    """main's exit code, stdout and stderr, and the Namespaces its handlers
+    got, with every handler replaced by one that returns no record; parsed
+    by ArgumentParser.parse_args itself where ``reference``. An argv of
+    None is read from sys.argv."""
+    seen = []
+    handlers = {verb: lambda args: seen.append(args) or [] for verb in cli._HANDLERS}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_HANDLERS", handlers)
+        if reference:
+            mp.setattr(cli._Parser, "parse_args", argparse.ArgumentParser.parse_args)
+        return (*_main(argv), seen)
+
+
+# argvs that fail while parsing or in a handler: each call that a test of
+# this file expects to exit 2
+_USAGE_ERRORS = [
+    *(argv.split() for argv in _CAP_ARGVS),
+    *_NEWLINE_ARGVS,
+    ["digits", "--seed", "1"],
+    *([*verb.split(), "--tol", "1e-9"] for verb in ("digits", "fit x.csv", "sequence pow2")),
+    ["digits", "--no-such-flag"],
+    ["wrap", "lognormal", "0", "1", "--tol", "-1e-9"],
+    ["wrap", "lognormal", "0", "1e-9"],
+    ["wrap", "lognormal", "1"],
+    ["wrap", "cauchy", "0", "1"],
+    ["wrap", "mixture", *["0.0588", "0", "1"] * 17],
+    ["sequence", "geometric", "--ratio", "10"],
+    ["sequence", "primes"],
+    ["sequence", "pow2", "--n", "100", "--ratio", "3"],
+]
+_PARSER_EDGES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["wrap", "-h"],
+    ["entropy", "--he"],
+    ["primes"],
+    ["Wrap", "lognormal", "0", "1"],
+    ["--", "wrap", "lognormal", "0", "1"],
+    ["wrap", "--", "lognormal", "0", "1"],
+    ["wrap", "lognormal", "0", "1", "--", "--grid-points", "8"],
+    ["wrap", "lognormal", "0", "1", "--grid", "8"],
+    ["wrap", "lognormal", "0", "1", "--grid-points=8", "--form", "records"],
+    ["wrap", "lognormal", "0", "1", "--bogus"],
+    ["wrap", "lognormal", "0", "1", "--bogus", "x", "-y"],
+    ["digits", "extra"],
+    ["digits", "--base", "16", "--base", "8"],
+    ["fit", "a.csv", "b.csv"],
+    ["sequence", "pow2", "--n"],
+    *(
+        [*argv[:i], argv[i] + "\n", *argv[i + 1 :]]
+        for argv in (["wrap", "lognormal", "0", "1", "--base", "2"],)
+        for i in range(6)
+    ),
+]
+_GOLDEN_ARGVS = [
+    [*argv, "--format", fmt]
+    for calls, fmt in (
+        (make_golden.GOLDEN_CALLS + make_golden.DENSITY_CALLS, "records"),
+        (make_golden.HUMAN_CALLS, "human"),
+    )
+    for _, argv in calls
+]
+# tokens of every kind the parsers tell apart, and some text
+_TOKENS = st.sampled_from(
+    [
+        "digits", "fit", "wrap", "entropy", "sequence", "-h", "--help", "--", "-", "--base",
+        "--base=16", "--format", "records", "human", "--grid", "--grid-points", "--tol",
+        "--n", "--ratio", "--column", "--input-format", "--absolute-value", "--bogus", "-x",
+        "lognormal", "mixture", "nb", "pow2", "x.csv", "0", "1", "2", "0.5", "-1e-05", "a\nb",
+    ]
+) | st.text(max_size=4)
+
+
+class TestVerbParsing:
+    """An argv that starts with a verb is parsed by the verb's parser alone,
+    to what ArgumentParser.parse_args on the top-level parser gives: the
+    same exit code, output and Namespace, on this interpreter's argparse."""
+
+    def test_build_parser_keeps_each_verbs_parser(self):
+        parser = cli.build_parser()
+        assert sorted(parser.verbs) == sorted(cli._HANDLERS)
+        assert all(p.prog == f"benford {verb}" for verb, p in parser.verbs.items())
+
+    @pytest.mark.parametrize("argv", _GOLDEN_ARGVS + _USAGE_ERRORS + _PARSER_EDGES)
+    def test_matches_the_top_level_parse(self, argv):
+        assert _parsed(argv, False) == _parsed(argv, True)
+
+    @pytest.mark.parametrize("argv", [["wrap", "lognormal", "0", "1"], ["wrap", "-h"], ["nope"]])
+    def test_reads_sys_argv_on_the_top_level_path(self, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["benford", *argv])
+        assert _parsed(None, False) == _parsed(None, True)
+
+    def test_unrecognized_tokens_name_the_top_level_usage(self):
+        code, out, err, seen = _parsed(["wrap", "lognormal", "0", "1", "--bogus"], False)
+        assert (code, out, seen) == (2, "", [])
+        assert err.startswith("usage: benford [-h] {digits,fit,wrap,entropy,sequence}")
+        assert err.endswith("benford: error: unrecognized arguments: --bogus\n")
+
+    @settings(deadline=None, max_examples=300)
+    @given(argv=st.lists(_TOKENS, max_size=8))
+    def test_matches_on_any_tokens(self, argv):
+        assert _parsed(argv, False) == _parsed(argv, True)
 
 
 def _fmt_oracle(value) -> str:
@@ -1298,6 +1459,27 @@ class TestClosedPipe:
 
 
 class TestWrap:
+    def test_plans_the_density_once(self, capsys, monkeypatch):
+        # the distances and the table share one plan, and print what the
+        # public functions give
+        of, plans = cli._WrappedLogNormal.of, []
+        monkeypatch.setattr(
+            cli._WrappedLogNormal, "of", lambda *args: plans.append(args) or of(*args)
+        )
+        dist = ["mixture", "0.5", "0", "0.3", "0.5", "1", "2"]
+        code, out, _ = run(capsys, "wrap", *dist, "--grid-points", "16", "--format", "records")
+        assert code == 0 and len(plans) == 1
+        monkeypatch.undo()
+        params, base = cli._parse_dist(dist, ("mixture",)), Base(10)
+        recs = records_of(out)
+        pdf = wrapped_lognormal_pdf(cli._log_grid(base, 16), params, base)
+        assert [r[2] for r in recs if r[0] == "row"] == [_printed(v) for v in pdf.tolist()]
+        sup, tv = distance_to_nb(params, base)
+        assert field(recs, "sup_distance") + field(recs, "tv_distance") == (
+            _printed(sup),
+            _printed(tv),
+        )
+
     def test_summary_small_for_wide_scale(self, capsys):
         code, out, _ = run(
             capsys, "wrap", "lognormal", "0", "4", "--grid-points", "8",

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sint
 
 from benford import (
@@ -29,7 +31,9 @@ from benford._quadrature import integrate
 entropy_module = importlib.import_module("benford.entropy")
 wrapping_module = importlib.import_module("benford.wrapping")
 sys.path.insert(0, str(Path(__file__).resolve().parent / "data"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import make_golden  # noqa: E402
+import workloads  # noqa: E402
 
 B10 = Base(10)
 D10 = NBDistribution(B10)
@@ -406,3 +410,130 @@ def test_narrow_peak_entropy_within_reported_error():
     mean_u, _ = sint.quad(lambda u: g(u) * u, 0.0, L, **opts)
     # H[rho] = H[g] + E[ln x]
     assert abs(rep.entropy - (h_u + mean_u)) <= rep.quadrature_error_estimate
+
+
+def _staged_trapezoid(params, base, tol):
+    """The trapezoidal rule as one evaluation per stage: the eight first
+    nodes, then the N midpoints of each doubling; the reference for the
+    batch of _trapezoid_integrals."""
+    E = entropy_module
+    L = base.ln
+    wl = wrapping_module._WrappedLogNormal.of(params, base, tol)
+    rate = wl.alias_rate()
+
+    def sums(u):
+        x = np.exp(u)
+        g = x * wl.pdf(x)
+        return float(np.sum(g)), float(np.sum(E._neg_g_log_g(g)))
+
+    n = E._FIRST_NODES
+    sum_g, sum_h = sums(np.arange(n) * (L / n))
+    h_prev = math.nan
+    while True:
+        h_u = sum_h * (L / n)
+        q = math.exp(-rate * n * n)
+        alias = 2.0 * q / -math.expm1(-rate * n * n)
+        change = abs(h_u - h_prev)
+        if alias < E._QUAD_TOL and change < E._QUAD_TOL:
+            break
+        if n >= E._MAX_NODES:
+            raise QuadratureError(
+                f"trapezoidal rule not converged with {n} nodes "
+                f"(aliasing bound {alias:g}, last change {change:g})"
+            )
+        dg, dh = sums((np.arange(n) + 0.5) * (L / n))
+        sum_g += dg
+        sum_h += dh
+        n *= 2
+        h_prev = h_u
+    norm = sum_g * (L / n)
+    if abs(norm - 1.0) > E._NORM_TOL:
+        raise NotNormalized(f"density integrates to {norm!r}, expected 1")
+    ml, err_ml = wl.mean_log()
+    err_h = alias + change + E._truncation_effect(wl) + err_ml
+    return h_u + ml, ml, err_h, err_ml
+
+
+def _outcome(f, *args):
+    """f's four floats as hex, or the type and message of what it raised."""
+    try:
+        return [v.hex() for v in f(*args)]
+    except (QuadratureError, NotNormalized) as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def _bench_entropy_params():
+    """(params, base) of every parameter entropy call of the seed-3 density plan."""
+    out = []
+    for call in workloads.generate("density", 3, Path("."), False)["calls"]:
+        argv = call["argv"]
+        if argv[0] == "entropy" and argv[1] in ("lognormal", "mixture"):
+            i = argv.index("--base")
+            out.append((_golden_params(argv[1:i])[0], Base(int(argv[i + 1]))))
+    return out
+
+
+_COMPONENT = st.tuples(
+    st.floats(0.05, 1.0), st.floats(-50.0, 50.0), st.floats(2e-6, 20.0) | st.floats(0.01, 3.0)
+)
+
+
+class TestTrapezoidBatch:
+    """One batch of nodes gives the staged rule's four floats bit for bit."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        b=st.integers(2, 10**6) | st.sampled_from([2, 10, 16, 1000]),
+        comps=st.lists(_COMPONENT, min_size=1, max_size=3),
+        tol=st.floats(1e-15, 1e-3) | st.just(1e-9),
+    )
+    def test_matches_the_staged_rule(self, b, comps, tol):
+        total = math.fsum(w for w, _, _ in comps)
+        ws = [w / total for w, _, _ in comps]
+        ws[-1] = 1.0 - math.fsum(ws[:-1])
+        params = MixtureParams(
+            tuple((w, LogNormalParams(M, s)) for w, (_, M, s) in zip(ws, comps))
+        )
+        if len(comps) == 1:
+            params = params.components[0][1]
+        args = (params, Base(b), tol)
+        assert _outcome(entropy_module._trapezoid_integrals, *args) == _outcome(
+            _staged_trapezoid, *args
+        )
+
+    def test_matches_the_staged_rule_on_the_bench_plan(self, monkeypatch):
+        cases = _bench_entropy_params()
+        want = [_outcome(_staged_trapezoid, p, base, 1e-9) for p, base in cases]
+        calls = []
+        pdf = wrapping_module._WrappedLogNormal.pdf
+
+        def counted(self, x):
+            calls[-1] += 1
+            return pdf(self, x)
+
+        monkeypatch.setattr(wrapping_module._WrappedLogNormal, "pdf", counted)
+        got = []
+        for p, base in cases:
+            calls.append(0)
+            got.append(_outcome(entropy_module._trapezoid_integrals, p, base, 1e-9))
+        assert len(cases) == 96 and got == want
+        # every report stops at twice its least stage or one or two doublings past it
+        assert max(calls) <= 3
+
+    @pytest.mark.parametrize("M, s, b", [(0.0, 1e-5, 10**6), (0.0, 5e-6, 2)])
+    def test_node_cap_raises_as_the_staged_rule(self, M, s, b):
+        args = (LogNormalParams(M, s), Base(b), 1e-9)
+        got = _outcome(entropy_module._trapezoid_integrals, *args)
+        assert got[0] == "QuadratureError" and "65536 nodes" in got[1]
+        assert got == _outcome(_staged_trapezoid, *args)
+
+    def test_not_normalized_raises_as_the_staged_rule(self, monkeypatch):
+        pdf = wrapping_module._WrappedLogNormal.pdf
+        monkeypatch.setattr(
+            wrapping_module._WrappedLogNormal, "pdf", lambda self, x: 1.001 * pdf(self, x)
+        )
+        for p in (LogNormalParams(0.3, 0.05), LogNormalParams(0.3, 2.0)):
+            args = (p, B10, 1e-9)
+            got = _outcome(entropy_module._trapezoid_integrals, *args)
+            assert got[0] == "NotNormalized"
+            assert got == _outcome(_staged_trapezoid, *args)
