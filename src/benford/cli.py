@@ -52,9 +52,16 @@ from .errors import (
     TruncationError,
     UnsupportedRatio,
 )
-from .nb_core import NBDistribution, first_digit_probs, nb_pdf
+from .nb_core import first_digit_probs
 from .significand import Base
-from .wrapping import LogNormalParams, MixtureParams, _distances, _log_grid, _WrappedLogNormal
+from .wrapping import (
+    _DISTANCE_GRID,
+    LogNormalParams,
+    MixtureParams,
+    _distances,
+    _grid,
+    _WrappedLogNormal,
+)
 
 __all__ = ["main", "entrypoint", "emit_records", "parse_records"]
 
@@ -122,12 +129,48 @@ _TEMPLATES: dict[str, tuple[int, str]] = {
 }
 
 
+class _Constant(NamedTuple):
+    """A table column that depends only on the base b and its n rows: the
+    points "x" or the law "nb_pdf" of the grid _grid(b, n), or the digits
+    1..b-1, "digit", or their probabilities, "nb_prob" (n = b - 1)."""
+
+    kind: str
+    b: int
+    n: int
+
+
+_CONSTANT_VALUES = {
+    "x": lambda b, n: _grid(Base(b), n).x,
+    "nb_pdf": lambda b, n: _grid(Base(b), n).law,
+    "digit": lambda b, n: np.arange(1, b),
+    "nb_prob": lambda b, n: first_digit_probs(Base(b)),
+}
+# the most rows of a column whose text is kept, by _constant_text
+_TEXT_ROWS = _DISTANCE_GRID
+
+
+def _column(kind: str, b: int, values: np.ndarray) -> np.ndarray | _Constant:
+    """The values of the _Constant column kind of base b, or for at most
+    _TEXT_ROWS rows its key, whose text _chunks renders once per format."""
+    return _Constant(kind, b, len(values)) if len(values) <= _TEXT_ROWS else values
+
+
+# at most 16 columns of at most _TEXT_ROWS strings, each of at most 31
+# characters in an 80-byte block, and their pointers: 2.75 MiB
+@functools.lru_cache(maxsize=16)
+def _constant_text(kind: str, b: int, n: int, fmt: str) -> tuple[str, ...]:
+    """The text of each row of the _Constant column (kind, b, n) in the
+    %-format fmt."""
+    return tuple(map(fmt.__mod__, _CONSTANT_VALUES[kind](b, n).tolist()))
+
+
 class _Table(NamedTuple):
-    """A table record: its name, and one array per field of _RECORD_FIELDS,
-    all of one length, that hold its rows."""
+    """A table record: its name, and one column per field of
+    _RECORD_FIELDS, all of one length, that hold its rows: an array, or
+    a _Constant."""
 
     name: str
-    columns: tuple[np.ndarray, ...]
+    columns: tuple[np.ndarray | _Constant, ...]
 
 
 _TABLE_HEADERS = {
@@ -147,16 +190,9 @@ def _chunks(records: Iterable[tuple], human: bool) -> Iterator[str]:
     for rec in records:
         name = rec[0]
         if isinstance(rec, _Table):
-            kinds = _RECORD_FIELDS[name]
             if human:
                 yield "  ".join("%16s" % h for h in _TABLE_HEADERS[name]) + "\n"
-                template = "  ".join(_HUMAN_FORMATS[k] for k in kinds) + "\n"
-            else:
-                template = _TEMPLATES[name][1]
-            n = _TABLE_ROWS
-            for i in range(0, len(rec.columns[0]), n):
-                rows = zip(*(c[i : i + n].tolist() for c in rec.columns))
-                yield "".join(map(template.__mod__, rows))
+            yield from _table_chunks(rec, human)
         elif not human:
             arity, template = _TEMPLATES.get(name, (0, ""))
             yield template % rec[1:] if len(rec) == arity else " ".join(map(_fmt, rec)) + "\n"
@@ -168,6 +204,26 @@ def _chunks(records: Iterable[tuple], human: bool) -> Iterator[str]:
             yield f"{'sum':>16}  {rec[1]:>16.12f}\n"
         elif name != "schema":
             yield f"{name} = {_fmt(rec[1])}\n"
+
+
+def _table_chunks(table: _Table, human: bool) -> Iterator[str]:
+    """The rows of a table, _TABLE_ROWS at a time: a _Constant column's
+    text comes from _constant_text, an array's is rendered here."""
+    formats = _HUMAN_FORMATS if human else _KIND_FORMATS
+    fields, columns = [], []
+    for column, kind in zip(table.columns, _RECORD_FIELDS[table.name]):
+        if isinstance(column, _Constant):
+            fields.append("%s")
+            columns.append(_constant_text(*column, formats[kind]))
+        else:
+            fields.append(formats[kind])
+            columns.append(column)
+    template = "  ".join(fields) if human else " ".join([table.name, *fields])
+    template += "\n"
+    n = _TABLE_ROWS
+    for i in range(0, len(columns[0]), n):
+        rows = zip(*(c[i : i + n] if type(c) is tuple else c[i : i + n].tolist() for c in columns))
+        yield "".join(map(template.__mod__, rows))
 
 
 def emit_records(records: Sequence[tuple]) -> str:
@@ -691,14 +747,19 @@ def _parse_dist(tokens: Sequence[str], allow: tuple[str, ...]):
 
 
 def _conformance_records(report: ConformanceReport, base: Base) -> list[tuple]:
-    hist = report.histogram
+    hist, b = report.histogram, base.b
     return [
         ("total", hist.total),
         ("skipped_nonpositive", report.n_skipped_nonpositive),
         ("skipped_nonfinite", report.n_skipped_nonfinite),
         _Table(
             "bin",
-            (np.arange(1, base.b), hist.counts, hist.counts / hist.total, first_digit_probs(base)),
+            (
+                _column("digit", b, np.arange(1, b)),
+                hist.counts,
+                hist.counts / hist.total,
+                _column("nb_prob", b, first_digit_probs(base)),
+            ),
         ),
         ("chi_square", report.chi_square),
         ("chi_square_pvalue", report.chi_square_pvalue),
@@ -707,12 +768,18 @@ def _conformance_records(report: ConformanceReport, base: Base) -> list[tuple]:
     ]
 
 
+# at most 16 floats and their keys: 2 KiB
+@functools.lru_cache(maxsize=16)
+def _digit_sum(b: int) -> float:
+    """The sum of first_digit_probs of base b, correctly rounded."""
+    return math.fsum(first_digit_probs(Base(b)).tolist())
+
+
 def _cmd_digits(args) -> list[tuple]:
-    probs = first_digit_probs(Base(args.base))
-    return [
-        _Table("digit", (np.arange(1, args.base), probs)),
-        ("digit_sum", math.fsum(probs.tolist())),
-    ]
+    b = args.base
+    probs = first_digit_probs(Base(b))
+    columns = (_column("digit", b, np.arange(1, b)), _column("nb_prob", b, probs))
+    return [_Table("digit", columns), ("digit_sum", _digit_sum(b))]
 
 
 def _cmd_fit(args) -> list[tuple]:
@@ -731,14 +798,14 @@ def _cmd_wrap(args) -> list[tuple]:
     base = Base(args.base)
     wl = _WrappedLogNormal.of(_parse_dist(args.dist, ("lognormal", "mixture")), base, args.tol)
     sup, tv = _distances(wl, base)
-    x = _log_grid(base, args.grid_points)
-    w = wl.pdf(x)
-    r = nb_pdf(x, NBDistribution(base))
+    x, u, law = _grid(base, args.grid_points)
+    w = wl.pdf(x, u)
+    columns = (_column("x", base.b, x), w, _column("nb_pdf", base.b, law), w - law)
     return [
         ("param", "tol", str(args.tol)),
         ("param", "grid_points", str(args.grid_points)),
         ("param", "dist", " ".join(args.dist)),
-        _Table("row", (x, w, r, w - r)),
+        _Table("row", columns),
         ("sup_distance", sup),
         ("tv_distance", tv),
     ]

@@ -22,6 +22,7 @@ vector-valued integral, so each panel is evaluated once for all three.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Union
@@ -41,6 +42,7 @@ _QUAD_TOL = 1e-9
 _NOISE_FLOOR = 1e-12
 _FIRST_NODES = 8
 _MAX_NODES = 1 << 16  # about the 4096 15-node panels of the adaptive rule
+_CACHED_NODES = 1 << 10  # the largest batch of nodes that _nodes keeps
 
 Pdf = Callable[[np.ndarray], "np.ndarray | float"]
 Density = Union[Literal["nb", "uniform"], Pdf, LogNormalParams, MixtureParams]
@@ -102,6 +104,45 @@ def _truncation_effect(wl: _WrappedLogNormal) -> float:
     return L * eps * (max(0.0, -math.log(eps)) + 1.0 + max(0.0, math.log(g_max)))
 
 
+def _midpoints(L: float, n: int) -> np.ndarray:
+    """The n midpoints of the trapezoidal rule's stage n on [0, L)."""
+    return (np.arange(n) + 0.5) * (L / n)
+
+
+def _exp_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = e**u and ln x, by numpy's exp and log."""
+    x = np.exp(u)
+    return x, np.log(x)
+
+
+def _build_nodes(b: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """_exp_log of the size nodes in u of every stage of the trapezoidal
+    rule on [0, ln b) below size, laid out stage after stage: the
+    _FIRST_NODES nodes jL/N of the first, then the N midpoints of stage N
+    as entries N to 2N; read-only arrays."""
+    L = math.log(b)
+    n, stages = _FIRST_NODES, [np.arange(_FIRST_NODES) * (L / _FIRST_NODES)]
+    while n < size:
+        stages.append(_midpoints(L, n))
+        n *= 2
+    nodes = _exp_log(np.concatenate(stages))
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
+
+
+# at most 16 batches of at most _CACHED_NODES nodes, two float64 arrays
+# each: 256 KiB
+_cached_nodes = functools.lru_cache(maxsize=16)(_build_nodes)
+
+
+def _nodes(base: Base, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """_build_nodes, cached per (b, size) up to _CACHED_NODES nodes."""
+    if size <= _CACHED_NODES:
+        return _cached_nodes(base.b, size)
+    return _build_nodes(base.b, size)
+
+
 def _trapezoid_integrals(
     params: LogNormalParams | MixtureParams, base: Base, tol: float
 ) -> tuple[float, float, float, float]:
@@ -116,10 +157,9 @@ def _trapezoid_integrals(
 
     The aliasing bound alone gives, before any evaluation, the least N_a
     at which the rule can stop.  So g is evaluated in one batch on the
-    nodes of every stage up to min(2 N_a, _MAX_NODES), laid out stage after
-    stage, the N midpoints of stage N as entries N to 2N; past the batch,
-    each doubling evaluates its midpoints alone.  Either way each stage
-    adds the sums of its own nodes, in order.
+    nodes of every stage up to min(2 N_a, _MAX_NODES), laid out by
+    _nodes; past the batch, each doubling evaluates its midpoints alone.
+    Either way each stage adds the sums of its own nodes, in order.
     """
     L = base.ln
     wl = _WrappedLogNormal.of(params, base, tol)
@@ -130,22 +170,14 @@ def _trapezoid_integrals(
         # sum_{j>=1} q^(j^2) <= q / (1 - q)
         return 2.0 * q / -math.expm1(-rate * n * n)
 
-    def midpoints(n: int) -> np.ndarray:
-        return (np.arange(n) + 0.5) * (L / n)
-
-    def g_and_h(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.exp(u)
-        g = x * wl.pdf(x)
+    def g_and_h(x: np.ndarray, ln_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g = x * wl.pdf(x, ln_x)
         return g, _neg_g_log_g(g)
 
     n_a = _FIRST_NODES
     while alias_bound(n_a) >= _QUAD_TOL and n_a < _MAX_NODES:
         n_a *= 2
-    n, stages = _FIRST_NODES, [np.arange(_FIRST_NODES) * (L / _FIRST_NODES)]
-    while n < min(2 * n_a, _MAX_NODES):
-        stages.append(midpoints(n))
-        n *= 2
-    batch_g, batch_h = g_and_h(np.concatenate(stages))
+    batch_g, batch_h = g_and_h(*_nodes(base, min(2 * n_a, _MAX_NODES)))
 
     n = _FIRST_NODES
     sum_g, sum_h = float(np.sum(batch_g[:n])), float(np.sum(batch_h[:n]))
@@ -164,7 +196,7 @@ def _trapezoid_integrals(
         if 2 * n <= batch_g.size:
             g, h = batch_g[n : 2 * n], batch_h[n : 2 * n]
         else:
-            g, h = g_and_h(midpoints(n))
+            g, h = g_and_h(*_exp_log(_midpoints(L, n)))
         sum_g += float(np.sum(g))
         sum_h += float(np.sum(h))
         n *= 2

@@ -87,7 +87,7 @@ class LogNormalParams:
         if not math.isfinite(self.M):
             raise DomainError(f"location must be finite, got {self.M!r}")
         if not math.isfinite(self.s) or self.s <= S_MIN:
-            raise DomainError(f"scale must exceed {S_MIN:g}, got {self.s!r}")
+            raise DomainError(f"scale must be finite and exceed {S_MIN:g}, got {self.s!r}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class MixtureParams:
         total = 0.0
         for w, _ in self.components:
             if not math.isfinite(w) or w < 0.0:
-                raise DomainError(f"mixture weight {w!r} must be nonnegative")
+                raise DomainError(f"mixture weight {w!r} must be finite and nonnegative")
             total += w
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"mixture weights sum to {total!r}, expected 1")
@@ -279,14 +279,16 @@ def _block_sum(n: int, ks: np.ndarray, terms: Callable[[np.ndarray], np.ndarray]
     return total
 
 
-def _wl_pdf_at(x: np.ndarray, m: float, s: float, L: float, K: int) -> np.ndarray:
-    """(1/(x s sqrt(2 pi))) sum_{k=-K}^{K} exp(-(ln x + k L - m)^2 / 2 s^2).
+def _wl_pdf_at(
+    x: np.ndarray, m: float, s: float, L: float, K: int, u: np.ndarray
+) -> np.ndarray:
+    """(1/(x s sqrt(2 pi))) sum_{k=-K}^{K} exp(-(u + k L - m)^2 / 2 s^2),
+    for u = np.log(x).
 
     The terms are added in increasing k by _block_sum.  They are positive,
     so the sum's relative rounding error stays below (2K + 1) machine
     epsilons.
     """
-    u = np.log(x)
 
     def terms(k: np.ndarray) -> np.ndarray:
         z = u + (k * L)[:, None]
@@ -328,13 +330,13 @@ def _dual_order(s: float, L: float, target: float) -> int:
     return n - 1
 
 
-def _dual_at(x: np.ndarray, m: float, s: float, L: float, J: int) -> np.ndarray:
-    """(1/(x L)) [1 + 2 sum_{k=1}^{J} c_k cos(2 pi k (ln x - m) / L)].
+def _dual_at(x: np.ndarray, m: float, s: float, L: float, J: int, u: np.ndarray) -> np.ndarray:
+    """(1/(x L)) [1 + 2 sum_{k=1}^{J} c_k cos(2 pi k (u - m) / L)], for u = np.log(x).
 
     The Poisson dual of _wl_pdf_at's sum, with c_k = exp(-2 pi^2 k^2 s^2 / L^2).
     The terms are added from k = J down to 1, smallest first, by _block_sum.
     """
-    theta = (np.log(x) - m) * (2.0 * math.pi / L)
+    theta = (u - m) * (2.0 * math.pi / L)
     a = _dual_rate(s, L)
 
     def terms(k: np.ndarray) -> np.ndarray:
@@ -390,12 +392,19 @@ class _WrappedLogNormal(NamedTuple):
             series.append(_Series(w, p.M % L, p.s, K, J, tail))
         return cls(L, tuple(series))
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        """The density at a 1-d array of points x in [1, b)."""
+    def pdf(self, x: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+        """The density at a 1-d array of points x in [1, b), given
+        u = np.log(x) or taking it once for all components."""
         L = self.L
+        if u is None:
+            u = np.log(x)
         return sum(
             c.w
-            * (_dual_at(x, c.m, c.s, L, c.J) if c.K is None else _wl_pdf_at(x, c.m, c.s, L, c.K))
+            * (
+                _dual_at(x, c.m, c.s, L, c.J, u)
+                if c.K is None
+                else _wl_pdf_at(x, c.m, c.s, L, c.K, u)
+            )
             for c in self.series
         )
 
@@ -462,35 +471,47 @@ def euler_maclaurin_leading(x: float, p: LogNormalParams, base: Base) -> float:
     return nb_pdf(x, NBDistribution(base))
 
 
-def _build_log_grid(b: int, n: int) -> np.ndarray:
+class _Grid(NamedTuple):
+    """A log-map grid on [1, b): its points x, u = np.log(x), and the law
+    1/(x ln b) on them by nb_pdf's expression; read-only arrays."""
+
+    x: np.ndarray
+    u: np.ndarray
+    law: np.ndarray
+
+
+def _build_grid(b: int, n: int) -> _Grid:
     fb = float(b)
     # Python's pow, not numpy's, which differs from it in the last ulp
     x = np.array([fb ** ((i + 0.5) / n) for i in range(n)])
-    x.setflags(write=False)
-    return x
+    grid = _Grid(x, np.log(x), 1.0 / (x * math.log(b)))
+    for a in grid:
+        a.setflags(write=False)
+    return grid
 
 
-# at most 64 grids of at most _DISTANCE_GRID points: 1 MiB
-_cached_log_grid = functools.lru_cache(maxsize=64)(_build_log_grid)
+# at most 16 grids of at most _DISTANCE_GRID points, three float64 arrays
+# each: 768 KiB
+_cached_grid = functools.lru_cache(maxsize=16)(_build_grid)
 
 
-def _log_grid(base: Base, n: int) -> np.ndarray:
-    """The n points b**((i + 0.5) / n), i = 0..n-1, as a read-only array:
-    the midpoints of n equal cells of the log-map coordinate on [1, b).
+def _grid(base: Base, n: int) -> _Grid:
+    """The grid of the n points b**((i + 0.5) / n), i = 0..n-1: the
+    midpoints of n equal cells of the log-map coordinate on [1, b).
 
     Grids of at most _DISTANCE_GRID points are cached per (b, n), so
-    repeat calls return the same array; larger ones are built per call.
+    repeat calls return the same record; larger ones are built per call.
     """
     if n <= _DISTANCE_GRID:
-        return _cached_log_grid(base.b, n)
-    return _build_log_grid(base.b, n)
+        return _cached_grid(base.b, n)
+    return _build_grid(base.b, n)
 
 
 def _distances(wl: _WrappedLogNormal, base: Base) -> tuple[float, float]:
     """distance_to_nb of the planned density wl."""
     n = _DISTANCE_GRID
-    x = _log_grid(base, n)
-    diff = np.abs(wl.pdf(x) - nb_pdf(x, NBDistribution(base)))
+    x, u, law = _grid(base, n)
+    diff = np.abs(wl.pdf(x, u) - law)
     return float(diff.max()), float(np.sum(diff * x)) * 0.5 * base.ln / n
 
 

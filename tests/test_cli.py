@@ -29,12 +29,15 @@ from benford import (
 )
 from benford.cli import _RECORD_FIELDS, emit_records, main, parse_records
 from benford.errors import BenfordError, DomainError
+from benford.nb_core import first_digit_probs
+from test_golden import clear_caches
 from test_significand import FULL_RANGE_BASES, FULL_RANGE_VALUES, exact_decomposition
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "data"))
 import make_golden  # noqa: E402
 
 entropy_module = importlib.import_module("benford.entropy")
+wrapping_module = importlib.import_module("benford.wrapping")
 conformance_module = importlib.import_module("benford.conformance")
 
 
@@ -1430,6 +1433,65 @@ class TestRenderer:
             assert emit_records([cli._Table(name, columns)]) == _emit_oracle(rows)
 
 
+class TestCachedText:
+    """Arrays and column text kept per base, size and format give every
+    table as it is rendered from a cold start, and as it is rendered with
+    no column text kept at all."""
+
+    @staticmethod
+    def _argv(verb: str, b: int, rows: int) -> list[str]:
+        if verb == "wrap":
+            return ["wrap", "mixture", "0.4", "0.3", "0.05", "0.6", "1", "3",
+                    "--base", str(b), "--grid-points", str(rows)]
+        if verb == "sequence":  # chi-square needs 5 terms per digit
+            return ["sequence", "fibonacci", "--n", str(5 * b), "--base", str(b)]
+        return ["digits", "--base", str(b)]
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        verb=st.sampled_from(["wrap", "digits", "sequence"]),
+        b=st.integers(2, 2049) | st.sampled_from([2, 10, 16, 1000, 2049]),
+        wide_b=st.integers(2050, cli._MAX_BASE),
+        rows=st.integers(1, 2048) | st.sampled_from([1, 256, 2048]),
+    )
+    def test_warm_equals_cold(self, verb, b, wide_b, rows):
+        if verb == "wrap" and rows % 2:
+            b = wide_b  # the grid of a base above the digit tables' bound
+        argv = self._argv(verb, b, rows)
+        formats = ("records", "human")
+        # both formats in turn, twice; keys of earlier examples stay cached
+        warm = [make_golden.run(argv, fmt) for _ in range(2) for fmt in formats]
+        clear_caches()
+        cold = [make_golden.run(argv, fmt) for fmt in formats]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_TEXT_ROWS", 0)
+            plain = [make_golden.run(argv, fmt) for fmt in formats]
+        assert warm[0][0] == 0
+        assert warm[:2] == warm[2:] == cold == plain
+
+    def test_cached_arrays_are_read_only(self):
+        clear_caches()
+        for b in (2, 10, 1000):
+            for argv in (
+                self._argv("wrap", b, 256),
+                self._argv("digits", b, 0),
+                ["entropy", "lognormal", "0.3", "0.05", "--base", str(b)],
+            ):
+                assert make_golden.run(argv)[0] == 0
+        grid_hits = wrapping_module._cached_grid.cache_info().hits
+        arrays = []
+        for b in (2, 10, 1000):
+            for n in (256, wrapping_module._DISTANCE_GRID):
+                arrays += wrapping_module._cached_grid(b, n)
+            arrays.append(first_digit_probs(Base(b)))
+            for k in range(4, 11):  # batches of 16 to 1024 nodes
+                arrays += entropy_module._cached_nodes(b, 1 << k)
+        assert wrapping_module._cached_grid.cache_info().hits == grid_hits + 6
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        # column text is a tuple of strings, immutable by its type
+        assert type(cli._constant_text("x", 10, 256, "%.12g")) is tuple
+
+
 class TestClosedPipe:
     """A reader that closes stdout early, as ``| head -1`` does, ends the
     call with exit 0 and nothing on stderr."""
@@ -1472,7 +1534,7 @@ class TestWrap:
         monkeypatch.undo()
         params, base = cli._parse_dist(dist, ("mixture",)), Base(10)
         recs = records_of(out)
-        pdf = wrapped_lognormal_pdf(cli._log_grid(base, 16), params, base)
+        pdf = wrapped_lognormal_pdf(cli._grid(base, 16).x, params, base)
         assert [r[2] for r in recs if r[0] == "row"] == [_printed(v) for v in pdf.tolist()]
         sup, tv = distance_to_nb(params, base)
         assert field(recs, "sup_distance") + field(recs, "tv_distance") == (
@@ -1769,6 +1831,20 @@ class TestDensityArguments:
         code, out, err = run(capsys, *argv.split(), "--format", "records")
         assert (code, err) == (0, "")
         assert f"param dist {argv.split(maxsplit=1)[1]}\n" in out
+
+    @pytest.mark.parametrize("verb", ["wrap", "entropy"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_scale_is_named_as_such(self, capsys, verb, value):
+        code, out, err = run(capsys, verb, "lognormal", "0", value)
+        assert (code, out) == (2, "")
+        assert err == f"benford {verb}: scale must be finite and exceed 1e-06, got {value}\n"
+
+    @pytest.mark.parametrize("verb", ["wrap", "entropy"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_weight_is_named_as_such(self, capsys, verb, value):
+        code, out, err = run(capsys, verb, "mixture", value, "0", "1", "0.5", "1", "1")
+        assert (code, out) == (2, "")
+        assert err == f"benford {verb}: mixture weight {value} must be finite and nonnegative\n"
 
     def test_negative_tolerance_in_exponent_notation_is_read(self, capsys):
         code, out, err = run(capsys, "wrap", "lognormal", "0", "1", "--tol", "-1e-9")

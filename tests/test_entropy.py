@@ -507,9 +507,9 @@ class TestTrapezoidBatch:
         calls = []
         pdf = wrapping_module._WrappedLogNormal.pdf
 
-        def counted(self, x):
+        def counted(self, x, u=None):
             calls[-1] += 1
-            return pdf(self, x)
+            return pdf(self, x, u)
 
         monkeypatch.setattr(wrapping_module._WrappedLogNormal, "pdf", counted)
         got = []
@@ -530,7 +530,9 @@ class TestTrapezoidBatch:
     def test_not_normalized_raises_as_the_staged_rule(self, monkeypatch):
         pdf = wrapping_module._WrappedLogNormal.pdf
         monkeypatch.setattr(
-            wrapping_module._WrappedLogNormal, "pdf", lambda self, x: 1.001 * pdf(self, x)
+            wrapping_module._WrappedLogNormal,
+            "pdf",
+            lambda self, x, u=None: 1.001 * pdf(self, x, u),
         )
         for p in (LogNormalParams(0.3, 0.05), LogNormalParams(0.3, 2.0)):
             args = (p, B10, 1e-9)

@@ -1,6 +1,7 @@
 """Output guard: records and human streams and ratio rejections stay as
 captured in tests/data/golden (see tests/data/make_golden.py)."""
 
+import importlib
 import json
 import math
 import sys
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from benford import cli
+from benford import cli, nb_core, wrapping
 from benford.cli import parse_records
+
+entropy_module = importlib.import_module("benford.entropy")
 
 DATA = Path(__file__).resolve().parent / "data"
 sys.path.insert(0, str(DATA))
@@ -90,9 +93,15 @@ def test_ratio_rejections_unchanged():
     "name,argv", make_golden.DENSITY_CALLS, ids=[c[0] for c in make_golden.DENSITY_CALLS]
 )
 def test_density_records_match(name, argv):
+    assert_density_matches(name, *make_golden.run(argv))
+
+
+def assert_density_matches(name: str, code: int, got_text: str) -> None:
+    """The exit code and records stream of a density golden call match
+    its golden: x, nb_pdf and the other records byte for byte, the series
+    and entropy fields within their tolerances."""
     codes = json.loads((make_golden.GOLDEN / "density_exit_codes.json").read_text())
     want_text = (make_golden.GOLDEN / f"{name}.records").read_text(encoding="utf-8")
-    code, got_text = make_golden.run(argv)
     assert code == codes[name]
     want_lines, got_lines = want_text.splitlines(), got_text.splitlines()
     assert [ln.split(" ")[0] for ln in got_lines] == [ln.split(" ")[0] for ln in want_lines]
@@ -114,3 +123,30 @@ def test_density_records_match(name, argv):
         elif kind != "quadrature_error_estimate":
             # schema, command, param and constraint_met records
             assert g_line == w_line
+
+
+def clear_caches() -> None:
+    """Empty every cache that main fills per base, size or format."""
+    for cache in (
+        cli._constant_text,
+        cli._digit_sum,
+        wrapping._cached_grid,
+        entropy_module._cached_nodes,
+        nb_core.first_digit_probs,
+    ):
+        cache.cache_clear()
+
+
+def test_streams_unchanged_when_run_twice_in_one_process(monkeypatch):
+    # the second pass runs in reverse order, so that bases, grid sizes and
+    # both formats interleave with the keys the first pass left cached
+    monkeypatch.chdir(make_golden.GOLDEN)
+    density = dict(make_golden.DENSITY_CALLS)
+    clear_caches()
+    for name, argv, fmt in BLOCK_CASES + BLOCK_CASES[::-1]:
+        code, text = make_golden.run(argv, fmt)
+        if fmt == "records" and name in density:
+            assert_density_matches(name, code, text)
+        else:
+            want = (make_golden.GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+            assert (code, text) == (0, want), (name, fmt)

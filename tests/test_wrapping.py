@@ -1,8 +1,11 @@
+import importlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sint
 
 from benford import (
@@ -31,11 +34,11 @@ from benford.wrapping import (
     _BLOCK,
     _DISTANCE_GRID,
     _WrappedLogNormal,
-    _cached_log_grid,
+    _cached_grid,
     _dual_at,
     _dual_order,
     _dual_rate,
-    _log_grid,
+    _grid,
     _lognormal_trunc,
     _wl_pdf_at,
 )
@@ -444,8 +447,8 @@ class TestPoissonDual:
             s = float(s)
             m = (-2.0 + 0.37 * j) % L
             K = _lognormal_trunc(s, L, tol, K_MAX)
-            direct = _wl_pdf_at(x, m, s, L, K)
-            dual = _dual_at(x, m, s, L, _dual_order(s, L, 1e-16))
+            direct = _wl_pdf_at(x, m, s, L, K, np.log(x))
+            dual = _dual_at(x, m, s, L, _dual_order(s, L, 1e-16), np.log(x))
             slack = tol + 1e-16 + (2 * K + 8) * EPS * direct
             assert np.all(np.abs(direct - dual) <= slack), (b, s)
 
@@ -560,14 +563,14 @@ class TestArrayContract:
         # in base 2 the direct sum at s = 1000 needs K ~ 9300 and the dual at
         # s = 1e-4 needs J ~ 10200: a full term matrix on the 2048-point
         # distance grid would take about 300 MB and 170 MB
-        x = _log_grid(B2, _DISTANCE_GRID)
+        x, u, _ = _grid(B2, _DISTANCE_GRID)
         K = _lognormal_trunc(1000.0, B2.ln, 1e-9, K_MAX)
         J = _dual_order(1e-4, B2.ln, 1e-16)
         assert K > 9000 and J > 9000
         for series, s, order in ((_wl_pdf_at, 1000.0, K), (_dual_at, 1e-4, J)):
             tracemalloc.start()
             try:
-                series(x, 0.3, s, B2.ln, order)
+                series(x, 0.3, s, B2.ln, order, u)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -614,7 +617,7 @@ class TestSummationOrder:
         x = log_grid(b, n)
         K = _BLOCK // n + 1  # 2K + 1 terms fill more than two blocks
         s = max(0.3, K * L / 4.0)
-        got = _wl_pdf_at(x, 0.3, s, L, K)
+        got = _wl_pdf_at(x, 0.3, s, L, K, np.log(x))
         want = point_major_direct(x, 0.3, s, L, K)
         assert np.all(want > 0.0)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -626,7 +629,7 @@ class TestSummationOrder:
         x = log_grid(b, n)
         J = _BLOCK // n + 2  # J terms fill more than one block
         s = L * math.sqrt(23.0 / (2.0 * J * J)) / math.pi  # c_J = exp(-23)
-        got = _dual_at(x, 0.3, s, L, J)
+        got = _dual_at(x, 0.3, s, L, J, np.log(x))
         want = point_major_dual(x, 0.3, s, L, J)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -634,20 +637,90 @@ class TestSummationOrder:
 class TestLogGrid:
     @pytest.mark.parametrize("b, n", [(2, 1), (10, 256), (16, GRID), (1000, 64), (10**6, 7)])
     def test_equals_python_pow_and_is_shared(self, b, n):
-        x = _log_grid(Base(b), n)
+        grid = _grid(Base(b), n)
+        x = grid.x
         assert x.dtype == np.float64
         assert x.tolist() == log_grid(b, n).tolist()
-        assert not x.flags.writeable
-        with pytest.raises(ValueError):
-            x[0] = 1.0
-        assert _log_grid(Base(b), n) is x
+        # the logs and the law by numpy's log and nb_pdf, bit for bit
+        assert grid.u.tobytes() == np.log(x).tobytes()
+        assert grid.law.tobytes() == nb_pdf(x, NBDistribution(Base(b))).tobytes()
+        for a in grid:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        assert _grid(Base(b), n) is grid
 
     def test_grid_larger_than_distance_grid_is_not_retained(self):
         n = _DISTANCE_GRID + 1
-        before = _cached_log_grid.cache_info().currsize
-        x = _log_grid(Base(10), n)
-        y = _log_grid(Base(10), n)
+        before = _cached_grid.cache_info().currsize
+        x = _grid(Base(10), n)
+        y = _grid(Base(10), n)
         assert x is not y
-        assert x.tolist() == y.tolist() == log_grid(10, n).tolist()
-        assert not x.flags.writeable
-        assert _cached_log_grid.cache_info().currsize == before
+        assert x.x.tolist() == y.x.tolist() == log_grid(10, n).tolist()
+        assert not any(a.flags.writeable for a in x)
+        assert _cached_grid.cache_info().currsize == before
+
+
+def per_component_pdf(wl, x):
+    """_WrappedLogNormal.pdf with each component's series taking ln x
+    itself: the reference for the log the components share."""
+    return sum(
+        c.w
+        * (
+            _dual_at(x, c.m, c.s, wl.L, c.J, np.log(x))
+            if c.K is None
+            else _wl_pdf_at(x, c.m, c.s, wl.L, c.K, np.log(x))
+        )
+        for c in wl.series
+    )
+
+
+# weights, locations and scales of 1-3 components; in bases 2 to 1000, a
+# scale of 0.02-0.1 takes the direct sum, one of 2-6 the dual series
+_COMPONENTS = st.lists(
+    st.tuples(
+        st.floats(0.05, 1.0),
+        st.floats(-20.0, 20.0),
+        st.floats(0.02, 0.3) | st.floats(2.0, 6.0),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _planned(b, comps):
+    total = math.fsum(w for w, _, _ in comps)
+    ws = [w / total for w, _, _ in comps]
+    ws[-1] = 1.0 - math.fsum(ws[:-1])
+    mix = MixtureParams(tuple((w, LogNormalParams(M, s)) for w, (_, M, s) in zip(ws, comps)))
+    return _WrappedLogNormal.of(mix, Base(b), 1e-9)
+
+
+class TestSharedLog:
+    """The components of a mixture share one ln x, given or taken once,
+    and give the density of each taking its own bit for bit."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        b=st.sampled_from([2, 10, 16, 1000]),
+        comps=_COMPONENTS,
+        n=st.integers(1, _DISTANCE_GRID) | st.just(_DISTANCE_GRID),
+        size=st.sampled_from([16, 64, 1024]),
+        points=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40),
+    )
+    def test_equals_per_component_logs(self, b, comps, n, size, points):
+        wl = _planned(b, comps)
+        x, u, _ = _grid(Base(b), n)
+        want = per_component_pdf(wl, x).tobytes()
+        assert wl.pdf(x, u).tobytes() == wl.pdf(x).tobytes() == want
+        x, ln_x = importlib.import_module("benford.entropy")._nodes(Base(b), size)
+        assert wl.pdf(x, ln_x).tobytes() == per_component_pdf(wl, x).tobytes()
+        x = np.array([float(b) ** p for p in points])  # arbitrary points in [1, b)
+        assert wl.pdf(x).tobytes() == per_component_pdf(wl, x).tobytes()
+
+    @pytest.mark.parametrize("b", [2, 10, 1000])
+    def test_direct_and_dual_components_in_one_mixture(self, b):
+        wl = _planned(b, [(0.3, 0.4, 0.05), (0.3, -1.0, 4.0), (0.4, 2.0, 0.1)])
+        assert [c.K is None for c in wl.series] == [False, True, False]
+        x, u, _ = _grid(Base(b), _DISTANCE_GRID)
+        assert wl.pdf(x, u).tobytes() == per_component_pdf(wl, x).tobytes()
