@@ -9,7 +9,6 @@ never overflow; gen_sequence_terms rounds log_b(term) - log_b(s) for k.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
@@ -24,6 +23,7 @@ from .significand import (
     Base,
     SignificandDecomposition,
     _exact_ratio,
+    _power_table,
     decompose,
     decompose_array,
 )
@@ -47,6 +47,9 @@ __all__ = [
 SEQUENCE_KINDS = ("pow2", "factorial", "fibonacci", "geometric")
 
 _FACTORIAL_CAP = 10_000
+# The factorial multiplies its factors in blocks of K, with b**(K + 1) at
+# most 10**_FACTORIAL_SPAN, below DBL_MAX; see _factorial.
+_FACTORIAL_SPAN = 300
 
 # The log-linear kernel (pow2, geometric, fibonacci) takes terms in blocks
 # of 2**_BLOCK_BITS; see _kernel.
@@ -482,22 +485,61 @@ def _kernel(seq: _LogLinear, t0: int, sig: np.ndarray) -> None:
 
 
 def _factorial(n: int, base: Base) -> np.ndarray:
-    """Significands of 1!, ..., n! by a carried product of the factors'
-    significands, which decompose_array gives; the product is divided by
-    b while it is >= b.
+    """Significands of 1!, ..., n!, each in its term's exact digit cell.
+
+    The factors' significands f_i come from decompose_array, correctly
+    rounded: b**k <= i < 2**53 is an exact double.  They go in R blocks of
+    K, with K + 1 the largest count for which b**(K + 1) <= 10**300 (299
+    in base 10, 17 in base 2**53), so no product below overflows, and
+    np.cumprod takes each block's prefixes C_rj.  A scalar loop of R - 1
+    steps carries the block totals: S_0 = 1, and S_r+1 is S_r times the
+    total of block r, divided by P[m] = float(b)**m of _power_table, m
+    its estimated exponent.  Each prefix is scaled by its block's start
+    and divided by its own P[m] likewise.
+
+    Error bound.  Term t = rK + j + 1 (block r, place j) is
+    fl(fl(S_r C_rj) / P[m]).  It carries its t rounded factors, the j
+    rounded products of its prefix, the K - 1 of each earlier block's
+    total, and four roundings in each of its r + 1 renormalisations: the
+    product, the quotient, and two for P[m], which errs by under one ulp.
+    That is N_t = 2t + 3r + 3 <= N = 2n + 3R, so s_t = (t! / b**k)(1 + theta)
+    with |theta| <= gamma_N = N u / (1 - N u), u = 2**-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, Lemma 3.1).  The exact
+    significand lies within eps * s_t of s_t, with eps = (N + 1) u, which
+    covers gamma_N / (1 - gamma_N) and the rounding of eps * s_t for
+    N < 6e7: eps = 2.2e-12 at n = 10**4 in base 10, 9.7e-13 in log_10 s.
+
+    A term whose s lies within eps * s of an integer, or outside [1, b),
+    may be in the wrong digit cell.  It is settled exactly from
+    math.factorial(t) against b**k, with k from _exponents, and clamped
+    into [d, nextafter(d + 1, 0)] as _settle clamps.  Every t! < b is an
+    integer, and every t! = d * b**k an integer's edge, so these settle,
+    1! first of all.
     """
     if n > _FACTORIAL_CAP:
         raise DomainError(f"factorial sequences are capped at n = {_FACTORIAL_CAP}")
-    b = float(base.b)
-    factors = decompose_array(np.arange(1.0, n + 1.0), base).significand
-
-    def carry(s: float, f: float) -> float:
-        s *= f
-        while s >= b:
-            s /= b
-        return s
-
-    return np.fromiter(itertools.accumulate(factors.tolist(), carry), np.float64, n)
+    b, lnb = base.b, base.ln
+    kmin, P, _ = _power_table(b)
+    K = min(n, int(_FACTORIAL_SPAN / math.log10(b)) - 1)
+    R = -(-n // K)
+    prefix = np.ones((R, K))
+    prefix.reshape(-1)[:n] = decompose_array(np.arange(1.0, n + 1.0), base).significand
+    np.cumprod(prefix, axis=1, out=prefix)
+    starts, start = [1.0], 1.0
+    for total in prefix[:-1, -1].tolist():
+        start *= total
+        start /= float(P[int(math.log(start) / lnb) - kmin])
+        starts.append(start)
+    prefix *= np.array(starts)[:, None]
+    s = prefix.reshape(-1)[:n]
+    s /= P[np.floor(np.log(s) / lnb).astype(np.int64) - kmin]
+    eps = (2 * n + 3 * R + 1) * 2.0**-53
+    flagged = np.flatnonzero((np.abs(s - np.rint(s)) <= eps * s) | ~((s >= 1.0) & (s < b)))
+    exps = _exponents("factorial", s[: flagged[-1] + 1], base, None)
+    for i, k in zip(flagged.tolist(), exps[flagged].tolist()):
+        _, d, q = _exact_ratio(math.factorial(i + 1), 1, b, k)
+        s[i] = min(max(q, float(d)), math.nextafter(d + 1.0, 0.0))
+    return s
 
 
 def _generate(kind: str, n: int, base: Base, ratio: float | None) -> np.ndarray:
@@ -505,7 +547,7 @@ def _generate(kind: str, n: int, base: Base, ratio: float | None) -> np.ndarray:
     array the caller owns.
 
     Every path leaves a significand in its term's exact digit cell, so
-    the digit is its integer part; a factorial's is its carried product's.
+    the digit is its integer part.
     """
     if n < 1:
         raise DomainError(f"sequence length must be >= 1, got {n!r}")
@@ -549,9 +591,9 @@ def _exponents(kind: str, sig: np.ndarray, base: Base, ratio: float | None) -> n
     four roundings divided by ln b >= ln 2: under 3e-3 for |ln r| <= 745
     (DBL_MAX, 5e-324) and t <= 2**32, against the 0.5 rounding allows.
     The significand's own error, at most 2**-50 in log_b s in the kernel
-    and 2.8e-15 in the factorial's drift, moves it by under 1e-14.  So a
-    factorial significand whose carried product crossed a cell edge gets
-    the exponent that matches it.
+    and 2.2e-12 relative in the factorial (see _factorial), moves it by
+    under 1e-11.  So every term gets the exponent that matches its
+    significand, a settled factorial term included.
     """
     t = np.arange(1, sig.size + 1)
     if kind == "factorial":

@@ -129,18 +129,32 @@ def first_digit_prob(d: int, dist: NBDistribution) -> float:
     return math.log1p(1.0 / d) / dist.base.ln
 
 
-@functools.lru_cache(maxsize=16)
-def first_digit_probs(base: Base) -> np.ndarray:
-    """first_digit_prob for d = 1..b-1 as a read-only float64 array, built
-    once per base: the same floats.
-
-    math.log1p, not np.log1p, which differs from it in the last bit of
-    some cells.
-    """
-    probs = np.fromiter((math.log1p(1.0 / d) for d in range(1, base.b)), np.float64, base.b - 1)
-    probs /= base.ln
+def _build_probs(b: int) -> np.ndarray:
+    # math.log1p, not np.log1p, which differs from it in the last bit of
+    # some cells
+    probs = np.fromiter((math.log1p(1.0 / d) for d in range(1, b)), np.float64, b - 1)
+    probs /= math.log(b)
     probs.flags.writeable = False
     return probs
+
+
+# the tables of bases up to _CACHED_DIGITS + 1 are cached: at most 16
+# tables of at most _CACHED_DIGITS float64 cells, 4 MiB
+_CACHED_DIGITS = 1 << 15
+_cached_probs = functools.lru_cache(maxsize=16)(_build_probs)
+
+
+def first_digit_probs(base: Base) -> np.ndarray:
+    """first_digit_prob for d = 1..b-1 as a read-only float64 array: the
+    same floats.
+
+    A base up to _CACHED_DIGITS + 1 builds its table once per process, and
+    later calls return the same array; a larger base builds its table, 8 MB
+    near the CLI's cap of 10**6, per call.
+    """
+    if base.b <= _CACHED_DIGITS + 1:
+        return _cached_probs(base.b)
+    return _build_probs(base.b)
 
 
 def interval_measure(iv: SignificandInterval, dist: NBDistribution) -> float:

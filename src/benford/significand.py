@@ -76,6 +76,8 @@ _NEAR_INTEGER = 8 * sys.float_info.epsilon
 _DBL_MIN = sys.float_info.min
 
 
+# at most 64 tables of at most 2105 powers (base 2), 8 bytes each and a
+# byte for normal: 1.2 MiB
 @functools.lru_cache(maxsize=64)
 def _power_table(b: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(kmin, P, normal): P[j] = float(b)**(kmin + j) for every exponent a
@@ -102,6 +104,8 @@ def _power_table(b: int) -> tuple[int, np.ndarray, np.ndarray]:
     return kmin, P, normal
 
 
+# at most 64 arrays of at most 1331 float64s (base 3; a base that is a
+# power of two settles without them): 666 KiB
 @functools.lru_cache(maxsize=64)
 def _power_lo(b: int) -> np.ndarray:
     """lo[j], the exact remainder b**(kmin + j) - P[j] of _power_table(b),
@@ -141,7 +145,8 @@ def _exact(v: float, b: int, k: int) -> tuple[int, int, float]:
     return _exact_ratio(*v.as_integer_ratio(), b, k)
 
 
-# at most 1024 powers of at most _CACHED_POWER_BITS bits: 512 KiB
+# at most 1024 powers of at most _CACHED_POWER_BITS bits, 572 bytes each as
+# CPython ints, with their keys and cache links: under 800 KiB
 _CACHED_POWER_BITS = 4096
 _cached_power = functools.lru_cache(maxsize=1024)(pow)
 

@@ -497,7 +497,22 @@ RATIONAL_CASES = [
 # |u - u_exact| with u = log_b of the returned significand: the kernel's
 # bound on u plus the rounding of b**u, with margin
 KERNEL_DRIFT = 6e-16
-FACTORIAL_DRIFT = 4e-15  # 2.8e-15 measured at n = 10**4
+# 2.5e-15 measured at n = 10**4 in bases 10, 16 and 1000, on the terms the
+# drift test samples
+FACTORIAL_DRIFT = 3e-15
+
+
+def _factorial_eps(n, b):
+    """The bound on |s - t! / b**k| / s that _factorial's docstring proves:
+    (2n + 3R + 1) u, with R blocks of K factors, b**(K + 1) <= 10**300."""
+    K = min(n, int(300 / math.log10(b)) - 1)
+    return (2 * n + 3 * -(-n // K) + 1) * 2.0**-53
+
+
+def _nudged_down(values, base):
+    """decompose_array with every significand one ulp lower."""
+    d = decompose_array(values, base)
+    return type(d)(d.exponent, np.nextafter(d.significand, 0.0), base)
 
 
 def _exact_terms(kind, n, ratio):
@@ -671,42 +686,65 @@ class TestSequenceExactness:
                 assert b**term.exponent <= num < b ** (term.exponent + 1), t
 
     def test_factorial_drift_is_bounded(self):
-        # the carried product's drift grows with n; pinned at n = 10**4
+        # |u - u_exact| on every 97th term and the last at n = 10**4, within
+        # FACTORIAL_DRIFT and, in u = log_b s, the proven bound on s
         n = 10**4
-        sig = gen_sequence("factorial", n, B10)
+        sigs = {b: gen_sequence("factorial", n, Base(b)) for b in (10, 16, 1000)}
+        worst = dict.fromkeys(sigs, 0.0)
         with localcontext() as ctx:
             ctx.prec = 60
-            acc, worst = Decimal(0), 0.0
-            ln10 = Decimal(10).ln()
+            acc = Decimal(0)
+            lnb = {b: Decimal(b).ln() for b in sigs}
             for t in range(1, n + 1):
                 acc += Decimal(t).ln()
                 if t % 97 == 0 or t == n:
-                    x = acc / ln10
-                    u = x - x.to_integral_value(rounding=ROUND_FLOOR)
-                    worst = max(worst, float(abs(Decimal(float(sig[t - 1])).ln() / ln10 - u)))
-        assert worst <= FACTORIAL_DRIFT
+                    for b, sig in sigs.items():
+                        x = acc / lnb[b]
+                        u = x - x.to_integral_value(rounding=ROUND_FLOOR)
+                        got = Decimal(float(sig[t - 1])).ln() / lnb[b]
+                        worst[b] = max(worst[b], float(abs(got - u)))
+        for b, w in worst.items():
+            assert w <= FACTORIAL_DRIFT, b
+            assert w <= _factorial_eps(n, b) / math.log(b), b
 
-    @pytest.mark.parametrize("b", [2, 10, 16, 1000, 10**6, 2**53])
-    def test_factorial_matches_the_carried_product_loop(self, b):
-        # the loop as it stood, with decompose_array's factors, as the oracle
-        n = 10**4
-        base = Base(b)
-        factors = decompose_array(np.arange(1, n + 1, dtype=np.float64), base)
-        sig, wraps, s = [], [], 1.0
-        for fs in factors.significand.tolist():
-            s *= fs
-            w = 0
-            while s >= b:
-                s /= b
-                w += 1
-            sig.append(s)
-            wraps.append(w)
-        exps = np.cumsum(factors.exponent + np.array(wraps, dtype=np.uint8))
-        terms = conformance._generate("factorial", n, base, None)
-        assert terms.tobytes() == np.array(sig).tobytes()
-        got = conformance._exponents("factorial", terms, base, None)
-        assert got.dtype == exps.dtype and np.array_equal(got, exps)
-        assert gen_sequence("factorial", n, base).tobytes() == terms.tobytes()
+    @pytest.mark.parametrize("b", [2, 3, 10, 16, 1000, 10**6, 2**53])
+    def test_factorial_terms_are_exact(self, b):
+        # every term against the exact integer t!: the digit and exponent
+        # are its own, and s lies within the proven bound of t! / b**k
+        n = 2000
+        eps = Fraction(_factorial_eps(n, b))
+        terms = gen_sequence_terms("factorial", n, Base(b))
+        exact, k, power = 1, 0, 1  # t!, its exponent, b**k
+        for t, term in enumerate(terms, 1):
+            exact *= t
+            while exact >= power * b:
+                k += 1
+                power *= b
+            s = Fraction(term.significand)
+            assert (int(s), term.exponent) == (exact // power, k), t
+            # |s - t! / b**k| <= eps * t! / b**k, in integers
+            gap = abs(s.numerator * power - exact * s.denominator)
+            assert gap * eps.denominator <= eps.numerator * exact * s.denominator, t
+
+    @pytest.mark.parametrize(
+        "b, n", [(10, 3), (1000, 6)] + [(math.factorial(t), t) for t in range(3, 10)]
+    )
+    @pytest.mark.parametrize("nudge", [False, True], ids=["factors", "factors_one_ulp_low"])
+    def test_factorial_settles_terms_on_a_cell_edge(self, b, n, nudge, monkeypatch):
+        # every term here is d * b**k exactly, so its significand is the
+        # integer d.  With each factor one ulp low, the products land just
+        # below d, inside the flag window, and only the exact settlement of
+        # flagged terms puts them back in d's cell
+        if nudge:
+            monkeypatch.setattr(conformance, "decompose_array", _nudged_down)
+        want, exact = [], 1
+        for t in range(1, n + 1):
+            exact *= t
+            k = next(k for k in range(n) if exact < b ** (k + 1))
+            assert exact % b**k == 0
+            want.append((float(exact // b**k), k))
+        terms = gen_sequence_terms("factorial", n, Base(b))
+        assert [(term.significand, term.exponent) for term in terms] == want
 
     def test_exponents_round_exactly_at_the_extreme_ratios(self):
         # the rounded quotient errs most where t |ln r| / ln b is largest;

@@ -132,7 +132,7 @@ def clear_caches() -> None:
         cli._digit_sum,
         wrapping._cached_grid,
         entropy_module._cached_nodes,
-        nb_core.first_digit_probs,
+        nb_core._cached_probs,
     ):
         cache.cache_clear()
 

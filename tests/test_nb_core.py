@@ -19,6 +19,7 @@ from benford import (
     scale_interval,
 )
 from benford._quadrature import integrate
+from benford import nb_core
 from benford.nb_core import first_digit_probs
 
 B10 = Base(10)
@@ -115,6 +116,18 @@ class TestFirstDigitProb:
         assert not table.flags.writeable
         assert table.tolist() == [first_digit_prob(d, dist) for d in range(1, b)]
         assert first_digit_probs(Base(b)) is table  # built once per base
+
+    def test_tables_past_the_row_bound_are_built_per_call(self):
+        # a cached table holds at most _CACHED_DIGITS cells
+        top = nb_core._CACHED_DIGITS + 1
+        assert first_digit_probs(Base(top)) is first_digit_probs(Base(top))
+        held = nb_core._cached_probs.cache_info().currsize
+        table = first_digit_probs(Base(top + 1))
+        again = first_digit_probs(Base(top + 1))
+        assert again is not table and again.tobytes() == table.tobytes()
+        assert not table.flags.writeable and table.size == top
+        assert table[-1] == first_digit_prob(top, NBDistribution(Base(top + 1)))
+        assert nb_core._cached_probs.cache_info().currsize == held
 
 
 class TestIntervalMeasure:
