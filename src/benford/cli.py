@@ -330,7 +330,7 @@ _CHUNK_ROWS = 1 << 13
 _CSV_UNSAFE = b'"\x00\x1c\x1d\x1e\x1f'
 
 
-def _blocks(fh, stop: int | None, parse) -> Generator[np.ndarray, None, int]:
+def _blocks(fh, stop: int | None, parse) -> Generator[np.ndarray, None, tuple[int, bytes]]:
     """Yield ``parse(block)`` for the lines of the binary file ``fh`` from
     where it stands up to the offset ``stop``, a line boundary, or to EOF.
 
@@ -340,63 +340,30 @@ def _blocks(fh, stop: int | None, parse) -> Generator[np.ndarray, None, int]:
     newline. ``parse`` returns the block's float64 values, or None to
     decline it, which stops the loop.
 
-    Returns the number of values yielded, and leaves ``fh`` at the first
-    byte not parsed: ``stop`` or EOF, or the first byte of the declined
-    block, a line boundary. Only ``stop`` needs a file that can tell and
-    seek; a declined block goes back by _unread, so a _Pipe is read to EOF.
+    Returns the number of values yielded and ``rest``, the bytes read and
+    not parsed: none at ``stop`` or EOF, else the declined block and the
+    rest of its last line, so that ``rest`` ends at a line boundary too.
+    ``fh`` is left just after ``rest``; it is read forward only, and only
+    ``stop`` needs a file that can tell.
     """
+
+    def line_end() -> bytes:  # the rest of the line fh stands in
+        return fh.readline(-1 if stop is None else stop - fh.tell())
+
     n, tail = 0, b""
     while True:
-        chunk = fh.read(_CSV_BLOCK if stop is None else min(_CSV_BLOCK, stop - fh.tell()))
-        block = tail + chunk
-        if not chunk:  # EOF, after a last line without its newline, or stop
-            tail = b""
-        elif cut := block.rfind(b"\n") + 1:
+        block = tail + fh.read(_CSV_BLOCK if stop is None else min(_CSV_BLOCK, stop - fh.tell()))
+        if cut := block.rfind(b"\n") + 1:
             block, tail = block[:cut], block[cut:]
-        else:
-            block += fh.readline(-1 if stop is None else stop - fh.tell())
-            tail = b""
+        else:  # no newline: a line longer than the read, the last line, or EOF
+            block, tail = block + line_end(), b""
         if not block:
-            return n
+            return n, b""
         values = parse(block)
         if values is None:
-            _unread(fh, block + tail)
-            return n
+            return n, block + tail + (line_end() if tail else b"")
         n += values.size
         yield values
-
-
-class _Pipe(io.RawIOBase):
-    """A binary file that cannot seek, such as a pipe, as a raw reader that
-    takes back what was read from it: ``unread(data)`` makes ``data`` the
-    next bytes it reads. So csv.reader reads on from a block that the block
-    parser took from a pipe and declined."""
-
-    def __init__(self, fh) -> None:
-        self.fh, self.head = fh, io.BytesIO()
-
-    def readable(self) -> bool:
-        return True
-
-    def unread(self, data: bytes) -> None:
-        self.head = io.BytesIO(data + self.head.read())
-
-    def readinto(self, b) -> int:
-        return self.head.readinto(b) or self.fh.readinto(b)
-
-    def readline(self, size: int = -1) -> bytes:
-        line = self.head.readline(size)
-        if line.endswith(b"\n") or len(line) == size:
-            return line
-        return line + self.fh.readline(size - len(line) if size >= 0 else -1)
-
-
-def _unread(fh, data: bytes) -> None:
-    """Make ``data``, the bytes last read from ``fh``, its next bytes again."""
-    if isinstance(fh, _Pipe):
-        fh.unread(data)
-    else:
-        fh.seek(-len(data), os.SEEK_CUR)
 
 
 def _csv_text(block: bytes, ncols: int) -> str | None:
@@ -449,12 +416,11 @@ class _CsvRows:
         return np.array(_floats(cells), dtype=np.float64)
 
 
-def _csv_header(fh, path: str, column: str) -> _CsvRows | None:
-    """The parser of the rows of the CSV file ``fh``, built from its header
-    line, after which ``fh`` is left. None, with the line read again next,
-    where _csv_text does not read the header line, the line is empty, or
-    it does not resolve the column: csv.reader then reads the whole file."""
-    head = fh.readline()
+def _csv_header(head: bytes, path: str, column: str) -> _CsvRows | None:
+    """The parser of a CSV file's rows, built from ``head``, the bytes of
+    its header line. None where _csv_text does not read the line, the line
+    is empty, or it does not resolve the column: csv.reader then reads the
+    whole file."""
     ncols = head.count(b",") + 1
     text = _csv_text(head, ncols)
     if text is not None and text.rstrip("\r\n"):
@@ -462,19 +428,25 @@ def _csv_header(fh, path: str, column: str) -> _CsvRows | None:
             return _CsvRows(_column_index(text.split(","), path, column), ncols)
         except IngestError:
             pass  # csv.reader raises it, unless it fails first
-    _unread(fh, head)
     return None
 
 
 def _read_csv(path: str, column: str) -> Iterator[np.ndarray]:
     """The column's values as float64 blocks: _split_read's, then
-    csv.reader's, _CHUNK_ROWS rows at a time, from the row the block
-    parser stopped at, or from the header if it could not read it."""
-    with open(path, "rb") as f:
-        fh = f if f.seekable() else _Pipe(f)
-        parse = _csv_header(fh, path, column)
-        lines = 0 if parse is None else 1 + (yield from _split_read(fh, path, parse))
-        reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+    csv.reader's, _CHUNK_ROWS rows at a time, from the first line the block
+    parser declined, or from the header if it could not read it. csv.reader
+    reads the bytes the block parser read and declined, then the file on
+    from them, so the file is read once, forward only, pipe or not."""
+    with open(path, "rb") as fh:
+        rest = fh.readline()
+        parse = _csv_header(rest, path, column)
+        lines = 0
+        if parse is not None:
+            n, rest = yield from _split_read(fh, path, parse)
+            if not rest:
+                return
+            lines = 1 + n
+        reader = csv.reader(_text_lines(rest, fh))
         try:
             if parse is None:
                 yield from _parse_csv(reader, path, column)
@@ -484,6 +456,20 @@ def _read_csv(path: str, column: str) -> Iterator[np.ndarray]:
             raise _not_utf8(path, exc) from None
         except csv.Error as exc:
             raise IngestError(f"{path}: line {lines + reader.line_num}: {exc}") from None
+
+
+def _text_lines(rest: bytes, fh) -> Iterator[str]:
+    """The lines of ``rest``, then of ``fh`` from where it stands, split as
+    csv.reader needs them (newline=""). Since ``rest`` ends at a newline or
+    at EOF, they are the lines of the two as one text. A line that is not
+    UTF-8 raises UnicodeDecodeError with a text reader's reason when it is
+    reached, so a data error is that of the first bad line, wherever the
+    text is cut."""
+    for f in (io.BytesIO(rest), fh):
+        for line in io.TextIOWrapper(f, encoding="utf-8", errors="surrogateescape", newline=""):
+            if not line.isascii():  # the line's bytes again, decoded strictly
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            yield line
 
 
 def _parse_csv(reader, path: str, column: str) -> Iterator[np.ndarray]:
@@ -561,7 +547,7 @@ def _read_jsonl(path: str, column: str) -> Iterator[np.ndarray]:
     parse = _JsonlRows(column)
     with open(path, "rb") as fh:
         try:
-            n = yield from _split_read(fh, path, parse)
+            n, _ = yield from _split_read(fh, path, parse)
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
     if n and not parse.seen:
@@ -587,23 +573,14 @@ def _split_at(path: str) -> int | None:
         if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_BYTES:
             return None
         with open(path, "rb") as fh:
-            pos = fh.seek(info.st_size // 2)
-            while chunk := fh.read(1 << 16):
+            pos = info.st_size // 2
+            while chunk := os.pread(fh.fileno(), 1 << 16, pos):
                 if (i := chunk.find(b"\n")) >= 0:
                     return pos + i + 1 if pos + i + 1 < info.st_size else None
                 pos += len(chunk)
     except OSError:
         pass  # the reader raises it
     return None
-
-
-class _Answer(NamedTuple):
-    """The child's values, _CHUNK_ROWS at a time, their number, and its
-    parser's ``seen``."""
-
-    blocks: Iterator[np.ndarray]
-    n: int
-    seen: bool
 
 
 # the child's "ok": its parser's seen and its number of values, which
@@ -618,11 +595,16 @@ def _answer(out: int, path: str, split: int, parse) -> None:
     caller."""
     with open(path, "rb") as fh:  # an offset of its own, not the parent's
         fh.seek(split)
-        blocks = list(_blocks(fh, None, parse))
-        if fh.read(1):
-            return  # parse declined the block that starts here
+        blocks, gen = [], _blocks(fh, None, parse)
+        try:
+            while True:
+                blocks.append(next(gen))
+        except StopIteration as stop:
+            n, rest = stop.value
+    if rest:
+        return  # parse declined a block, which csv.reader reads
     with open(out, "wb") as pipe:
-        pipe.write(_OK.pack(parse.seen, sum(b.size for b in blocks)))
+        pipe.write(_OK.pack(parse.seen, n))
         for b in blocks:
             pipe.write(b)
 
@@ -636,25 +618,24 @@ def _received(pipe, n: int) -> Iterator[np.ndarray]:
         yield block
 
 
-def _take(pipe) -> _Answer | None:
-    """The child's answer, waited for; None if it declined."""
+def _take(pipe) -> tuple[bool, int] | None:
+    """The child's answer, waited for: its parser's seen and its number of
+    values, which _received reads; None if it declined."""
     ok = pipe.read(_OK.size)
-    if len(ok) < _OK.size:
-        return None
-    seen, n = _OK.unpack(ok)
-    return _Answer(_received(pipe, n), n, seen)
+    return _OK.unpack(ok) if len(ok) == _OK.size else None
 
 
-def _split_read(fh, path: str, parse) -> Generator[np.ndarray, None, int]:
+def _split_read(fh, path: str, parse) -> Generator[np.ndarray, None, tuple[int, bytes]]:
     """What _blocks(fh, None, parse) yields and returns, with the lines
     from _split_at's offset on parsed meanwhile by a forked child.
 
     The parent parses the lines before the split. It takes the child's
     values only if it reached the split and the child did not decline;
-    otherwise it reads on from where it stopped, so every value, error and
-    line number is the sequential read's. The child leaves only by
-    os._exit: it flushes no stdio and runs no atexit hook. The parent
-    reaps it, killed if need be, however the blocks end.
+    otherwise it reads on from where it stopped, so every value, error,
+    line number and byte of ``rest`` is the sequential read's, and ``fh``
+    moves forward only. The child leaves only by os._exit: it flushes no
+    stdio and runs no atexit hook. The parent reaps it, killed if need be,
+    however the blocks end.
     """
     split = _split_at(path)
     if split is None:
@@ -675,16 +656,17 @@ def _split_read(fh, path: str, parse) -> Generator[np.ndarray, None, int]:
     os.close(w)
     pipe = open(r, "rb")
     try:
-        n = yield from _blocks(fh, split, parse)
-        if fh.tell() < split:
-            return n  # parse declined a block before the split
+        n, rest = yield from _blocks(fh, split, parse)
+        if rest:
+            return n, rest  # parse declined a block before the split
         answer = _take(pipe)
-        if answer is None:
-            return n + (yield from _blocks(fh, None, parse))
-        yield from answer.blocks
-        fh.seek(0, os.SEEK_END)
-        parse.seen = parse.seen or answer.seen
-        return n + answer.n
+        if answer is None:  # the child declined one: read on from the split
+            m, rest = yield from _blocks(fh, None, parse)
+            return n + m, rest
+        seen, m = answer
+        yield from _received(pipe, m)
+        parse.seen = parse.seen or seen
+        return n + m, b""
     finally:
         pipe.close()
         os.kill(pid, signal.SIGKILL)  # a child that has exited stays a zombie until reaped
@@ -892,10 +874,9 @@ class _Parser(argparse.ArgumentParser):
     def parse_args(self, args=None, namespace=None):
         """ArgumentParser.parse_args, which hands every token after the verb
         to the verb's parser: an argv that starts with a verb goes to that
-        parser alone. The top-level parse still takes sys.argv (args None),
-        any argv with no verb first or with a newline, whose error names
-        the top-level usage, and one with tokens the verb's parser leaves,
-        which it refuses."""
+        parser alone. The top-level parse still takes any argv with no verb
+        first or with a newline, whose error names the top-level usage, and
+        one with tokens the verb's parser leaves, which it refuses."""
         verb = self.verbs.get(args[0]) if args and namespace is None else None
         if verb is not None and not any("\n" in arg for arg in args):
             parsed, extras = verb.parse_known_args(args[1:])
@@ -994,8 +975,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the CLI on ``argv``, or on sys.argv[1:] where it is None; the
+    exit code."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

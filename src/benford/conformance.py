@@ -542,9 +542,10 @@ def _factorial(n: int, base: Base) -> np.ndarray:
     return s
 
 
-def _generate(kind: str, n: int, base: Base, ratio: float | None) -> np.ndarray:
-    """The significands in [1, b) of the first n terms, in a new float64
-    array the caller owns.
+def gen_sequence(kind: str, n: int, base: Base, ratio: float | None = None) -> np.ndarray:
+    """The significands in [1, b) of the first n terms of a deterministic
+    sequence, in a new float64 array the caller owns; see
+    gen_sequence_terms.
 
     Every path leaves a significand in its term's exact digit cell, so
     the digit is its integer part.
@@ -615,14 +616,7 @@ def gen_sequence_terms(
     large powers cannot overflow; only the significand matters for digit
     statistics anyway; _exponents reads each exponent off the logarithms.
     """
-    sig = _generate(kind, n, base, ratio)
+    sig = gen_sequence(kind, n, base, ratio)
     exps = _exponents(kind, sig, base, ratio)
     return [SignificandDecomposition(s, e, base) for s, e in zip(sig.tolist(), exps.tolist())]
 
-
-def gen_sequence(
-    kind: str, n: int, base: Base, ratio: float | None = None
-) -> np.ndarray:
-    """Significands of the first n sequence terms, in a new float64 array
-    the caller owns; see gen_sequence_terms."""
-    return _generate(kind, n, base, ratio)

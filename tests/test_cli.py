@@ -292,6 +292,21 @@ class TestIngestErrors:
         assert out == ""
         assert "not UTF-8" in err and str(f) in err
 
+    @pytest.mark.parametrize("bad_first", [False, True])
+    def test_the_first_bad_line_gives_the_error(self, tmp_path, monkeypatch, bad_first):
+        # csv.reader meets a line that is not UTF-8 in line order with a
+        # field over the field limit, however the bytes are split between
+        # the block reader and csv.reader
+        wide, latin1 = b"7" * (csv.field_size_limit() + 1) + b"\n", b"caf\xe9\n"
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"a\n1\n" + (latin1 + wide if bad_first else wide + latin1) + b"2\n")
+        want = "not UTF-8 text" if bad_first else "line 3: field larger than field limit"
+        for block in (16, 64, cli._CSV_BLOCK):
+            monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+            got = outcome(read_csv, str(f), "a")
+            assert got == outcome(reference_csv, str(f), "a")
+            assert got[0] == "IngestError" and want in got[1], block
+
     def test_field_over_the_limit_in_a_late_block_names_its_line(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -347,7 +362,7 @@ def outcome(read, *args):
         return type(exc).__name__, str(exc)
 
 
-def _decline(fh, path, column):
+def _decline(head, path, column):
     """A header reader that reads no header, so no block is parsed."""
     return None
 
@@ -359,19 +374,36 @@ def reference_csv(path, column):
         return read_csv(path, column)
 
 
+def run_blocks(fh, stop, parse):
+    """The values _blocks parsed, and what it returned: their number and
+    the bytes it read and did not parse."""
+    gen, parts = cli._blocks(fh, stop, parse), []
+    while True:
+        try:
+            parts.append(next(gen))
+        except StopIteration as end:
+            return joined(parts), *end.value
+
+
 def csv_blocks(path, column):
     """The values the block parser parsed, the lines it parsed, the
-    header among them, and the byte it stopped at."""
+    header among them, and the first byte it did not parse."""
     with open(path, "rb") as fh:
-        parse = cli._csv_header(fh, str(path), column)
+        parse = cli._csv_header(fh.readline(), str(path), column)
         if parse is None:
-            return joined([]), 0, fh.tell()
-        gen, parts = cli._blocks(fh, None, parse), []
-        while True:
-            try:
-                parts.append(next(gen))
-            except StopIteration as stop:
-                return joined(parts), 1 + stop.value, fh.tell()
+            return joined([]), 0, 0
+        values, n, rest = run_blocks(fh, None, parse)
+        return values, 1 + n, fh.tell() - len(rest)
+
+
+class _NotedReads(io.BufferedReader):
+    """A binary file that counts its readline calls."""
+
+    lines = 0
+
+    def readline(self, size=-1):
+        self.lines += 1
+        return super().readline(size)
 
 
 # cells csv.reader and comma splitting read alike, and cells on which
@@ -500,7 +532,7 @@ class TestCsvBlockReader:
         assert got.tobytes() == reference_csv(str(f), "v").tobytes()
 
     def test_stops_at_a_lone_carriage_return_in_a_late_block(self, tmp_path, monkeypatch):
-        # the reader seeks back to the block's first byte of the file, counting
+        # csv.reader reads on from the block's first byte of the file, counting
         # the carriage returns of the blocks before
         f = tmp_path / "late_cr.csv"
         body = "v\r\n" + "1.5\r\n" * 20 + "2.5\r3.5\n" + "4.5\r\n" * 5
@@ -533,6 +565,28 @@ class TestCsvBlockReader:
         want = reference_csv(str(f), "v")
         assert want.size == 26
         assert read_csv(str(f), "v").tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stop", [None, "mid-file"])
+    @pytest.mark.parametrize("block", [7, 13, 23])
+    def test_returns_the_declined_block_to_its_line_end(self, tmp_path, monkeypatch, stop, block):
+        # no read ends at a line end, so the declined block's read cuts a
+        # line, which _blocks reads to its end: rest is every byte it read
+        # and did not parse, and the file stands just after it
+        body = b"v\n" + b"1.5\n" * 20 + b'"2.5"\n' + b"3.5\n" * 20
+        if stop:
+            stop = body.index(b"3.5\n") + 4 * 2  # two lines past the quote
+        f = tmp_path / "late_quote.csv"
+        f.write_bytes(body)
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        with _NotedReads(io.FileIO(f)) as fh:
+            parse = cli._csv_header(fh.readline(), str(f), "v")
+            values, n, rest = run_blocks(fh, stop, parse)
+            assert fh.lines == 2  # the header, and the declined block's cut line
+            end = fh.tell()
+        start = len(b"v\n" + b"1.5\n" * n)  # the declined block's first byte
+        assert values.tolist() == [1.5] * n
+        assert body[start:end] == rest and b'"' in rest
+        assert rest.endswith(b"\n") and end <= (stop or len(body))
 
     def test_reads_a_line_that_two_reads_do_not_end(self, tmp_path, monkeypatch):
         f = tmp_path / "long.csv"
@@ -1000,7 +1054,8 @@ class TestSplitRead:
         ],
     )
     def test_reads_a_pipe_to_its_end(self, tmp_path, monkeypatch, fmt, defect, too_long):
-        # a pipe can neither tell nor seek; a declined block goes back through _Pipe
+        # a pipe can neither tell nor seek; csv.reader reads the declined bytes,
+        # then the pipe on from them
         body = _two_halves(fmt, "quote" if defect == "late_quote" else None, "second")
         if defect == "quoted_header":
             body = b'"id","a"' + body[body.index(b"\n") :]
@@ -1024,19 +1079,6 @@ class TestSplitRead:
             assert code == 3 and ": line 4002: field larger than field limit" in err, err
         else:
             assert code == 0, err
-
-    def test_pipe_reads_what_it_takes_back_first(self):
-        pipe = cli._Pipe(io.BufferedReader(io.BytesIO(b"c\nd\ne")))
-        assert pipe.readline() == b"c\n"
-        pipe.unread(b"a\nb")
-        assert pipe.readline() == b"a\n"
-        pipe.unread(b"a\n")  # ahead of the bytes it still holds
-        assert pipe.readline() == b"a\n"
-        assert pipe.readline() == b"bd\n"  # a line from both
-        pipe.unread(b"xy")
-        assert pipe.readline(1) == b"x"
-        assert pipe.read() == b"ye"
-        assert pipe.read() == pipe.readline() == b""
 
     def test_small_files_pipes_and_threads_read_in_one_piece(self, tmp_path):
         f = tmp_path / "halves.csv"
@@ -1346,6 +1388,7 @@ class TestVerbParsing:
 
     @pytest.mark.parametrize("argv", [["wrap", "lognormal", "0", "1"], ["wrap", "-h"], ["nope"]])
     def test_reads_sys_argv_on_the_top_level_path(self, monkeypatch, argv):
+        # main reads sys.argv itself, so the console script parses as in-process calls do
         monkeypatch.setattr(sys, "argv", ["benford", *argv])
         assert _parsed(None, False) == _parsed(None, True)
 

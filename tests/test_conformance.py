@@ -403,14 +403,14 @@ class TestRatioRule:
         assert [(t.significand, t.exponent) for t in terms] == [
             (2.0 ** (-1074 * t % 4), -1074 * t // 4) for t in range(1, 9)
         ]
-        digits = conformance._generate("geometric", 8, Base(16), 5e-324).astype(np.int64)
+        digits = gen_sequence("geometric", 8, Base(16), 5e-324).astype(np.int64)
         assert digits.tolist() == [4, 1] * 4
 
     @pytest.mark.parametrize("b", [7, 786432])
     def test_largest_double_below_one_runs(self, b):
         # (1 - 2**-53)**t = b**-1 * b (1 - 2**-53)**t: digit b - 1 for t << 2**53
         ratio = math.nextafter(1.0, 0.0)
-        terms = conformance._generate("geometric", 1000, Base(b), ratio)
+        terms = gen_sequence("geometric", 1000, Base(b), ratio)
         exps = conformance._exponents("geometric", terms, Base(b), ratio)
         assert (terms.astype(np.int64) == b - 1).all() and (exps == -1).all()
         assert (terms < b).all()
@@ -617,10 +617,9 @@ class TestSequenceExactness:
         kind, b, ratio = case
         n = 10**6
         # the arrays behind gen_sequence_terms, without 10**6 objects
-        terms = conformance._generate(kind, n, Base(b), ratio)
+        terms = gen_sequence(kind, n, Base(b), ratio)
         sig, digits = terms, terms.astype(np.int64)
         exps = conformance._exponents(kind, sig, Base(b), ratio)
-        assert np.array_equal(sig, gen_sequence(kind, n, Base(b), ratio=ratio))
         rng = np.random.default_rng(b)
         picks = sorted(set(rng.integers(EXACT_T, n, 300).tolist()) | {n})
         dec = _DecimalSequence(kind, b, ratio)
@@ -752,12 +751,12 @@ class TestSequenceExactness:
         n = 10**6
         t = np.arange(1, n + 1, dtype=np.int64)
         dbl_max = math.ldexp(2.0 - 2.0**-52, 1023)
-        sig2 = conformance._generate("geometric", n, Base(2), dbl_max)
+        sig2 = gen_sequence("geometric", n, Base(2), dbl_max)
         # in base 2**53 the terms' significands are sig2 * 2**((1024 t - 1) mod 53),
         # scaled exactly here: the generator would settle a fifth of them one by
         # one, as every s above 3e13 lies within its flag window of an integer
         sig53 = sig2 * 2.0 ** ((1024 * t - 1) % 53)
-        tiny = conformance._generate("geometric", n, Base(2**53), 5e-324)
+        tiny = gen_sequence("geometric", n, Base(2**53), 5e-324)
         for b, ratio, sig, want in [
             (2, dbl_max, sig2, 1024 * t - 1),
             (2**53, dbl_max, sig53, (1024 * t - 1) // 53),
@@ -765,7 +764,7 @@ class TestSequenceExactness:
         ]:
             exps = conformance._exponents("geometric", sig, Base(b), ratio)
             assert np.array_equal(exps, want), (b, ratio)
-        sig = conformance._generate("geometric", n, Base(3), dbl_max)
+        sig = gen_sequence("geometric", n, Base(3), dbl_max)
         exps = conformance._exponents("geometric", sig, Base(3), dbl_max)
         picks = sorted(set(np.random.default_rng(3).integers(1, n, 200).tolist()) | {1, n})
         with localcontext() as ctx:
@@ -807,10 +806,10 @@ class TestSequenceCost:
         # the generator's significands, 8 bytes per term; the digits, log
         # map and KS differences live in cache-sized blocks
         n = 10**6
-        conformance._report(B10, conformance._generate("pow2", 1000, B10, None), 0, 0)
+        conformance._report(B10, gen_sequence("pow2", 1000, B10, None), 0, 0)
         tracemalloc.start()
         try:
-            conformance._report(B10, conformance._generate("pow2", n, B10, None), 0, 0)
+            conformance._report(B10, gen_sequence("pow2", n, B10, None), 0, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
