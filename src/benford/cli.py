@@ -53,7 +53,7 @@ from .errors import (
     UnsupportedRatio,
 )
 from .nb_core import first_digit_probs
-from .significand import Base
+from .significand import Base, _table
 from .wrapping import (
     _DISTANCE_GRID,
     LogNormalParams,
@@ -140,8 +140,8 @@ class _Constant(NamedTuple):
 
 
 _CONSTANT_VALUES = {
-    "x": lambda b, n: _grid(Base(b), n).x,
-    "nb_pdf": lambda b, n: _grid(Base(b), n).law,
+    "x": lambda b, n: _grid(b, n).x,
+    "nb_pdf": lambda b, n: _grid(b, n).law,
     "digit": lambda b, n: np.arange(1, b),
     "nb_prob": lambda b, n: first_digit_probs(Base(b)),
 }
@@ -155,9 +155,7 @@ def _column(kind: str, b: int, values: np.ndarray) -> np.ndarray | _Constant:
     return _Constant(kind, b, len(values)) if len(values) <= _TEXT_ROWS else values
 
 
-# at most 16 columns of at most _TEXT_ROWS strings, each of at most 31
-# characters in an 80-byte block, and their pointers: 2.75 MiB
-@functools.lru_cache(maxsize=16)
+@_table
 def _constant_text(kind: str, b: int, n: int, fmt: str) -> tuple[str, ...]:
     """The text of each row of the _Constant column (kind, b, n) in the
     %-format fmt."""
@@ -446,7 +444,7 @@ def _read_csv(path: str, column: str) -> Iterator[np.ndarray]:
             if not rest:
                 return
             lines = 1 + n
-        reader = csv.reader(_text_lines(rest, fh))
+        reader = csv.reader(itertools.chain.from_iterable(_line_batches(rest, fh)))
         try:
             if parse is None:
                 yield from _parse_csv(reader, path, column)
@@ -458,18 +456,29 @@ def _read_csv(path: str, column: str) -> Iterator[np.ndarray]:
             raise IngestError(f"{path}: line {lines + reader.line_num}: {exc}") from None
 
 
-def _text_lines(rest: bytes, fh) -> Iterator[str]:
+def _strict(text: str) -> str:
+    """text, if its bytes are UTF-8; else UnicodeDecodeError, as a text reader's."""
+    text.encode("utf-8", "surrogateescape").decode("utf-8")
+    return text
+
+
+def _line_batches(rest: bytes, fh) -> Iterator[Iterable[str]]:
     """The lines of ``rest``, then of ``fh`` from where it stands, split as
-    csv.reader needs them (newline=""). Since ``rest`` ends at a newline or
-    at EOF, they are the lines of the two as one text. A line that is not
-    UTF-8 raises UnicodeDecodeError with a text reader's reason when it is
-    reached, so a data error is that of the first bad line, wherever the
+    csv.reader needs them (newline=""), in batches of about 64 KiB. Since
+    ``rest`` ends at a newline or at EOF, they are the lines of the two as
+    one text. A batch that is not UTF-8 is checked again line by line as it
+    is read, so a data error is that of the first bad line, wherever the
     text is cut."""
     for f in (io.BytesIO(rest), fh):
-        for line in io.TextIOWrapper(f, encoding="utf-8", errors="surrogateescape", newline=""):
-            if not line.isascii():  # the line's bytes again, decoded strictly
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            yield line
+        text = io.TextIOWrapper(f, encoding="utf-8", errors="surrogateescape", newline="")
+        while batch := text.readlines(1 << 16):
+            joined = "".join(batch)
+            if not joined.isascii():
+                try:
+                    _strict(joined)
+                except UnicodeDecodeError:
+                    batch = map(_strict, batch)
+            yield batch
 
 
 def _parse_csv(reader, path: str, column: str) -> Iterator[np.ndarray]:
@@ -750,8 +759,7 @@ def _conformance_records(report: ConformanceReport, base: Base) -> list[tuple]:
     ]
 
 
-# at most 16 floats and their keys: 2 KiB
-@functools.lru_cache(maxsize=16)
+@_table
 def _digit_sum(b: int) -> float:
     """The sum of first_digit_probs of base b, correctly rounded."""
     return math.fsum(first_digit_probs(Base(b)).tolist())
@@ -780,7 +788,7 @@ def _cmd_wrap(args) -> list[tuple]:
     base = Base(args.base)
     wl = _WrappedLogNormal.of(_parse_dist(args.dist, ("lognormal", "mixture")), base, args.tol)
     sup, tv = _distances(wl, base)
-    x, u, law = _grid(base, args.grid_points)
+    x, u, law = _grid(base.b, args.grid_points)
     w = wl.pdf(x, u)
     columns = (_column("x", base.b, x), w, _column("nb_pdf", base.b, law), w - law)
     return [

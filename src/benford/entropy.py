@@ -22,7 +22,6 @@ vector-valued integral, so each panel is evaluated once for all three.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Union
@@ -31,7 +30,7 @@ import numpy as np
 
 from ._quadrature import integrate
 from .errors import DomainError, NotNormalized, QuadratureError
-from .significand import Base
+from .significand import Base, _table
 from .wrapping import LogNormalParams, MixtureParams, _WrappedLogNormal
 
 __all__ = ["EntropyReport", "entropy", "nb_entropy_closed", "mean_log", "analyze_entropy"]
@@ -42,7 +41,6 @@ _QUAD_TOL = 1e-9
 _NOISE_FLOOR = 1e-12
 _FIRST_NODES = 8
 _MAX_NODES = 1 << 16  # about the 4096 15-node panels of the adaptive rule
-_CACHED_NODES = 1 << 10  # the largest batch of nodes that _nodes keeps
 
 Pdf = Callable[[np.ndarray], "np.ndarray | float"]
 Density = Union[Literal["nb", "uniform"], Pdf, LogNormalParams, MixtureParams]
@@ -115,32 +113,19 @@ def _exp_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, np.log(x)
 
 
-def _build_nodes(b: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+@_table
+def _nodes(b: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """_exp_log of the size nodes in u of every stage of the trapezoidal
     rule on [0, ln b) below size, laid out stage after stage: the
     _FIRST_NODES nodes jL/N of the first, then the N midpoints of stage N
-    as entries N to 2N; read-only arrays."""
+    as entries N to 2N; read-only arrays, kept per (b, size) in the
+    per-process table cache up to 8192 nodes."""
     L = math.log(b)
     n, stages = _FIRST_NODES, [np.arange(_FIRST_NODES) * (L / _FIRST_NODES)]
     while n < size:
         stages.append(_midpoints(L, n))
         n *= 2
-    nodes = _exp_log(np.concatenate(stages))
-    for a in nodes:
-        a.setflags(write=False)
-    return nodes
-
-
-# at most 16 batches of at most _CACHED_NODES nodes, two float64 arrays
-# each: 256 KiB
-_cached_nodes = functools.lru_cache(maxsize=16)(_build_nodes)
-
-
-def _nodes(base: Base, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """_build_nodes, cached per (b, size) up to _CACHED_NODES nodes."""
-    if size <= _CACHED_NODES:
-        return _cached_nodes(base.b, size)
-    return _build_nodes(base.b, size)
+    return _exp_log(np.concatenate(stages))
 
 
 def _trapezoid_integrals(
@@ -177,7 +162,7 @@ def _trapezoid_integrals(
     n_a = _FIRST_NODES
     while alias_bound(n_a) >= _QUAD_TOL and n_a < _MAX_NODES:
         n_a *= 2
-    batch_g, batch_h = g_and_h(*_nodes(base, min(2 * n_a, _MAX_NODES)))
+    batch_g, batch_h = g_and_h(*_nodes(base.b, min(2 * n_a, _MAX_NODES)))
 
     n = _FIRST_NODES
     sum_g, sum_h = float(np.sum(batch_g[:n])), float(np.sum(batch_h[:n]))

@@ -8,14 +8,13 @@ mod b, whose measure the law leaves invariant.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .significand import Base
+from .significand import Base, _table
 
 __all__ = [
     "NBDistribution",
@@ -129,32 +128,22 @@ def first_digit_prob(d: int, dist: NBDistribution) -> float:
     return math.log1p(1.0 / d) / dist.base.ln
 
 
-def _build_probs(b: int) -> np.ndarray:
+@_table
+def _probs(b: int) -> np.ndarray:
+    """first_digit_probs of base b."""
     # math.log1p, not np.log1p, which differs from it in the last bit of
     # some cells
     probs = np.fromiter((math.log1p(1.0 / d) for d in range(1, b)), np.float64, b - 1)
     probs /= math.log(b)
-    probs.flags.writeable = False
     return probs
-
-
-# the tables of bases up to _CACHED_DIGITS + 1 are cached: at most 16
-# tables of at most _CACHED_DIGITS float64 cells, 4 MiB
-_CACHED_DIGITS = 1 << 15
-_cached_probs = functools.lru_cache(maxsize=16)(_build_probs)
 
 
 def first_digit_probs(base: Base) -> np.ndarray:
     """first_digit_prob for d = 1..b-1 as a read-only float64 array: the
-    same floats.
-
-    A base up to _CACHED_DIGITS + 1 builds its table once per process, and
-    later calls return the same array; a larger base builds its table, 8 MB
-    near the CLI's cap of 10**6, per call.
-    """
-    if base.b <= _CACHED_DIGITS + 1:
-        return _cached_probs(base.b)
-    return _build_probs(base.b)
+    same floats.  The table of a base up to 32769 is kept in the table
+    cache, so later calls return the same array; a larger one, 8 MB near
+    the CLI's cap of 10**6, is built per call."""
+    return _probs(base.b)
 
 
 def interval_measure(iv: SignificandInterval, dist: NBDistribution) -> float:

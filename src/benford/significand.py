@@ -8,10 +8,13 @@ mod 1.  All functions here are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -76,9 +79,71 @@ _NEAR_INTEGER = 8 * sys.float_info.epsilon
 _DBL_MIN = sys.float_info.min
 
 
-# at most 64 tables of at most 2105 powers (base 2), 8 bytes each and a
-# byte for normal: 1.2 MiB
-@functools.lru_cache(maxsize=64)
+# the bytes that _table keeps, for the tables of every module
+_TABLE_BYTES = 4 << 20
+# the bytes an entry takes beside its key's and its result's: its slot in
+# the memo and its arrays' headers (under 500 bytes for a grid, by tracemalloc)
+_ENTRY_BYTES = 768
+
+
+def _nbytes(v: object) -> int:
+    """An array's data bytes, a tuple's own and its items', or an object's."""
+    if isinstance(v, np.ndarray):
+        return v.nbytes
+    return sys.getsizeof(v) + (sum(map(_nbytes, v)) if isinstance(v, tuple) else 0)
+
+
+class _Memo:
+    """A per-process memo of the tables of every module, each built by a
+    function from a key of ints and strings, under one byte budget.
+
+    Each array of a built result is made read-only.  A result of at most
+    _TABLE_BYTES // 16 bytes is kept; a larger one is built on each call.
+    ``held`` counts the bytes of every kept entry: its key, its result and
+    _ENTRY_BYTES.  Once it passes _TABLE_BYTES, the least recently used
+    entries are dropped.  The lock guards ``entries`` and ``held``; builds
+    run outside it, so one build may look up another table.
+    """
+
+    def __init__(self) -> None:
+        self.entries: collections.OrderedDict = collections.OrderedDict()
+        self.held = 0
+        self.lock = threading.Lock()
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.held = 0
+
+    def __call__(self, build: Callable) -> Callable:
+        @functools.wraps(build)
+        def table(*key):
+            slot = (build, *key)
+            with self.lock:
+                if (entry := self.entries.get(slot)) is not None:
+                    self.entries.move_to_end(slot)
+                    return entry[0]
+            value = build(*key)
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            if (size := _nbytes(value)) > _TABLE_BYTES // 16:
+                return value
+            with self.lock:
+                entry = self.entries.setdefault(slot, (value, size + _nbytes(key) + _ENTRY_BYTES))
+                if entry[0] is value:
+                    self.held += entry[1]
+                    while self.held > _TABLE_BYTES:
+                        self.held -= self.entries.popitem(last=False)[1][1]
+            return entry[0]
+
+        return table
+
+
+_table = _Memo()
+
+
+@_table
 def _power_table(b: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(kmin, P, normal): P[j] = float(b)**(kmin + j) for every exponent a
     positive double can need, with a margin of 3 that keeps every logarithm
@@ -99,14 +164,10 @@ def _power_table(b: int) -> tuple[int, np.ndarray, np.ndarray]:
             powers.append(math.inf)
     P = np.array(powers)
     normal = (P >= _DBL_MIN) & (P < math.inf)
-    P.setflags(write=False)
-    normal.setflags(write=False)
     return kmin, P, normal
 
 
-# at most 64 arrays of at most 1331 float64s (base 3; a base that is a
-# power of two settles without them): 666 KiB
-@functools.lru_cache(maxsize=64)
+@_table
 def _power_lo(b: int) -> np.ndarray:
     """lo[j], the exact remainder b**(kmin + j) - P[j] of _power_table(b),
     correctly rounded after scaling by 2**-e, where P[j] = m * 2**e with m
@@ -132,7 +193,6 @@ def _power_lo(b: int) -> np.ndarray:
         r = num / den  # int true division rounds correctly
         if num == 0 or abs(r) >= 2.0**-900:
             lo[j] = r
-    lo.setflags(write=False)
     return lo
 
 
@@ -146,7 +206,9 @@ def _exact(v: float, b: int, k: int) -> tuple[int, int, float]:
 
 
 # at most 1024 powers of at most _CACHED_POWER_BITS bits, 572 bytes each as
-# CPython ints, with their keys and cache links: under 800 KiB
+# CPython ints, with their keys and cache links: under 800 KiB.  A cache of
+# its own, not _table: a power is looked up once per settled value, not
+# once per call, and _CACHED_POWER_BITS bounds its entries
 _CACHED_POWER_BITS = 4096
 _cached_power = functools.lru_cache(maxsize=1024)(pow)
 

@@ -20,7 +20,6 @@ thread-safe, and wrapped densities can be shared freely across threads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -30,7 +29,7 @@ import numpy as np
 from ._quadrature import integrate
 from .errors import DomainError, TruncationError
 from .nb_core import NBDistribution, _like_input, _significand_array, nb_pdf
-from .significand import Base
+from .significand import Base, _table
 
 __all__ = [
     "S_MIN",
@@ -480,37 +479,24 @@ class _Grid(NamedTuple):
     law: np.ndarray
 
 
-def _build_grid(b: int, n: int) -> _Grid:
-    fb = float(b)
-    # Python's pow, not numpy's, which differs from it in the last ulp
-    x = np.array([fb ** ((i + 0.5) / n) for i in range(n)])
-    grid = _Grid(x, np.log(x), 1.0 / (x * math.log(b)))
-    for a in grid:
-        a.setflags(write=False)
-    return grid
-
-
-# at most 16 grids of at most _DISTANCE_GRID points, three float64 arrays
-# each: 768 KiB
-_cached_grid = functools.lru_cache(maxsize=16)(_build_grid)
-
-
-def _grid(base: Base, n: int) -> _Grid:
+@_table
+def _grid(b: int, n: int) -> _Grid:
     """The grid of the n points b**((i + 0.5) / n), i = 0..n-1: the
     midpoints of n equal cells of the log-map coordinate on [1, b).
 
-    Grids of at most _DISTANCE_GRID points are cached per (b, n), so
+    Kept per (b, n) in the per-process table cache up to 10920 points, so
     repeat calls return the same record; larger ones are built per call.
     """
-    if n <= _DISTANCE_GRID:
-        return _cached_grid(base.b, n)
-    return _build_grid(base.b, n)
+    fb = float(b)
+    # Python's pow, not numpy's, which differs from it in the last ulp
+    x = np.array([fb ** ((i + 0.5) / n) for i in range(n)])
+    return _Grid(x, np.log(x), 1.0 / (x * math.log(b)))
 
 
 def _distances(wl: _WrappedLogNormal, base: Base) -> tuple[float, float]:
     """distance_to_nb of the planned density wl."""
     n = _DISTANCE_GRID
-    x, u, law = _grid(base, n)
+    x, u, law = _grid(base.b, n)
     diff = np.abs(wl.pdf(x, u) - law)
     return float(diff.max()), float(np.sum(diff * x)) * 0.5 * base.ln / n
 

@@ -25,6 +25,7 @@ from benford import (
     gen_sequence,
     nb_entropy_closed,
     sample_nb,
+    significand,
     wrapped_lognormal_pdf,
 )
 from benford.cli import _RECORD_FIELDS, emit_records, main, parse_records
@@ -1521,16 +1522,21 @@ class TestCachedText:
                 ["entropy", "lognormal", "0.3", "0.05", "--base", str(b)],
             ):
                 assert make_golden.run(argv)[0] == 0
-        grid_hits = wrapping_module._cached_grid.cache_info().hits
-        arrays = []
+        tables = [value for value, _ in significand._table.entries.values()]
+        arrays = [
+            a
+            for value in tables
+            for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray)
+        ]
+        # the grids, trapezoid nodes and digit tables of every base
+        assert len(arrays) >= 3 * (2 * 3 + 2 + 1)
+        assert not any(a.flags.writeable for a in arrays)
         for b in (2, 10, 1000):
             for n in (256, wrapping_module._DISTANCE_GRID):
-                arrays += wrapping_module._cached_grid(b, n)
-            arrays.append(first_digit_probs(Base(b)))
-            for k in range(4, 11):  # batches of 16 to 1024 nodes
-                arrays += entropy_module._cached_nodes(b, 1 << k)
-        assert wrapping_module._cached_grid.cache_info().hits == grid_hits + 6
-        assert arrays and not any(a.flags.writeable for a in arrays)
+                grid = wrapping_module._grid(b, n)
+                assert any(value is grid for value in tables)
+            assert any(value is first_digit_probs(Base(b)) for value in tables)
         # column text is a tuple of strings, immutable by its type
         assert type(cli._constant_text("x", 10, 256, "%.12g")) is tuple
 
@@ -1577,7 +1583,7 @@ class TestWrap:
         monkeypatch.undo()
         params, base = cli._parse_dist(dist, ("mixture",)), Base(10)
         recs = records_of(out)
-        pdf = wrapped_lognormal_pdf(cli._grid(base, 16).x, params, base)
+        pdf = wrapped_lognormal_pdf(cli._grid(base.b, 16).x, params, base)
         assert [r[2] for r in recs if r[0] == "row"] == [_printed(v) for v in pdf.tolist()]
         sup, tv = distance_to_nb(params, base)
         assert field(recs, "sup_distance") + field(recs, "tv_distance") == (

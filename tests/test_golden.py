@@ -1,7 +1,6 @@
 """Output guard: records and human streams and ratio rejections stay as
 captured in tests/data/golden (see tests/data/make_golden.py)."""
 
-import importlib
 import json
 import math
 import sys
@@ -9,10 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from benford import cli, nb_core, wrapping
+from benford import cli, significand
 from benford.cli import parse_records
 
-entropy_module = importlib.import_module("benford.entropy")
 
 DATA = Path(__file__).resolve().parent / "data"
 sys.path.insert(0, str(DATA))
@@ -126,15 +124,8 @@ def assert_density_matches(name: str, code: int, got_text: str) -> None:
 
 
 def clear_caches() -> None:
-    """Empty every cache that main fills per base, size or format."""
-    for cache in (
-        cli._constant_text,
-        cli._digit_sum,
-        wrapping._cached_grid,
-        entropy_module._cached_nodes,
-        nb_core._cached_probs,
-    ):
-        cache.cache_clear()
+    """Empty the table cache that main fills per base, size or format."""
+    significand._table.clear()
 
 
 def test_streams_unchanged_when_run_twice_in_one_process(monkeypatch):

@@ -19,7 +19,7 @@ from benford import (
     scale_interval,
 )
 from benford._quadrature import integrate
-from benford import nb_core
+from benford import significand
 from benford.nb_core import first_digit_probs
 
 B10 = Base(10)
@@ -118,16 +118,17 @@ class TestFirstDigitProb:
         assert first_digit_probs(Base(b)) is table  # built once per base
 
     def test_tables_past_the_row_bound_are_built_per_call(self):
-        # a cached table holds at most _CACHED_DIGITS cells
-        top = nb_core._CACHED_DIGITS + 1
+        # the table cache keeps a result of at most _TABLE_BYTES // 16
+        # bytes: 32768 float64 cells, base 32769
+        top = significand._TABLE_BYTES // 16 // 8 + 1
         assert first_digit_probs(Base(top)) is first_digit_probs(Base(top))
-        held = nb_core._cached_probs.cache_info().currsize
+        held = list(significand._table.entries), significand._table.held
         table = first_digit_probs(Base(top + 1))
         again = first_digit_probs(Base(top + 1))
         assert again is not table and again.tobytes() == table.tobytes()
         assert not table.flags.writeable and table.size == top
         assert table[-1] == first_digit_prob(top, NBDistribution(Base(top + 1)))
-        assert nb_core._cached_probs.cache_info().currsize == held
+        assert (list(significand._table.entries), significand._table.held) == held
 
 
 class TestIntervalMeasure:

@@ -1,5 +1,10 @@
+import concurrent.futures
+import gc
 import math
+import random
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +16,7 @@ from benford import (
     Base,
     DomainError,
     NonPositiveInput,
+    cli,
     decompose,
     decompose_array,
     first_digit,
@@ -272,6 +278,110 @@ class TestExactPowers:
         assert significand._int_power(2, e) == 2**e
         assert significand._int_power(10, 10**4) == 10 ** (10**4)
         assert significand._cached_power.cache_info().currsize == before
+
+
+@pytest.fixture
+def memo():
+    """The table cache, emptied before and after the test."""
+    significand._table.clear()
+    yield significand._table
+    significand._table.clear()
+
+
+def entry_bytes(memo) -> int:
+    return sum(size for _, size in memo.entries.values())
+
+
+class TestTable:
+    """significand._table, the one per-process cache of every module's
+    tables, under a budget of _TABLE_BYTES."""
+
+    def test_many_tiny_entries_stay_within_the_budget(self, memo, monkeypatch):
+        # 10**4 digit sums, a float each keyed by one int, from short tables
+        monkeypatch.setattr(cli, "first_digit_probs", lambda base: np.ones(base.b % 7 + 1))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for b in range(2, 10**4 + 2):
+                assert cli._digit_sum(b) == b % 7 + 1
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(memo.entries) < 10**4
+        assert memo.held == entry_bytes(memo) <= significand._TABLE_BYTES
+        # the count covers the memory the entries take, keys and links too
+        assert grown <= memo.held
+
+    def test_least_recently_used_entries_go_first(self, memo, monkeypatch):
+        monkeypatch.setattr(significand, "_TABLE_BYTES", 1 << 16)
+        built = []
+
+        @significand._table
+        def column(k):
+            built.append(k)
+            return np.full(256, float(k))
+
+        for k in range(64):
+            assert column(k)[0] == k
+        n = len(memo.entries)
+        assert 1 < n < 64 and [s[1:] for s in memo.entries] == [(k,) for k in range(64 - n, 64)]
+        column(64 - n)  # a hit: its key becomes the most recently used
+        column(64)  # evicts 64 - n + 1, not 64 - n
+        assert [s[1] for s in memo.entries] == [*range(66 - n, 64), 64 - n, 64]
+        assert built == list(range(65))
+        column(64 - n)
+        column(65 - n)
+        assert built == [*range(65), 65 - n]
+        assert memo.held == entry_bytes(memo) <= significand._TABLE_BYTES
+
+    def test_a_result_over_the_cap_is_built_per_call_and_not_held(self, memo):
+        cap, built = significand._TABLE_BYTES // 16, []
+
+        @significand._table
+        def zeros(nbytes):
+            built.append(nbytes)
+            return np.zeros(nbytes // 8)
+
+        assert zeros(cap) is zeros(cap)
+        held = list(memo.entries), memo.held
+        big, again = zeros(cap + 8), zeros(cap + 8)
+        assert big is not again and built == [cap, cap + 8, cap + 8]
+        assert not big.flags.writeable and not again.flags.writeable
+        assert (list(memo.entries), memo.held) == held
+
+    def test_threads_get_the_values_of_direct_builds(self, memo, monkeypatch):
+        monkeypatch.setattr(significand, "_TABLE_BYTES", 1 << 16)
+
+        def build(b, n):
+            time.sleep(1e-4)  # lets other threads run, and build the same key
+            return np.arange(n) * float(b), str(b * n)
+
+        table = significand._table(build)
+        # about 96 KiB of entries, so lookups evict
+        keys = [(b, n) for b in range(2, 12) for n in (64, 256, 512)]
+
+        def lookups(seed):
+            rng = random.Random(seed)
+            for _ in range(2000):
+                key = rng.choice(keys)
+                x, text = table(*key)
+                want = build(*key)
+                assert x.tobytes() == want[0].tobytes() and text == want[1]
+                assert not x.flags.writeable
+            return len(memo.entries)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, inside lookups too
+        try:
+            with concurrent.futures.ThreadPoolExecutor(4) as pool:
+                held = list(pool.map(lookups, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(n < len(keys) for n in held)
+        # a lost update of the count would break this
+        assert memo.held == entry_bytes(memo) <= significand._TABLE_BYTES
 
 
 def test_first_digit_is_the_digit_of_the_double():

@@ -22,6 +22,7 @@ from benford import (
     lognormal_source,
     nb_pdf,
     normalization,
+    significand,
     source_from_cdf,
     uniform_source,
     wrap_cdf,
@@ -34,7 +35,6 @@ from benford.wrapping import (
     _BLOCK,
     _DISTANCE_GRID,
     _WrappedLogNormal,
-    _cached_grid,
     _dual_at,
     _dual_order,
     _dual_rate,
@@ -563,7 +563,7 @@ class TestArrayContract:
         # in base 2 the direct sum at s = 1000 needs K ~ 9300 and the dual at
         # s = 1e-4 needs J ~ 10200: a full term matrix on the 2048-point
         # distance grid would take about 300 MB and 170 MB
-        x, u, _ = _grid(B2, _DISTANCE_GRID)
+        x, u, _ = _grid(2, _DISTANCE_GRID)
         K = _lognormal_trunc(1000.0, B2.ln, 1e-9, K_MAX)
         J = _dual_order(1e-4, B2.ln, 1e-16)
         assert K > 9000 and J > 9000
@@ -637,7 +637,7 @@ class TestSummationOrder:
 class TestLogGrid:
     @pytest.mark.parametrize("b, n", [(2, 1), (10, 256), (16, GRID), (1000, 64), (10**6, 7)])
     def test_equals_python_pow_and_is_shared(self, b, n):
-        grid = _grid(Base(b), n)
+        grid = _grid(b, n)
         x = grid.x
         assert x.dtype == np.float64
         assert x.tolist() == log_grid(b, n).tolist()
@@ -648,17 +648,20 @@ class TestLogGrid:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
-        assert _grid(Base(b), n) is grid
+        assert _grid(b, n) is grid
 
     def test_grid_larger_than_distance_grid_is_not_retained(self):
-        n = _DISTANCE_GRID + 1
-        before = _cached_grid.cache_info().currsize
-        x = _grid(Base(10), n)
-        y = _grid(Base(10), n)
+        # the smallest grid whose three arrays and record pass the table
+        # cache's cap of _TABLE_BYTES // 16 bytes
+        n = (significand._TABLE_BYTES // 16 - 64) // 24 + 1
+        assert _grid(10, n - 1) is _grid(10, n - 1)
+        held = list(significand._table.entries), significand._table.held
+        x = _grid(10, n)
+        y = _grid(10, n)
         assert x is not y
         assert x.x.tolist() == y.x.tolist() == log_grid(10, n).tolist()
         assert not any(a.flags.writeable for a in x)
-        assert _cached_grid.cache_info().currsize == before
+        assert (list(significand._table.entries), significand._table.held) == held
 
 
 def per_component_pdf(wl, x):
@@ -710,10 +713,10 @@ class TestSharedLog:
     )
     def test_equals_per_component_logs(self, b, comps, n, size, points):
         wl = _planned(b, comps)
-        x, u, _ = _grid(Base(b), n)
+        x, u, _ = _grid(b, n)
         want = per_component_pdf(wl, x).tobytes()
         assert wl.pdf(x, u).tobytes() == wl.pdf(x).tobytes() == want
-        x, ln_x = importlib.import_module("benford.entropy")._nodes(Base(b), size)
+        x, ln_x = importlib.import_module("benford.entropy")._nodes(b, size)
         assert wl.pdf(x, ln_x).tobytes() == per_component_pdf(wl, x).tobytes()
         x = np.array([float(b) ** p for p in points])  # arbitrary points in [1, b)
         assert wl.pdf(x).tobytes() == per_component_pdf(wl, x).tobytes()
@@ -722,5 +725,5 @@ class TestSharedLog:
     def test_direct_and_dual_components_in_one_mixture(self, b):
         wl = _planned(b, [(0.3, 0.4, 0.05), (0.3, -1.0, 4.0), (0.4, 2.0, 0.1)])
         assert [c.K is None for c in wl.series] == [False, True, False]
-        x, u, _ = _grid(Base(b), _DISTANCE_GRID)
+        x, u, _ = _grid(b, _DISTANCE_GRID)
         assert wl.pdf(x, u).tobytes() == per_component_pdf(wl, x).tobytes()
