@@ -37,8 +37,8 @@ from .conformance import (
     ConformanceReport,
     SEQUENCE_KINDS,
     _report,
-    _usable_significands,
-    gen_sequence,
+    _sequence_logs,
+    _usable_logs,
 )
 from .entropy import analyze_entropy
 from .errors import (
@@ -774,7 +774,7 @@ def _cmd_digits(args) -> list[tuple]:
 
 def _cmd_fit(args) -> list[tuple]:
     base = Base(args.base)
-    report = _report(base, *_usable_significands(_value_blocks(args), base))
+    report = _report(base, *_usable_logs(_value_blocks(args), base))
     return [
         ("param", "input", args.path),
         ("param", "input_format", args.input_format),
@@ -817,7 +817,7 @@ def _cmd_entropy(args) -> list[tuple]:
 
 def _cmd_sequence(args) -> list[tuple]:
     base = Base(args.base)
-    report = _report(base, gen_sequence(args.kind, args.n, base, args.ratio), 0, 0)
+    report = _report(base, *_sequence_logs(args.kind, args.n, base, args.ratio), 0, 0)
     recs: list[tuple] = [("param", "kind", args.kind), ("param", "n", str(args.n))]
     if args.ratio is not None:
         recs.append(("param", "ratio", str(args.ratio)))

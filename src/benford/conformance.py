@@ -59,14 +59,16 @@ _BLOCK = 1 << _BLOCK_BITS
 # most three times below 3, the offset once below 1 and their sum once
 # below 2, under 5 * 2**-53 in all
 _U_ERR = 2.0**-50
-# relative error allowed for float(b) ** u; numpy's measures below 0.6 ulp
-_POW_ERR = 2.0**-50
+# relative error allowed for np.exp, 8 * 2**-53: the worst seen against
+# mpmath on 20 000 points u ln b in each of six bases from 2 to 2**53 - 1
+# is 1.15 * 2**-53 (numpy 2.4, AVX-512), and a test checks a seeded sample
+_EXP_ERR = 2.0**-50
 _DEC_PREC = 60
 _DEC_TIE = Decimal("1e-40")  # see _settle
 _FIB_EXACT = 78  # F_78 < 2**53: the first Fibonacci terms are exact doubles
-# The library's data are decomposed, and the digit histogram and KS walk
-# the significands, in slices of this many elements, so that their
-# temporaries stay in cache; see _slices, _histogram and _ks.
+# The library's data are decomposed and log-mapped, and KS walks u, in
+# slices of this many elements, so that their temporaries stay in cache;
+# see _slices and _ks.
 _STAT_BLOCK = 2**13
 
 
@@ -136,19 +138,70 @@ def _slices(data: np.ndarray | Iterable[float]) -> Iterator[np.ndarray]:
     return (x[start : start + _STAT_BLOCK] for start in range(0, x.size, _STAT_BLOCK))
 
 
-def _usable_significands(
-    blocks: Iterable[np.ndarray], base: Base
-) -> tuple[np.ndarray, int, int]:
-    """Significands of the usable values of float64 blocks, with skip counts.
+class _DigitCounts:
+    """First-digit counts of significand blocks in one base.
 
-    Each block is filtered and decomposed on its own, and only its
-    significands are kept; they are joined once, after the last block,
-    into a new float64 array that the caller owns and that shares no
-    memory with any block.  So the only full-length arrays are the
-    significands and their join.  No usable value in any block is
-    EmptyData, raised only once the blocks are exhausted, so an error of
-    whatever yields them comes first.
+    A significand's digit is its integer part.  The digits wait in one
+    int64 buffer of max(_BLOCK, b) until it is full, and only then does a
+    bincount of length b add them up, so no bincount covers fewer digits
+    than it has cells: at base 10**6, one per 16 K-term block would zero
+    and add 8 MB each time.  The log-linear kernel and _fold both count
+    here.
     """
+
+    def __init__(self, base: Base) -> None:
+        self.base = base
+        self._counts = np.zeros(base.b, dtype=np.int64)
+        self._digits = np.empty(max(_BLOCK, base.b), dtype=np.int64)
+        self._fill = self._total = 0
+
+    def add(self, s: np.ndarray) -> None:
+        """Count the digits of the significands s, each in [1, b)."""
+        self._total += s.size
+        size = self._digits.size
+        for start in range(0, s.size, size):
+            part = s[start : start + size]
+            if self._fill + part.size > size:
+                self._flush()
+            # truncation toward zero, which is the integer part as s >= 1
+            np.copyto(self._digits[self._fill : self._fill + part.size], part, casting="unsafe")
+            self._fill += part.size
+
+    def _flush(self) -> None:
+        self._counts += np.bincount(self._digits[: self._fill], minlength=self.base.b)
+        self._fill = 0
+
+    def histogram(self) -> DigitHistogram:
+        """The histogram of the digits counted so far."""
+        self._flush()
+        return DigitHistogram(self.base, self._counts[1:], self._total)
+
+
+def _fold(s: np.ndarray, tally: _DigitCounts) -> np.ndarray:
+    """Count the digits of the significands s, then map s in place to
+    u = ln s / ln b, which it returns."""
+    tally.add(s)
+    np.log(s, out=s)
+    s /= tally.base.ln
+    return s
+
+
+def _usable_logs(
+    blocks: Iterable[np.ndarray], base: Base
+) -> tuple[np.ndarray, DigitHistogram, int, int]:
+    """(u, histogram, n_nonpos, n_nonfinite) of the usable values of
+    float64 blocks: u = log_b s of their significands s, and the digit
+    histogram of s.
+
+    Each block is filtered and decomposed on its own, and its significands
+    go through _fold while they are in cache; only their u is kept.  The
+    parts are joined once, after the last block, into a new float64 array
+    that the caller owns and that shares no memory with any block.  So the
+    only full-length arrays are the parts and their join.  No usable value
+    in any block is EmptyData, raised only once the blocks are exhausted,
+    so an error of whatever yields them comes first.
+    """
+    tally = _DigitCounts(base)
     parts: list[np.ndarray] = []
     n_nonpos = n_nonfinite = 0
     for block in blocks:
@@ -156,26 +209,11 @@ def _usable_significands(
         n_nonpos += nonpos
         n_nonfinite += nonfinite
         if usable.size:
-            parts.append(decompose_array(usable, base).significand)
+            parts.append(_fold(decompose_array(usable, base).significand, tally))
     if not parts:
         raise EmptyData("no usable entries after skipping nonpositive/nonfinite")
-    s = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return s, n_nonpos, n_nonfinite
-
-
-def _histogram(base: Base, s: np.ndarray) -> DigitHistogram:
-    """Digit counts, summed over slices of the significands s.
-
-    A slice's digits are its significands' integer parts.  Each slice is
-    at least b long, so its count array of length b costs no more than
-    the slice does.
-    """
-    b = base.b
-    step = max(_STAT_BLOCK, b)
-    counts = np.zeros(b, dtype=np.int64)
-    for start in range(0, s.size, step):
-        counts += np.bincount(s[start : start + step].astype(np.int64), minlength=b)
-    return DigitHistogram(base, counts[1:], s.size)
+    u = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return u, tally.histogram(), n_nonpos, n_nonfinite
 
 
 def _ks(u: np.ndarray) -> float:
@@ -205,17 +243,6 @@ def _ks(u: np.ndarray) -> float:
     return float(max(d_plus, d_minus))
 
 
-def _log_ks(base: Base, s: np.ndarray) -> float:
-    """KS statistic of the log-mapped significands, u = ln s / ln b.
-
-    The log is taken in place, so s, a buffer the caller owns, ends up
-    holding the sorted u.
-    """
-    np.log(s, out=s)
-    s /= base.ln
-    return _ks(s)
-
-
 def digit_histogram(
     data: np.ndarray | Iterable[float], base: Base
 ) -> tuple[DigitHistogram, int, int]:
@@ -223,8 +250,7 @@ def digit_histogram(
 
     Returns (histogram, n_skipped_nonpositive, n_skipped_nonfinite).
     """
-    s, n_nonpos, n_nonfinite = _usable_significands(_slices(data), base)
-    return _histogram(base, s), n_nonpos, n_nonfinite
+    return _usable_logs(_slices(data), base)[1:]
 
 
 def _sum(terms: np.ndarray) -> float:
@@ -259,7 +285,7 @@ def ks_uniform(data: np.ndarray | Iterable[float], base: Base) -> float:
     Exact sorted-sample form: max over i of max(i/n - u_(i), u_(i) - (i-1)/n).
     Nonpositive and nonfinite entries are skipped as in digit_histogram.
     """
-    return _log_ks(base, _usable_significands(_slices(data), base)[0])
+    return _ks(_usable_logs(_slices(data), base)[0])
 
 
 def tv_to_nb(hist: DigitHistogram) -> float:
@@ -275,30 +301,31 @@ def tv_to_nb(hist: DigitHistogram) -> float:
 def analyze(data: np.ndarray | Iterable[float], base: Base) -> ConformanceReport:
     """Full conformance pipeline: histogram, chi-square, KS, TV, skips.
 
-    The data are filtered and decomposed slice by slice, and _report reads
-    the one array of significands that makes.  The data themselves are
-    left as they are: the significands are a new array.  The CLI's ``fit``
+    The data are filtered, decomposed and log-mapped slice by slice, and
+    _report reads the one array of u = log_b s that makes.  The data
+    themselves are left as they are: u is a new array.  The CLI's ``fit``
     verb feeds the same fold the blocks its readers yield.
     """
-    return _report(base, *_usable_significands(_slices(data), base))
+    return _report(base, *_usable_logs(_slices(data), base))
 
 
-def _report(base: Base, s: np.ndarray, n_nonpos: int, n_nonfinite: int) -> ConformanceReport:
-    """Conformance statistics of the significands s, with their skip counts.
+def _report(
+    base: Base, u: np.ndarray, hist: DigitHistogram, n_nonpos: int, n_nonfinite: int
+) -> ConformanceReport:
+    """Conformance statistics of u = log_b s and the digit histogram of
+    the same significands s, with their skip counts.
 
-    The caller hands over the float64 buffer s: KS takes the log and sorts
-    in place there, so no other full-length array is made, and s holds no
-    significands afterwards.  Every caller owns that buffer: ``analyze``
-    and the CLI's ``fit`` verb pass the significands _usable_significands
-    joined, and the ``sequence`` verb gen_sequence's output.
+    The caller hands over the float64 buffer u, which KS sorts in place,
+    so no other full-length array is made.  Every caller owns that
+    buffer: ``analyze`` and the CLI's ``fit`` verb pass the join of
+    _usable_logs, and the ``sequence`` verb that of _sequence_logs.
     """
-    hist = _histogram(base, s)
     stat, pvalue = chi_square(hist)
     return ConformanceReport(
         histogram=hist,
         chi_square=stat,
         chi_square_pvalue=pvalue,
-        ks_stat=_log_ks(base, s),
+        ks_stat=_ks(u),
         tv_distance=tv_to_nb(hist),
         n_skipped_nonpositive=n_nonpos,
         n_skipped_nonfinite=n_nonfinite,
@@ -433,9 +460,10 @@ def _settle(seq: _LogLinear, t: int) -> float:
     return min(max(q, float(d)), math.nextafter(d + 1.0, 0.0))
 
 
-def _kernel(seq: _LogLinear, t0: int, sig: np.ndarray) -> None:
-    """Fill sig with the significands of terms t0, t0 + 1, ... of a
-    log-linear sequence.
+def _kernel(seq: _LogLinear, t0: int, out: np.ndarray, tally: _DigitCounts | None) -> None:
+    """Terms t0, t0 + 1, ... of a log-linear sequence, one to an element of
+    out: with a tally, u = log_b s goes to out and each digit to the
+    tally; without one, out gets the significands s.
 
     Term t = t0 + start + j, for a block start and j < _BLOCK, has
     log_b = x0 + j L with x0 = (t0 + start) L - c.  The block's
@@ -443,11 +471,20 @@ def _kernel(seq: _LogLinear, t0: int, sig: np.ndarray) -> None:
     is the same for every block: with L = hi + lo as two doubles and
     hi = h1 + h2 split so that j h1 and j h2 are exact, it is
     frac(frac(j h1) + frac(j h2) + j lo).  The sum u = frac(offset + phase)
-    errs by at most _U_ERR, and s = b**u is a float power.  A term whose s
-    lies within that error of an integer may have the wrong leading digit;
-    _settle redoes it.
+    errs by under 5 * 2**-53 <= _U_ERR.
+
+    The block's significands s = exp(fl(u ln b)) live in a block-sized
+    temporary.  ln b is base.ln, within 2**-52 of the exact value
+    (relative), and the product rounds once, so with u < 1 the exponent
+    errs by under (5 + 2 + 1) 2**-53 ln b = _U_ERR ln b; the further
+    2**-53 ln b in tol covers the second-order terms, and _EXP_ERR the
+    error of np.exp.  So s lies within tol * s of the exact significand,
+    and a term whose s lies that close to an integer may have the wrong
+    leading digit, or lie outside [1, b): _settle redoes it, and its u
+    becomes ln s / ln b of the settled s.  Every other term's digit is
+    the integer part of its s.
     """
-    n = len(sig)
+    n = len(out)
     m = min(n, _BLOCK)
     with localcontext() as ctx:
         ctx.prec = _DEC_PREC
@@ -465,23 +502,32 @@ def _kernel(seq: _LogLinear, t0: int, sig: np.ndarray) -> None:
     j *= lo
     phase += j
     phase -= np.floor(phase)
-    fb = float(seq.base.b)
-    tol = seq.base.ln * _U_ERR + _POW_ERR
+    lnb = seq.base.ln
+    tol = lnb * (_U_ERR + 2.0**-53) + _EXP_ERR
+    sig, gap = np.empty(m), np.empty(m)  # block temporaries
     for start in range(0, n, m):
         stop = min(start + m, n)
         with localcontext() as ctx:
             ctx.prec = _DEC_PREC
             x0 = (t0 + start) * seq.L - seq.c
             offset = float(x0 - x0.to_integral_value(rounding=ROUND_FLOOR))
-        s = sig[start:stop]
-        np.add(phase[: stop - start], offset, out=s)
-        s -= np.floor(s)
-        np.power(fb, s, out=s)
-        gap = np.rint(s)
-        gap -= s
-        np.abs(gap, out=gap)
-        for i in np.flatnonzero(gap <= tol * s).tolist():
-            sig[start + i] = _settle(seq, t0 + start + i)
+        u, s, g = out[start:stop], sig[: stop - start], gap[: stop - start]
+        np.add(phase[: stop - start], offset, out=u)
+        np.floor(u, out=g)
+        u -= g
+        np.multiply(u, lnb, out=s)
+        np.exp(s, out=s)
+        np.rint(s, out=g)
+        g -= s
+        np.abs(g, out=g)
+        flagged = np.flatnonzero(g <= tol * s)
+        if flagged.size:
+            s[flagged] = [_settle(seq, t0 + start + i) for i in flagged.tolist()]
+            u[flagged] = np.log(s[flagged]) / lnb
+        if tally is None:
+            u[:] = s
+        else:
+            tally.add(s)
 
 
 def _factorial(n: int, base: Base) -> np.ndarray:
@@ -510,8 +556,8 @@ def _factorial(n: int, base: Base) -> np.ndarray:
     N < 6e7: eps = 2.2e-12 at n = 10**4 in base 10, 9.7e-13 in log_10 s.
 
     A term whose s lies within eps * s of an integer, or outside [1, b),
-    may be in the wrong digit cell.  It is settled exactly from
-    math.factorial(t) against b**k, with k from _exponents, and clamped
+    may be in the wrong digit cell.  It is settled exactly from t!
+    against b**k, with k from _exponents, and clamped
     into [d, nextafter(d + 1, 0)] as _settle clamps.  Every t! < b is an
     integer, and every t! = d * b**k an integer's edge, so these settle,
     1! first of all.
@@ -536,19 +582,29 @@ def _factorial(n: int, base: Base) -> np.ndarray:
     eps = (2 * n + 3 * R + 1) * 2.0**-53
     flagged = np.flatnonzero((np.abs(s - np.rint(s)) <= eps * s) | ~((s >= 1.0) & (s < b)))
     exps = _exponents("factorial", s[: flagged[-1] + 1], base, None)
+    # t! and b**k are carried from one flagged term to the next, k never
+    # decreasing as t! does not, so settling costs one pass over each
+    # term's digits, not a factorial and a power from scratch per term
+    fact, power, t_prev, k_prev = 1, 1, 0, 0
     for i, k in zip(flagged.tolist(), exps[flagged].tolist()):
-        _, d, q = _exact_ratio(math.factorial(i + 1), 1, b, k)
+        fact *= math.perm(i + 1, i + 1 - t_prev)  # (i + 1)! / t_prev!
+        power *= b ** (k - k_prev)
+        t_prev, k_prev = i + 1, k
+        _, d, q = _exact_ratio(fact, power, b, 0)
         s[i] = min(max(q, float(d)), math.nextafter(d + 1.0, 0.0))
     return s
 
 
-def gen_sequence(kind: str, n: int, base: Base, ratio: float | None = None) -> np.ndarray:
-    """The significands in [1, b) of the first n terms of a deterministic
-    sequence, in a new float64 array the caller owns; see
-    gen_sequence_terms.
+def _terms(
+    kind: str, n: int, base: Base, ratio: float | None, tally: _DigitCounts | None
+) -> np.ndarray:
+    """The first n terms of a deterministic sequence, in a new float64
+    array the caller owns: their significands in [1, b) without a tally;
+    with one, u = log_b s, and their digits go to the tally.
 
     Every path leaves a significand in its term's exact digit cell, so
-    the digit is its integer part.
+    the digit is its integer part.  The log-linear kernel makes u itself;
+    the other paths make significands and hand them to _fold.
     """
     if n < 1:
         raise DomainError(f"sequence length must be >= 1, got {n!r}")
@@ -556,8 +612,12 @@ def gen_sequence(kind: str, n: int, base: Base, ratio: float | None = None) -> n
         raise DomainError(f"unknown sequence kind {kind!r}; expected one of {SEQUENCE_KINDS}")
     if ratio is not None and kind != "geometric":
         raise DomainError(f"{kind} sequences take no ratio, got {ratio!r}")
+
+    def done(s: np.ndarray) -> np.ndarray:
+        return s if tally is None else _fold(s, tally)
+
     if kind == "factorial":
-        return _factorial(n, base)
+        return done(_factorial(n, base))
     head = 0
     if kind == "fibonacci":
         seq = _LogLinear.of(base, None)
@@ -571,15 +631,38 @@ def gen_sequence(kind: str, n: int, base: Base, ratio: float | None = None) -> n
         if rational is not None:
             # r**y = b**k: term t has significand c**((t k) mod y), period y
             c, k, y = rational
-            return np.resize([float(c ** (t * k % y)) for t in range(1, y + 1)], n)
+            return done(np.resize([float(c ** (t * k % y)) for t in range(1, y + 1)], n))
         seq = _LogLinear.of(base, r)
-    sig = np.empty(n)
+    out = np.empty(n)
     if head:
         fib = np.array([_fibonacci(t) for t in range(1, head + 1)], dtype=np.float64)
-        sig[:head] = decompose_array(fib, base).significand
+        out[:head] = decompose_array(fib, base).significand
+        done(out[:head])
     if n > head:
-        _kernel(seq, head + 1, sig[head:])
-    return sig
+        _kernel(seq, head + 1, out[head:], tally)
+    return out
+
+
+def gen_sequence(kind: str, n: int, base: Base, ratio: float | None = None) -> np.ndarray:
+    """The significands in [1, b) of the first n terms of a deterministic
+    sequence, in a new float64 array the caller owns; see
+    gen_sequence_terms.
+
+    Every path leaves a significand in its term's exact digit cell, so
+    the digit is its integer part.
+    """
+    return _terms(kind, n, base, ratio, None)
+
+
+def _sequence_logs(
+    kind: str, n: int, base: Base, ratio: float | None = None
+) -> tuple[np.ndarray, DigitHistogram]:
+    """(u, histogram) of the first n terms of a deterministic sequence, for
+    _report: u = log_b s of their significands s, in a new float64 array
+    the caller owns, and the digit histogram of s."""
+    tally = _DigitCounts(base)
+    u = _terms(kind, n, base, ratio, tally)
+    return u, tally.histogram()
 
 
 def _exponents(kind: str, sig: np.ndarray, base: Base, ratio: float | None) -> np.ndarray:

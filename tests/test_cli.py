@@ -21,6 +21,7 @@ from benford import (
     Base,
     analyze,
     cli,
+    digit_histogram,
     distance_to_nb,
     gen_sequence,
     nb_entropy_closed,
@@ -1727,7 +1728,7 @@ class TestSequenceCmd:
         def refuse(*args):
             raise AssertionError("sequence output decomposed again")
 
-        monkeypatch.setattr(conformance_module, "_usable_significands", refuse)
+        monkeypatch.setattr(conformance_module, "_usable_logs", refuse)
         assert run(capsys, *argv) == (0, want, "")
 
     def test_geometric_degenerate_ratio(self, capsys):
@@ -1766,6 +1767,55 @@ def _power_ratio_texts(b: int):
     return powers.flatmap(
         lambda x: st.sampled_from([x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)])
     ).map(repr)
+
+
+class TestLargeBaseCounts:
+    # in a base above 2**14 the digits of several blocks wait in one buffer
+    # of b before each bincount of b cells; the bin table must still count
+    # every term and value once, in its exact cell.  The CLI runs in base
+    # 40000, where 200000 terms meet chi-square's 5 (b - 1); base 10**6,
+    # which would need 4999995, runs through the same library calls
+    N = 200_000
+
+    @staticmethod
+    def bins(out):
+        return np.array([rec[2] for rec in records_of(out) if rec[0] == "bin"])
+
+    @staticmethod
+    def exact_digit(x, b):
+        """The leading digit of the positive integer x in base b."""
+        power = b ** max(0, int((x.bit_length() - 1) * math.log(2) / math.log(b)) - 1)
+        while power * b <= x:
+            power *= b
+        return x // power
+
+    def test_sequence_counts(self, capsys):
+        argv = ["sequence", "pow2", "--n", str(self.N), "--base", "40000", "--format", "records"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        library = conformance_module._sequence_logs("pow2", self.N, Base(10**6))[1].counts
+        picks = np.random.default_rng(5).integers(1, self.N + 1, 40).tolist() + [1, self.N]
+        for b, counts in ((40_000, self.bins(out)), (10**6, library)):
+            digits = gen_sequence("pow2", self.N, Base(b)).astype(np.int64)
+            assert np.array_equal(counts, np.bincount(digits, minlength=b)[1:])
+            for t in picks:
+                assert digits[t - 1] == self.exact_digit(2**t, b), (b, t)
+
+    def test_fit_counts(self, capsys, tmp_path):
+        values = sample_nb(self.N, Base(10**6), 3) * np.exp(
+            np.random.default_rng(4).uniform(-50.0, 50.0, self.N)
+        )
+        f = tmp_path / "values.csv"
+        write_csv(f, values.tolist())
+        code, out, err = run(capsys, "fit", str(f), "--base", "40000", "--format", "records")
+        assert code == 0, err
+        library = digit_histogram(values, Base(10**6))[0].counts
+        picks = np.random.default_rng(6).integers(0, self.N, 40).tolist()
+        for b, counts in ((40_000, self.bins(out)), (10**6, library)):
+            digits = significand.decompose_array(values, Base(b)).digit
+            assert np.array_equal(counts, np.bincount(digits, minlength=b)[1:])
+            for i in picks:
+                assert digits[i] == exact_decomposition(values[i], b)[1], (b, values[i])
 
 
 class TestSequenceFuzz:

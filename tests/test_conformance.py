@@ -2,9 +2,11 @@ import math
 import struct
 import time
 import tracemalloc
+import types
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -249,11 +251,37 @@ class TestStatisticBlocks:
     @pytest.mark.parametrize("b", [2, 10, 1000, 100003])
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1, 250_000])
     def test_blocked_histogram_matches_bincount(self, b, n):
+        # the data go to the digit counts in slices, and the slices' digits
+        # in one buffer of max(2**14, b), so b = 100003 spans many slices
         sig = decompose_array(sample_nb(n, Base(b), seed=n + b), Base(b))
         expected = np.bincount(sig.significand.astype(np.int64), minlength=b)[1:]
-        hist = conformance._histogram(Base(b), sig.significand)
+        hist, _, _ = digit_histogram(sample_nb(n, Base(b), seed=n + b), Base(b))
         assert np.array_equal(hist.counts, expected)
         assert hist.total == n
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b=st.sampled_from([2, 10, 1000, 2**15 + 1]),
+        cuts=st.lists(st.integers(0, 3 * 2**14 + 5), max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(b=10, cuts=[2**14, 2**15], seed=0)  # blocks that fill the buffer exactly
+    @example(b=2**15 + 1, cuts=[1, 2**15 + 1, 2**15 + 2], seed=1)
+    def test_fold_of_any_blocking_matches_one_whole_array_pass(self, b, cuts, seed):
+        n = 3 * 2**14 + 5
+        s = decompose_array(sample_nb(n, Base(b), seed=seed), Base(b)).significand
+        whole = conformance._DigitCounts(Base(b))
+        u_whole = conformance._fold(s.copy(), whole)
+        tally = conformance._DigitCounts(Base(b))
+        edges = [0, *sorted(cuts), n]
+        u = np.concatenate(
+            [conformance._fold(s[lo:hi].copy(), tally) for lo, hi in zip(edges, edges[1:])]
+        )
+        hist = tally.histogram()
+        assert np.array_equal(hist.counts, np.bincount(s.astype(np.int64), minlength=b)[1:])
+        assert hist == whole.histogram() and hist.total == n
+        assert u.tobytes() == u_whole.tobytes()
+        assert u_whole.tobytes() == (np.log(s) / math.log(b)).tobytes()
 
 
 class TestSamplers:
@@ -495,7 +523,7 @@ RATIONAL_CASES = [
     ("geometric", 8, 0.25),
 ]
 # |u - u_exact| with u = log_b of the returned significand: the kernel's
-# bound on u plus the rounding of b**u, with margin
+# bound on u plus the error of exp(u ln b), with margin
 KERNEL_DRIFT = 6e-16
 # 2.5e-15 measured at n = 10**4 in bases 10, 16 and 1000, on the terms the
 # drift test samples
@@ -774,6 +802,78 @@ class TestSequenceExactness:
                 assert exps[i - 1] == int((i * log3_r).to_integral_value(ROUND_FLOOR)), i
 
 
+KERNEL_BASES = [2, 10, 16, 1000, 10**6, 2**53 - 1]
+
+
+class TestKernelBounds:
+    @pytest.mark.parametrize("b", KERNEL_BASES)
+    def test_exp_error_within_its_bound(self, b):
+        # the kernel's s = np.exp(fl(u ln b)), against mpmath's exp of that
+        # same double (the error of np.exp alone, _EXP_ERR), and of the
+        # exact u ln b: base.ln within 2**-52 and one rounding of the product
+        # add 3 * 2**-53 ln b at most, as _kernel's docstring counts
+        lnb = Base(b).ln
+        u = np.random.default_rng(b % 2**32).random(2000)
+        u[:2] = 0.0, math.nextafter(1.0, 0.0)
+        x = u * lnb
+        s = np.exp(x)
+        worst_exp = worst = 0.0
+        with mpmath.workdps(40):
+            exact_lnb = mpmath.log(b)
+            for ui, xi, si in zip(u.tolist(), x.tolist(), s.tolist()):
+                worst_exp = max(worst_exp, abs(mpmath.mpf(si) / mpmath.exp(xi) - 1))
+                worst = max(worst, abs(mpmath.mpf(si) / mpmath.exp(ui * exact_lnb) - 1))
+        assert worst_exp <= conformance._EXP_ERR
+        assert worst <= 3 * 2.0**-53 * lnb + conformance._EXP_ERR
+
+    @pytest.mark.parametrize("b", KERNEL_BASES)
+    @pytest.mark.parametrize("kind, ratio", [("geometric", 3.0), ("fibonacci", None)])
+    def test_kernel_u_within_its_bound(self, b, kind, ratio):
+        # the kernel's u against the 60-digit frac(X_t), up to t = 10**5;
+        # in base 2**53 - 1 every term settles, at about 60 us, so only 200
+        # terms at either end run there
+        seq = conformance._LogLinear.of(Base(b), ratio)
+        dec = _DecimalSequence(kind, b, ratio)
+        t0 = conformance._FIB_EXACT + 1  # where the kernel takes over Fibonacci
+        spans = [(t0, 200), (10**5 - 199, 200)] if b > 10**6 else [(t0, 10**5 - t0 + 1)]
+        no_digits = types.SimpleNamespace(add=lambda s: None)  # no count array of 2**53 cells
+        rng = np.random.default_rng(b % 2**32)
+        for start, n in spans:
+            u = np.empty(n)
+            conformance._kernel(seq, start, u, no_digits)
+            assert ((0.0 <= u) & (u < 1.0)).all()
+            picks = sorted(set(rng.integers(0, n, 150).tolist()) | {0, n - 1})
+            with localcontext() as ctx:
+                ctx.prec = 60
+                for i in picks:
+                    x = dec.log(start + i)
+                    gap = abs(Decimal(u[i]) - (x - x.to_integral_value(rounding=ROUND_FLOOR)))
+                    assert min(gap, 1 - gap) <= Decimal(conformance._U_ERR), (start + i, u[i])
+
+
+    @pytest.mark.parametrize(
+        "kind, b, ratio",
+        [("pow2", 12, None), ("geometric", 10, NEXT_UP)],
+    )
+    def test_settled_u_is_the_log_of_the_settled_significand(self, monkeypatch, kind, b, ratio):
+        # 2**3 = 8 in base 12 and 1 + t * 2**-52 near 1 settle; their u must
+        # be that of their settled s, as _fold makes it
+        settled = []
+        settle = conformance._settle
+
+        def counting(seq, t):
+            settled.append(t)
+            return settle(seq, t)
+
+        monkeypatch.setattr(conformance, "_settle", counting)
+        n = 3000
+        u, _ = conformance._sequence_logs(kind, n, Base(b), ratio)
+        idx = np.array(sorted(set(settled)), dtype=np.int64) - 1
+        assert idx.size
+        s = gen_sequence(kind, n, Base(b), ratio)
+        assert u[idx].tobytes() == (np.log(s[idx]) / Base(b).ln).tobytes()
+
+
 class TestSequenceCost:
     def test_near_one_ratio_settles_few_terms(self, monkeypatch):
         settled = []
@@ -787,9 +887,10 @@ class TestSequenceCost:
         start = time.perf_counter()
         gen_sequence("geometric", 10**5, B10, ratio=NEXT_UP)
         assert time.perf_counter() - start < 2.0
-        # s_t = 1 + t * 2.2e-16 lies within the flag window (1 + ln 10) * 2**-50
-        # = 2.9e-15 of the integer 1 only up to t = 13
-        assert settled == list(range(1, 14))
+        # s_t = 1 + t * 2.2e-16 lies within the flag window
+        # ln 10 (2**-50 + 2**-53) + 2**-50 = 3.2e-15 of the integer 1 only up
+        # to t = 14
+        assert settled == list(range(1, 15))
 
     def test_pow2_memory_per_term(self):
         n = 10**6
@@ -803,13 +904,13 @@ class TestSequenceCost:
         assert peak < 32 * n
 
     def test_report_keeps_one_full_length_buffer(self):
-        # the generator's significands, 8 bytes per term; the digits, log
-        # map and KS differences live in cache-sized blocks
+        # the generator's u, 8 bytes per term; the significands, digits and
+        # KS differences live in cache-sized blocks
         n = 10**6
-        conformance._report(B10, gen_sequence("pow2", 1000, B10, None), 0, 0)
+        conformance._report(B10, *conformance._sequence_logs("pow2", 1000, B10), 0, 0)
         tracemalloc.start()
         try:
-            conformance._report(B10, gen_sequence("pow2", n, B10, None), 0, 0)
+            conformance._report(B10, *conformance._sequence_logs("pow2", n, B10), 0, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -817,8 +918,9 @@ class TestSequenceCost:
 
 
 class TestBufferOwnership:
-    # _report takes the log of the significands it is given and sorts them
-    # in place, so every producer must hand over a buffer of its own
+    # _report sorts the u it is given in place, and _fold takes the log of
+    # significands in place, so every producer must hand over a buffer of
+    # its own
 
     @pytest.mark.parametrize(
         "kind, n, b, ratio",
@@ -837,14 +939,20 @@ class TestBufferOwnership:
             assert sig.dtype == np.float64 and sig.shape == (n,) and sig.flags.writeable
         assert not np.shares_memory(first, second)
         want = second.tobytes()
-        conformance._report(Base(b), first, 0, 0)
+        u, hist = conformance._sequence_logs(kind, n, Base(b), ratio)
+        assert u.dtype == np.float64 and u.shape == (n,) and u.flags.writeable
+        assert not np.shares_memory(u, second)
+        conformance._report(Base(b), u, hist, 0, 0)
         assert second.tobytes() == want
         assert gen_sequence(kind, n, Base(b), ratio).tobytes() == want
 
     @pytest.mark.parametrize("b", [10, 16])
     def test_usable_significands_of_one_clean_block_are_a_new_array(self, b):
-        # nothing is skipped, so the block itself goes to decompose_array
+        # nothing is skipped, so the block itself goes to decompose_array,
+        # and _fold maps its significands to u in place
         block = sample_nb(1000, Base(b), seed=b)
-        s, n_nonpos, n_nonfinite = conformance._usable_significands([block], Base(b))
+        want = block.tobytes()
+        u, _, n_nonpos, n_nonfinite = conformance._usable_logs([block], Base(b))
         assert (n_nonpos, n_nonfinite) == (0, 0)
-        assert s.dtype == np.float64 and not np.shares_memory(s, block)
+        assert u.dtype == np.float64 and not np.shares_memory(u, block)
+        assert block.tobytes() == want
