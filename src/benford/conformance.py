@@ -23,8 +23,10 @@ from .significand import (
     Base,
     SignificandDecomposition,
     _exact_ratio,
+    _in_cell,
     _power_table,
-    decompose,
+    _table,
+    _two_product,
     decompose_array,
 )
 from .wrapping import LogNormalParams
@@ -52,12 +54,11 @@ _FACTORIAL_CAP = 10_000
 _FACTORIAL_SPAN = 300
 
 # The log-linear kernel (pow2, geometric, fibonacci) takes terms in blocks
-# of 2**_BLOCK_BITS; see _kernel.
-_BLOCK_BITS = 14
-_BLOCK = 1 << _BLOCK_BITS
-# bound on |u - frac(log_b term)| of a kernel term: the phase rounds at
-# most three times below 3, the offset once below 1 and their sum once
-# below 2, under 5 * 2**-53 in all
+# of 2**14; see _kernel.
+_BLOCK = 1 << 14
+# bound on |u - frac(log_b term)| of a kernel term: the phase errs by
+# under 3 * 2**-53 + 2**-80 (see _log_linear), the offset by 2**-54 and
+# their sum, below 2, by 2**-53: under 5 * 2**-53 in all
 _U_ERR = 2.0**-50
 # relative error allowed for np.exp, 8 * 2**-53: the worst seen against
 # mpmath on 20 000 points u ln b in each of six bases from 2 to 2**53 - 1
@@ -363,7 +364,7 @@ def _check_ratio(ratio: float, base: Base) -> None:
     """
     if not math.isfinite(ratio) or ratio <= 0.0:
         raise NonPositiveInput(f"geometric ratio must be positive, got {ratio!r}")
-    k = decompose(ratio, base).exponent
+    k = math.floor(math.log(ratio) / base.ln)  # an estimate _exact_ratio walks
     s = _exact_ratio(*ratio.as_integer_ratio(), base.b, k)[2]
     if s == 1.0 or s == base.b:
         raise UnsupportedRatio(
@@ -402,25 +403,15 @@ def _fibonacci(t: int) -> int:
 class _LogLinear(NamedTuple):
     """A sequence with log_b(term t) = t L - c: r**t (c = 0), or Fibonacci's
     F_t = phi**t / sqrt5 up to Binet's factor 1 - (-phi**-2)**t, which is
-    within 2**-53 of 1 from t = 39 on.  L and c are held to 60 digits."""
+    within 2**-53 of 1 from t = 39 on.  L and c are held to 60 digits, with
+    the kernel's phase; see _log_linear."""
 
     base: Base
     ratio: float | None  # r; None for fibonacci
     L: Decimal
     c: Decimal
     lnb: Decimal
-
-    @classmethod
-    def of(cls, base: Base, ratio: float | None) -> "_LogLinear":
-        with localcontext() as ctx:
-            ctx.prec = _DEC_PREC
-            lnb = Decimal(base.b).ln()
-            if ratio is None:
-                root5 = Decimal(5).sqrt()
-                L, c = ((1 + root5) / 2).ln() / lnb, root5.ln() / lnb
-            else:
-                L, c = Decimal(ratio).ln() / lnb, Decimal(0)
-        return cls(base, ratio, L, c, lnb)
+    phase: np.ndarray  # frac(j L) for j < _BLOCK, read-only
 
     def log(self, t: int) -> Decimal:
         """log_b of term t, to about 50 digits; call inside a 60-digit context."""
@@ -438,13 +429,45 @@ class _LogLinear(NamedTuple):
         return num**t, den**t
 
 
+@_table
+def _log_linear(b: int, ratio: float | None) -> _LogLinear:
+    """The sequence r**t in base b, or Fibonacci's for ratio None, with
+    the phase frac(j L), j < _BLOCK, that _kernel adds to each block's
+    offset.
+
+    With L = hi + lo in doubles and j hi = p + err exactly (_two_product),
+    the phase is frac(p) + err + j lo, folded into [0, 1).  |L| <= 1074,
+    so |p| < 2**25 and |err|, |j lo| < 2**-29: frac(p) rounds, by up to
+    2**-54, only for p in (-1, 0), each sum by up to 2**-53 and the fold
+    by up to 2**-54, under 3 * 2**-53 + 2**-80 in all.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _DEC_PREC
+        lnb = Decimal(b).ln()
+        if ratio is None:
+            root5 = Decimal(5).sqrt()
+            L, c = ((1 + root5) / 2).ln() / lnb, root5.ln() / lnb
+        else:
+            L, c = Decimal(ratio).ln() / lnb, Decimal(0)
+        hi = float(L)
+        lo = float(L - Decimal(hi))
+    j = np.arange(_BLOCK, dtype=np.float64)
+    p, err = _two_product(j, hi)
+    phase = p - np.floor(p)
+    phase += err
+    j *= lo
+    phase += j
+    phase -= np.floor(phase)
+    return _LogLinear(Base(b), ratio, L, c, lnb, phase)
+
+
 def _settle(seq: _LogLinear, t: int) -> float:
     """Significand of term t, with the exact leading digit d.
 
     The significand comes from the 60-digit log.  One within 1e-40
     (relative) of an integer, which in practice only a term equal to
-    d * b**k comes near, is redone in exact integers.  Either way it is
-    clamped into [d, nextafter(d + 1, 0)], as decompose_array clamps.
+    d * b**k comes near, is redone in exact integers.  Either way
+    _in_cell clamps it into its cell [d, d + 1), as decompose_array does.
     """
     with localcontext() as ctx:
         ctx.prec = _DEC_PREC
@@ -457,7 +480,7 @@ def _settle(seq: _LogLinear, t: int) -> float:
         _, d, q = _exact_ratio(*seq.term(t), seq.base.b, k)
     else:
         q = float(s)
-    return min(max(q, float(d)), math.nextafter(d + 1.0, 0.0))
+    return _in_cell(q, d)
 
 
 def _kernel(seq: _LogLinear, t0: int, out: np.ndarray, tally: _DigitCounts | None) -> None:
@@ -467,11 +490,9 @@ def _kernel(seq: _LogLinear, t0: int, out: np.ndarray, tally: _DigitCounts | Non
 
     Term t = t0 + start + j, for a block start and j < _BLOCK, has
     log_b = x0 + j L with x0 = (t0 + start) L - c.  The block's
-    offset frac(x0) is rounded once from 60 digits.  The phase frac(j L)
-    is the same for every block: with L = hi + lo as two doubles and
-    hi = h1 + h2 split so that j h1 and j h2 are exact, it is
-    frac(frac(j h1) + frac(j h2) + j lo).  The sum u = frac(offset + phase)
-    errs by under 5 * 2**-53 <= _U_ERR.
+    offset frac(x0) is rounded once from 60 digits and added to seq's
+    phase frac(j L), the same for every block (see _log_linear).  The sum
+    u = frac(offset + phase) errs by under 5 * 2**-53 <= _U_ERR.
 
     The block's significands s = exp(fl(u ln b)) live in a block-sized
     temporary.  ln b is base.ln, within 2**-52 of the exact value
@@ -486,22 +507,6 @@ def _kernel(seq: _LogLinear, t0: int, out: np.ndarray, tally: _DigitCounts | Non
     """
     n = len(out)
     m = min(n, _BLOCK)
-    with localcontext() as ctx:
-        ctx.prec = _DEC_PREC
-        hi = float(seq.L)
-        lo = float(seq.L - Decimal(hi))
-    e = math.frexp(hi)[1]
-    h1 = math.ldexp(math.floor(math.ldexp(hi, 53 - _BLOCK_BITS - e)), e - 53 + _BLOCK_BITS)
-    h2 = hi - h1  # at most _BLOCK_BITS significant bits, as j < 2**_BLOCK_BITS
-    j = np.arange(m, dtype=np.float64)
-    phase = j * h1
-    phase -= np.floor(phase)
-    part = j * h2
-    part -= np.floor(part)
-    phase += part
-    j *= lo
-    phase += j
-    phase -= np.floor(phase)
     lnb = seq.base.ln
     tol = lnb * (_U_ERR + 2.0**-53) + _EXP_ERR
     sig, gap = np.empty(m), np.empty(m)  # block temporaries
@@ -512,7 +517,7 @@ def _kernel(seq: _LogLinear, t0: int, out: np.ndarray, tally: _DigitCounts | Non
             x0 = (t0 + start) * seq.L - seq.c
             offset = float(x0 - x0.to_integral_value(rounding=ROUND_FLOOR))
         u, s, g = out[start:stop], sig[: stop - start], gap[: stop - start]
-        np.add(phase[: stop - start], offset, out=u)
+        np.add(seq.phase[: stop - start], offset, out=u)
         np.floor(u, out=g)
         u -= g
         np.multiply(u, lnb, out=s)
@@ -557,8 +562,8 @@ def _factorial(n: int, base: Base) -> np.ndarray:
 
     A term whose s lies within eps * s of an integer, or outside [1, b),
     may be in the wrong digit cell.  It is settled exactly from t!
-    against b**k, with k from _exponents, and clamped
-    into [d, nextafter(d + 1, 0)] as _settle clamps.  Every t! < b is an
+    against b**k, with k from _exponents, and _in_cell clamps it into its
+    cell, as in _settle.  Every t! < b is an
     integer, and every t! = d * b**k an integer's edge, so these settle,
     1! first of all.
     """
@@ -591,7 +596,7 @@ def _factorial(n: int, base: Base) -> np.ndarray:
         power *= b ** (k - k_prev)
         t_prev, k_prev = i + 1, k
         _, d, q = _exact_ratio(fact, power, b, 0)
-        s[i] = min(max(q, float(d)), math.nextafter(d + 1.0, 0.0))
+        s[i] = _in_cell(q, d)
     return s
 
 
@@ -620,7 +625,7 @@ def _terms(
         return done(_factorial(n, base))
     head = 0
     if kind == "fibonacci":
-        seq = _LogLinear.of(base, None)
+        seq = _log_linear(base.b, None)
         head = min(n, _FIB_EXACT)
     else:
         r = 2.0 if kind == "pow2" else ratio
@@ -632,7 +637,7 @@ def _terms(
             # r**y = b**k: term t has significand c**((t k) mod y), period y
             c, k, y = rational
             return done(np.resize([float(c ** (t * k % y)) for t in range(1, y + 1)], n))
-        seq = _LogLinear.of(base, r)
+        seq = _log_linear(base.b, r)
     out = np.empty(n)
     if head:
         fib = np.array([_fibonacci(t) for t in range(1, head + 1)], dtype=np.float64)

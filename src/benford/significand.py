@@ -95,7 +95,8 @@ def _nbytes(v: object) -> int:
 
 class _Memo:
     """A per-process memo of the tables of every module, each built by a
-    function from a key of ints and strings, under one byte budget.
+    function from a key of ints, strings, floats and None, under one byte
+    budget.
 
     Each array of a built result is made read-only.  A result of at most
     _TABLE_BYTES // 16 bytes is kept; a larger one is built on each call.
@@ -205,25 +206,6 @@ def _exact(v: float, b: int, k: int) -> tuple[int, int, float]:
     return _exact_ratio(*v.as_integer_ratio(), b, k)
 
 
-# at most 1024 powers of at most _CACHED_POWER_BITS bits, 572 bytes each as
-# CPython ints, with their keys and cache links: under 800 KiB.  A cache of
-# its own, not _table: a power is looked up once per settled value, not
-# once per call, and _CACHED_POWER_BITS bounds its entries
-_CACHED_POWER_BITS = 4096
-_cached_power = functools.lru_cache(maxsize=1024)(pow)
-
-
-def _int_power(b: int, e: int) -> int:
-    """b**e for e >= 0.  Powers of at most _CACHED_POWER_BITS bits, which
-    hold b**|k| for the exponent k of every double in every base, are
-    cached per (b, e), as the values of one base and magnitude ask for the
-    same few; larger ones, such as those of a long sequence's terms, are
-    computed per call."""
-    if e * b.bit_length() <= _CACHED_POWER_BITS:
-        return _cached_power(b, e)
-    return b**e
-
-
 def _exact_ratio(num: int, den: int, b: int, k: int) -> tuple[int, int, float]:
     """(exponent, digit, significand) of the positive rational num/den.
 
@@ -232,14 +214,21 @@ def _exact_ratio(num: int, den: int, b: int, k: int) -> tuple[int, int, float]:
     num / (den * b**k).
     """
     while True:
-        n = num * _int_power(b, -k) if k < 0 else num
-        d = den * _int_power(b, k) if k > 0 else den
+        n = num * b**-k if k < 0 else num
+        d = den * b**k if k > 0 else den
         if n < d:
             k -= 1
         elif n >= b * d:
             k += 1
         else:
             return k, n // d, n / d
+
+
+def _in_cell(q: float, d: int) -> float:
+    """q clamped into the digit cell [d, d + 1): the significand of a
+    value whose exact leading digit is d, from a quotient q that may have
+    rounded across a cell edge."""
+    return min(max(q, float(d)), math.nextafter(d + 1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -328,7 +317,7 @@ def decompose_array(values: np.ndarray, base: Base) -> SignificandArray:
         jj = k - kmin
         # the usual quotient where it is accurate, clamped to the exact digit
         si = x / float(P[jj]) if normal[jj] and x >= _DBL_MIN else exact_s
-        s[i] = min(max(si, float(d)), math.nextafter(d + 1.0, 0.0))
+        s[i] = _in_cell(si, d)
         j[i] = jj
     j += kmin
     return SignificandArray(j, s, base)
@@ -345,11 +334,11 @@ _SIGN_BOUND = 4 * sys.float_info.epsilon
 _SETTLE_SLICE = 1 << 12
 # fewer flagged values than this settle one by one: the numpy step costs
 # about 45 us a call, _exact 1-4 us a value (2-core host), so a scalar
-# call such as sequence's ratio check stays on _exact
+# call such as decompose stays on _exact
 _SETTLE_MIN = 32
 
 
-def _two_product(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _two_product(a: np.ndarray, c: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
     """(p, err) with p = a * c rounded and a * c = p + err exactly (Dekker,
     Numer. Math. 18, 1971), for products that neither overflow nor underflow."""
     p = a * c

@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 import time
 import tracemalloc
 import types
@@ -24,6 +25,7 @@ from benford import (
     SignificandDecomposition,
     UnsupportedRatio,
     analyze,
+    decompose,
     decompose_array,
     chi_square,
     digit_histogram,
@@ -424,6 +426,28 @@ class TestRatioRule:
         except UnsupportedRatio:
             rejected = True
         assert rejected == _ratio_rejected(x, b), (x.hex(), b)
+
+    @pytest.mark.parametrize("b", [2, 3, 10, 16, 1000, 2**53 - 1])
+    def test_estimate_decides_as_the_decomposed_exponent(self, b):
+        # _check_ratio walks floor(ln r / ln b) to the exponent; the verdict
+        # is the one that decompose's exact exponent gives
+        lg = math.log2(b)
+        ks = {k for k in range(math.ceil(-1074 / lg), math.ceil(1024 / lg))
+              if abs(k) <= 3 or k % max(1, round(30 / lg)) == 0}
+        powers = {x for k in ks for x in (float(Fraction(b) ** k), float(b) ** k)}
+        extremes = [5e-324, 1e-323, sys.float_info.min, sys.float_info.max]
+        ratios = extremes + [_double(_bits(x) + i) for x in powers for i in (-2, -1, 0, 1, 2)]
+        for x in ratios:
+            if not 0.0 < x < math.inf:
+                continue
+            k = decompose(x, Base(b)).exponent
+            s = conformance._exact_ratio(*x.as_integer_ratio(), b, k)[2]
+            try:
+                conformance._check_ratio(x, Base(b))
+                rejected = False
+            except UnsupportedRatio:
+                rejected = True
+            assert rejected == (s in (1.0, float(b))), (x.hex(), b)
 
     def test_smallest_subnormal_in_base_16_runs(self):
         # 2**-1074 t = 2**(-1074 t mod 4) * 16**floor(-1074 t / 4)
@@ -826,13 +850,19 @@ class TestKernelBounds:
         assert worst_exp <= conformance._EXP_ERR
         assert worst <= 3 * 2.0**-53 * lnb + conformance._EXP_ERR
 
-    @pytest.mark.parametrize("b", KERNEL_BASES)
-    @pytest.mark.parametrize("kind, ratio", [("geometric", 3.0), ("fibonacci", None)])
-    def test_kernel_u_within_its_bound(self, b, kind, ratio):
+    @pytest.mark.parametrize(
+        "kind, ratio, b",
+        [(kind, ratio, b) for kind, ratio in [("geometric", 3.0), ("fibonacci", None)]
+         for b in KERNEL_BASES]
+        # L < 0, |L| near 1, and |L| near 1074, the largest any double makes
+        + [("geometric", 0.3, 10), ("geometric", 0.999, 1000),
+           ("geometric", sys.float_info.max, 3), ("geometric", 5e-324, 3)],
+    )
+    def test_kernel_u_within_its_bound(self, kind, ratio, b):
         # the kernel's u against the 60-digit frac(X_t), up to t = 10**5;
         # in base 2**53 - 1 every term settles, at about 60 us, so only 200
         # terms at either end run there
-        seq = conformance._LogLinear.of(Base(b), ratio)
+        seq = conformance._log_linear(b, ratio)
         dec = _DecimalSequence(kind, b, ratio)
         t0 = conformance._FIB_EXACT + 1  # where the kernel takes over Fibonacci
         spans = [(t0, 200), (10**5 - 199, 200)] if b > 10**6 else [(t0, 10**5 - t0 + 1)]
@@ -850,6 +880,13 @@ class TestKernelBounds:
                     gap = abs(Decimal(u[i]) - (x - x.to_integral_value(rounding=ROUND_FLOOR)))
                     assert min(gap, 1 - gap) <= Decimal(conformance._U_ERR), (start + i, u[i])
 
+    def test_sequence_table_is_built_once_and_read_only(self):
+        seq = conformance._log_linear(10, 1.1)
+        assert conformance._log_linear(10, 1.1) is seq
+        assert conformance._log_linear(16, None) is conformance._log_linear(16, None)
+        assert seq.phase.size == conformance._BLOCK and not seq.phase.flags.writeable
+        with pytest.raises(ValueError):
+            seq.phase[0] = 0.5
 
     @pytest.mark.parametrize(
         "kind, b, ratio",

@@ -258,26 +258,27 @@ def test_largest_radices_decompose_exactly(x, b):
 
 class TestExactPowers:
     @pytest.mark.parametrize("b", [2, 3, 10, 1000, 2**53])
-    def test_every_double_takes_cached_powers(self, b, monkeypatch):
-        taken = []
-
-        def record(b, e):
-            taken.append(e * b.bit_length())
-            return b**e
-
-        monkeypatch.setattr(significand, "_int_power", record)
+    def test_every_double_takes_cached_powers(self, b):
+        # _exact walks an estimate off by up to 3 to the exact (k, d)
         for x in (5e-324, DBL_MAX):
             k, d = exact_decomposition(x, b)
             for estimate in range(k - 3, k + 4):
                 assert significand._exact(x, b, estimate)[:2] == (k, d)
-        assert max(taken) <= significand._CACHED_POWER_BITS
 
-    def test_larger_powers_are_exact_and_not_retained(self):
-        before = significand._cached_power.cache_info().currsize
-        e = significand._CACHED_POWER_BITS
-        assert significand._int_power(2, e) == 2**e
-        assert significand._int_power(10, 10**4) == 10 ** (10**4)
-        assert significand._cached_power.cache_info().currsize == before
+    @pytest.mark.parametrize("d", [1, 9, 999, 2**52 + 1, 2**53 - 1])
+    def test_in_cell_clamps_into_the_digit_cell(self, d):
+        # above 2**52 a double's ulp is 1, and the cell [d, d + 1) holds d alone
+        top = math.nextafter(d + 1.0, 0.0)
+        assert d <= top < d + 1
+        for q, want in [
+            (math.nextafter(float(d), 0.0), d),
+            (float(d), d),
+            (math.nextafter(float(d), math.inf), min(math.nextafter(float(d), math.inf), top)),
+            (top, top),
+            (d + 1.0, top),
+            (math.nextafter(d + 1.0, math.inf), top),
+        ]:
+            assert significand._in_cell(q, d) == want, (q, d)
 
 
 @pytest.fixture
