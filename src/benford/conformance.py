@@ -146,8 +146,10 @@ class _DigitCounts:
     int64 buffer of max(_BLOCK, b) until it is full, and only then does a
     bincount of length b add them up, so no bincount covers fewer digits
     than it has cells: at base 10**6, one per 16 K-term block would zero
-    and add 8 MB each time.  The log-linear kernel and _fold both count
-    here.
+    and add 8 MB each time.  _fold counts here for the producers whose
+    significands may sit within an ulp of a digit edge: the library's
+    data, the factorial and rational logs.  The log-linear kernel's terms
+    are counted from their sorted u instead; see _arc_histogram.
     """
 
     def __init__(self, base: Base) -> None:
@@ -187,6 +189,35 @@ def _fold(s: np.ndarray, tally: _DigitCounts) -> np.ndarray:
     return s
 
 
+@_table
+def _digit_edges(b: int) -> np.ndarray:
+    """e_d = log_b d for d = 1, ..., b - 1, with e_1 = 0: first digit d is
+    the arc [e_d, e_d+1) of the circle u = log_b s, e_b = 1.
+
+    e_d = np.log(d) / np.log(b), each log within one ulp (a test checks a
+    sample against mpmath) and the quotient rounded once, so e_d errs by
+    under 5 * 2**-53.
+    """
+    return np.log(np.arange(1.0, b)) / np.log(float(b))
+
+
+def _arc_histogram(u: np.ndarray, base: Base, exact: list[tuple[float, int]]) -> DigitHistogram:
+    """The digit histogram of the log-linear kernel's terms, from their u
+    sorted ascending: digit d counts the u in the arc [e_d, e_d+1) of
+    _digit_edges, one binary search per edge.  Each (u, d) of exact,
+    a term whose u may lie on or beside an edge, or at 1 (ln s / ln b of
+    a settled s just below b rounds up to it), is then moved from the arc
+    its u falls in to its exact digit d.
+    """
+    edges = _digit_edges(base.b)
+    counts = np.diff(u.searchsorted(edges), append=u.size)
+    if exact:
+        eu, ed = zip(*exact)
+        np.subtract.at(counts, edges.searchsorted(eu, side="right") - 1, 1)
+        np.add.at(counts, np.array(ed) - 1, 1)
+    return DigitHistogram(base, counts, u.size)
+
+
 def _usable_logs(
     blocks: Iterable[np.ndarray], base: Base
 ) -> tuple[np.ndarray, DigitHistogram, int, int]:
@@ -200,7 +231,9 @@ def _usable_logs(
     that the caller owns and that shares no memory with any block.  So the
     only full-length arrays are the parts and their join.  No usable value
     in any block is EmptyData, raised only once the blocks are exhausted,
-    so an error of whatever yields them comes first.
+    so an error of whatever yields them comes first.  u is left in block
+    order, as digit_histogram has no use for a sort; _sorted_logs sorts
+    it for the statistics.
     """
     tally = _DigitCounts(base)
     parts: list[np.ndarray] = []
@@ -217,28 +250,35 @@ def _usable_logs(
     return u, tally.histogram(), n_nonpos, n_nonfinite
 
 
+def _sorted_logs(
+    blocks: Iterable[np.ndarray], base: Base
+) -> tuple[np.ndarray, DigitHistogram, int, int]:
+    """_usable_logs, with u sorted in place, as _report and _ks read it."""
+    u, hist, n_nonpos, n_nonfinite = _usable_logs(blocks, base)
+    u.sort()
+    return u, hist, n_nonpos, n_nonfinite
+
+
 def _ks(u: np.ndarray) -> float:
-    """Sorted-sample KS distance from uniform; sorts u, a buffer the caller
-    owns, in place.
+    """Sorted-sample KS distance from uniform of u, sorted ascending.
 
     The maxima of i/n - u_i and u_i - (i-1)/n, u_i the i-th smallest, are
-    taken slice by slice in two reused buffers of _STAT_BLOCK elements:
-    the grid indices i and the differences.
+    taken slice by slice in two reused buffers: the slice's grid
+    g = i/n, one division per point, and the differences g[1:] - u and
+    u - g[:-1].
     """
-    u.sort()
     n = u.size
     m = min(n, _STAT_BLOCK)
     i = np.arange(m + 1, dtype=np.float64)  # i[j] = start + j, exact
-    diff = np.empty(m)
+    grid, diff = np.empty(m + 1), np.empty(m)
     d_plus = d_minus = -math.inf
     for start in range(0, n, m):
         block = u[start : start + m]
-        d = diff[: block.size]
-        np.divide(i[1 : block.size + 1], n, out=d)
-        d -= block
+        g, d = grid[: block.size + 1], diff[: block.size]
+        np.divide(i[: block.size + 1], n, out=g)
+        np.subtract(g[1:], block, out=d)
         d_plus = max(d_plus, d.max())
-        np.divide(i[: block.size], n, out=d)
-        np.subtract(block, d, out=d)
+        np.subtract(block, g[:-1], out=d)
         d_minus = max(d_minus, d.max())
         i += m
     return float(max(d_plus, d_minus))
@@ -286,7 +326,7 @@ def ks_uniform(data: np.ndarray | Iterable[float], base: Base) -> float:
     Exact sorted-sample form: max over i of max(i/n - u_(i), u_(i) - (i-1)/n).
     Nonpositive and nonfinite entries are skipped as in digit_histogram.
     """
-    return _ks(_usable_logs(_slices(data), base)[0])
+    return _ks(_sorted_logs(_slices(data), base)[0])
 
 
 def tv_to_nb(hist: DigitHistogram) -> float:
@@ -303,23 +343,24 @@ def analyze(data: np.ndarray | Iterable[float], base: Base) -> ConformanceReport
     """Full conformance pipeline: histogram, chi-square, KS, TV, skips.
 
     The data are filtered, decomposed and log-mapped slice by slice, and
-    _report reads the one array of u = log_b s that makes.  The data
-    themselves are left as they are: u is a new array.  The CLI's ``fit``
+    _report reads the one array of u = log_b s that makes, sorted.  The
+    data themselves are left as they are: u is a new array.  The CLI's ``fit``
     verb feeds the same fold the blocks its readers yield.
     """
-    return _report(base, *_usable_logs(_slices(data), base))
+    return _report(base, *_sorted_logs(_slices(data), base))
 
 
 def _report(
     base: Base, u: np.ndarray, hist: DigitHistogram, n_nonpos: int, n_nonfinite: int
 ) -> ConformanceReport:
-    """Conformance statistics of u = log_b s and the digit histogram of
-    the same significands s, with their skip counts.
+    """Conformance statistics of u = log_b s, sorted ascending, and the
+    digit histogram of the same significands s, with their skip counts.
 
-    The caller hands over the float64 buffer u, which KS sorts in place,
+    The caller hands over the float64 buffer u, which KS reads as it is,
     so no other full-length array is made.  Every caller owns that
-    buffer: ``analyze`` and the CLI's ``fit`` verb pass the join of
-    _usable_logs, and the ``sequence`` verb that of _sequence_logs.
+    buffer and sorts it: ``analyze`` and the CLI's ``fit`` verb pass that
+    of _sorted_logs, and the ``sequence`` verb that of _sequence_logs,
+    whose sort also serves its digit counts.
     """
     stat, pvalue = chi_square(hist)
     return ConformanceReport(
@@ -483,10 +524,12 @@ def _settle(seq: _LogLinear, t: int) -> float:
     return _in_cell(q, d)
 
 
-def _kernel(seq: _LogLinear, t0: int, out: np.ndarray, tally: _DigitCounts | None) -> None:
+def _kernel(
+    seq: _LogLinear, t0: int, out: np.ndarray, exact: list[tuple[float, int]] | None
+) -> None:
     """Terms t0, t0 + 1, ... of a log-linear sequence, one to an element of
-    out: with a tally, u = log_b s goes to out and each digit to the
-    tally; without one, out gets the significands s.
+    out: without a list exact, their significands s; with one, u = log_b s,
+    and (u, d) of each term it settles, d its digit, goes to exact.
 
     Term t = t0 + start + j, for a block start and j < _BLOCK, has
     log_b = x0 + j L with x0 = (t0 + start) L - c.  The block's
@@ -502,8 +545,16 @@ def _kernel(seq: _LogLinear, t0: int, out: np.ndarray, tally: _DigitCounts | Non
     error of np.exp.  So s lies within tol * s of the exact significand,
     and a term whose s lies that close to an integer may have the wrong
     leading digit, or lie outside [1, b): _settle redoes it, and its u
-    becomes ln s / ln b of the settled s.  Every other term's digit is
-    the integer part of its s.
+    becomes ln s / ln b of the settled s.
+
+    Every other term's digit is the arc its u falls in.  Such a term has
+    |s - d| > tol * s for every integer d, with tol = ln b (2**-50 +
+    2**-53) + 2**-50, and s = b**u (1 + eta) with |eta| <= 3 * 2**-53 ln b
+    + _EXP_ERR (base.ln, the product and np.exp, against this u).  So its
+    u lies more than about 6 * 2**-53 from every log_b d, and the edges of
+    _digit_edges err by under 5 * 2**-53, so #{d : e_d <= u} equals
+    int(s).  A settled term's u may lie on or beside an edge, which is
+    why it goes to exact.
     """
     n = len(out)
     m = min(n, _BLOCK)
@@ -527,12 +578,13 @@ def _kernel(seq: _LogLinear, t0: int, out: np.ndarray, tally: _DigitCounts | Non
         np.abs(g, out=g)
         flagged = np.flatnonzero(g <= tol * s)
         if flagged.size:
-            s[flagged] = [_settle(seq, t0 + start + i) for i in flagged.tolist()]
+            settled = [_settle(seq, t0 + start + i) for i in flagged.tolist()]
+            s[flagged] = settled
             u[flagged] = np.log(s[flagged]) / lnb
-        if tally is None:
+            if exact is not None:
+                exact.extend(zip(u[flagged].tolist(), map(int, settled)))
+        if exact is None:
             u[:] = s
-        else:
-            tally.add(s)
 
 
 def _factorial(n: int, base: Base) -> np.ndarray:
@@ -600,16 +652,17 @@ def _factorial(n: int, base: Base) -> np.ndarray:
     return s
 
 
-def _terms(
-    kind: str, n: int, base: Base, ratio: float | None, tally: _DigitCounts | None
-) -> np.ndarray:
-    """The first n terms of a deterministic sequence, in a new float64
-    array the caller owns: their significands in [1, b) without a tally;
-    with one, u = log_b s, and their digits go to the tally.
+def _source(
+    kind: str, n: int, base: Base, ratio: float | None
+) -> tuple[np.ndarray, int, _LogLinear | None]:
+    """(s, head, seq) for the first n terms of a deterministic sequence:
+    s is a new float64 array of n that the caller owns, whose first head
+    elements hold their terms' significands, and seq is the log-linear
+    sequence whose kernel makes the rest, None when head = n.
 
-    Every path leaves a significand in its term's exact digit cell, so
-    the digit is its integer part.  The log-linear kernel makes u itself;
-    the other paths make significands and hand them to _fold.
+    Every significand here lies in its term's exact digit cell, so the
+    digit is its integer part: the factorial's, the rational logs' and
+    Fibonacci's exact first terms.
     """
     if n < 1:
         raise DomainError(f"sequence length must be >= 1, got {n!r}")
@@ -617,35 +670,24 @@ def _terms(
         raise DomainError(f"unknown sequence kind {kind!r}; expected one of {SEQUENCE_KINDS}")
     if ratio is not None and kind != "geometric":
         raise DomainError(f"{kind} sequences take no ratio, got {ratio!r}")
-
-    def done(s: np.ndarray) -> np.ndarray:
-        return s if tally is None else _fold(s, tally)
-
     if kind == "factorial":
-        return done(_factorial(n, base))
-    head = 0
+        return _factorial(n, base), n, None
     if kind == "fibonacci":
-        seq = _log_linear(base.b, None)
         head = min(n, _FIB_EXACT)
-    else:
-        r = 2.0 if kind == "pow2" else ratio
-        if r is None:
-            raise DomainError("geometric sequences need a ratio")
-        _check_ratio(r, base)
-        rational = _rational_log(r, base.b)
-        if rational is not None:
-            # r**y = b**k: term t has significand c**((t k) mod y), period y
-            c, k, y = rational
-            return done(np.resize([float(c ** (t * k % y)) for t in range(1, y + 1)], n))
-        seq = _log_linear(base.b, r)
-    out = np.empty(n)
-    if head:
+        s = np.empty(n)
         fib = np.array([_fibonacci(t) for t in range(1, head + 1)], dtype=np.float64)
-        out[:head] = decompose_array(fib, base).significand
-        done(out[:head])
-    if n > head:
-        _kernel(seq, head + 1, out[head:], tally)
-    return out
+        s[:head] = decompose_array(fib, base).significand
+        return s, head, _log_linear(base.b, None) if n > head else None
+    r = 2.0 if kind == "pow2" else ratio
+    if r is None:
+        raise DomainError("geometric sequences need a ratio")
+    _check_ratio(r, base)
+    rational = _rational_log(r, base.b)
+    if rational is not None:
+        # r**y = b**k: term t has significand c**((t k) mod y), period y
+        c, k, y = rational
+        return np.resize([float(c ** (t * k % y)) for t in range(1, y + 1)], n), n, None
+    return np.empty(n), 0, _log_linear(base.b, r)
 
 
 def gen_sequence(kind: str, n: int, base: Base, ratio: float | None = None) -> np.ndarray:
@@ -656,18 +698,40 @@ def gen_sequence(kind: str, n: int, base: Base, ratio: float | None = None) -> n
     Every path leaves a significand in its term's exact digit cell, so
     the digit is its integer part.
     """
-    return _terms(kind, n, base, ratio, None)
+    s, head, seq = _source(kind, n, base, ratio)
+    if seq is not None:
+        _kernel(seq, head + 1, s[head:], None)
+    return s
 
 
 def _sequence_logs(
     kind: str, n: int, base: Base, ratio: float | None = None
 ) -> tuple[np.ndarray, DigitHistogram]:
     """(u, histogram) of the first n terms of a deterministic sequence, for
-    _report: u = log_b s of their significands s, in a new float64 array
-    the caller owns, and the digit histogram of s."""
-    tally = _DigitCounts(base)
-    u = _terms(kind, n, base, ratio, tally)
-    return u, tally.histogram()
+    _report: u = log_b s of their significands s, sorted ascending, in a
+    new float64 array the caller owns, and the digit histogram of s.
+
+    Where the log-linear kernel makes the terms, the one sort serves both
+    the KS and the digit counts: _arc_histogram counts the sorted u, and
+    moves the terms the kernel settled and Fibonacci's exact first terms
+    into their exact digits.  The factorial's and the rational logs'
+    significands may lie within an ulp of a digit edge, so _fold counts
+    their integer parts before it maps them to u.
+    """
+    s, head, seq = _source(kind, n, base, ratio)
+    if seq is None:
+        tally = _DigitCounts(base)
+        u = _fold(s, tally)
+        u.sort()
+        return u, tally.histogram()
+    u = s  # mapped in place: the head here, the rest by the kernel
+    digits = u[:head].astype(np.int64).tolist()
+    np.log(u[:head], out=u[:head])
+    u[:head] /= base.ln
+    exact = list(zip(u[:head].tolist(), digits))
+    _kernel(seq, head + 1, u[head:], exact)
+    u.sort()
+    return u, _arc_histogram(u, base, exact)
 
 
 def _exponents(kind: str, sig: np.ndarray, base: Base, ratio: float | None) -> np.ndarray:

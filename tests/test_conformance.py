@@ -3,14 +3,13 @@ import struct
 import sys
 import time
 import tracemalloc
-import types
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from benford import (
@@ -246,9 +245,11 @@ class TestStatisticBlocks:
         if levels:  # ties, and values on the grid i/n itself
             u = np.floor(u * levels) / levels
         expected = _whole_array_ks(u)
+        u.sort()  # _ks reads u sorted, as its callers hand it over
+        want = u.tobytes()
         got = conformance._ks(u)
         assert struct.pack("<d", got) == struct.pack("<d", expected)
-        assert np.array_equal(u, np.sort(u))
+        assert u.tobytes() == want
 
     @pytest.mark.parametrize("b", [2, 10, 1000, 100003])
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1, 250_000])
@@ -866,11 +867,10 @@ class TestKernelBounds:
         dec = _DecimalSequence(kind, b, ratio)
         t0 = conformance._FIB_EXACT + 1  # where the kernel takes over Fibonacci
         spans = [(t0, 200), (10**5 - 199, 200)] if b > 10**6 else [(t0, 10**5 - t0 + 1)]
-        no_digits = types.SimpleNamespace(add=lambda s: None)  # no count array of 2**53 cells
         rng = np.random.default_rng(b % 2**32)
         for start, n in spans:
             u = np.empty(n)
-            conformance._kernel(seq, start, u, no_digits)
+            conformance._kernel(seq, start, u, [])
             assert ((0.0 <= u) & (u < 1.0)).all()
             picks = sorted(set(rng.integers(0, n, 150).tolist()) | {0, n - 1})
             with localcontext() as ctx:
@@ -879,6 +879,21 @@ class TestKernelBounds:
                     x = dec.log(start + i)
                     gap = abs(Decimal(u[i]) - (x - x.to_integral_value(rounding=ROUND_FLOOR)))
                     assert min(gap, 1 - gap) <= Decimal(conformance._U_ERR), (start + i, u[i])
+
+    @pytest.mark.parametrize("b", [3, 10, 1000, 40_000, 10**6])
+    def test_digit_edges_within_their_bound(self, b):
+        # e_d = log_b d from np.log, each log within one ulp; the kernel's
+        # digits rest on e_d lying within 5 * 2**-53 of the exact value
+        edges = conformance._digit_edges(b)
+        assert edges.size == b - 1 and edges[0] == 0.0 and edges[-1] < 1.0
+        assert (np.diff(edges) > 0.0).all()
+        picks = np.random.default_rng(b).integers(2, b, 300).tolist() + [2, b - 1]
+        with mpmath.workdps(40):
+            exact_lnb = mpmath.log(b)
+            for d in picks:
+                ln_d = float(np.log(float(d)))
+                assert abs(mpmath.mpf(ln_d) - mpmath.log(d)) <= math.ulp(ln_d), d
+                assert abs(mpmath.mpf(edges[d - 1]) - mpmath.log(d) / exact_lnb) <= 5 * 2.0**-53, d
 
     def test_sequence_table_is_built_once_and_read_only(self):
         seq = conformance._log_linear(10, 1.1)
@@ -894,7 +909,8 @@ class TestKernelBounds:
     )
     def test_settled_u_is_the_log_of_the_settled_significand(self, monkeypatch, kind, b, ratio):
         # 2**3 = 8 in base 12 and 1 + t * 2**-52 near 1 settle; their u must
-        # be that of their settled s, as _fold makes it
+        # be that of their settled s, as _fold makes it, and the kernel
+        # records each with its exact digit
         settled = []
         settle = conformance._settle
 
@@ -904,11 +920,52 @@ class TestKernelBounds:
 
         monkeypatch.setattr(conformance, "_settle", counting)
         n = 3000
-        u, _ = conformance._sequence_logs(kind, n, Base(b), ratio)
+        seq = conformance._log_linear(b, 2.0 if kind == "pow2" else ratio)
+        u, exact = np.empty(n), []
+        conformance._kernel(seq, 1, u, exact)
         idx = np.array(sorted(set(settled)), dtype=np.int64) - 1
         assert idx.size
         s = gen_sequence(kind, n, Base(b), ratio)
         assert u[idx].tobytes() == (np.log(s[idx]) / Base(b).ln).tobytes()
+        assert exact == list(zip(u[idx].tolist(), s[idx].astype(np.int64).tolist()))
+
+
+class TestArcCounts:
+    # the log-linear kernel's digits are counted from its sorted u and the
+    # edges log_b d; gen_sequence keeps the settled significands, so the
+    # integer parts of its output are the exact digits
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["pow2", "fibonacci", "geometric"]),
+        b=st.sampled_from([2, 3, 10, 16, 1000, 40_000]),
+        n=st.integers(1, 100) | st.integers(10**4, 2 * 10**5),
+        ratio=st.sampled_from(
+            [NEXT_UP, math.nextafter(2.0, 0.0), 0.999, 0.3, sys.float_info.max, 5e-324]
+        )
+        | st.floats(min_value=5e-324, max_value=sys.float_info.max),
+    )
+    @example(kind="pow2", b=10, n=3000, ratio=None)  # 2, 4 and 8 settle, each u on its edge
+    @example(kind="fibonacci", b=10, n=3000, ratio=None)  # exact first terms on edges
+    # 8 (1 - 2**-53)**3 settles in digit 7, and its u rounds onto log_10 8
+    @example(kind="geometric", b=10, n=3000, ratio=math.nextafter(2.0, 0.0))
+    @example(kind="geometric", b=1000, n=3000, ratio=math.nextafter(2.0, 0.0))
+    # ln 9170 and its np.log differ by an ulp: the exact terms' u lie below their edges
+    @example(kind="pow2", b=9170, n=50_000, ratio=None)
+    @example(kind="fibonacci", b=9170, n=50_000, ratio=None)
+    @example(kind="geometric", b=10, n=10**5, ratio=NEXT_UP)
+    @example(kind="geometric", b=40_000, n=2 * 10**5, ratio=0.999)
+    @example(kind="geometric", b=16, n=1, ratio=sys.float_info.max)  # settled u = 1.0
+    def test_histogram_of_sorted_u_matches_the_significands(self, kind, b, n, ratio):
+        if kind != "geometric":
+            ratio = None
+        try:
+            s = gen_sequence(kind, n, Base(b), ratio)
+        except UnsupportedRatio:
+            assume(False)
+        u, hist = conformance._sequence_logs(kind, n, Base(b), ratio)
+        assert np.array_equal(hist.counts, np.bincount(s.astype(np.int64), minlength=b)[1:])
+        assert hist.total == n
+        assert (u[1:] >= u[:-1]).all()
 
 
 class TestSequenceCost:
