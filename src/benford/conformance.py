@@ -219,11 +219,12 @@ def _arc_histogram(u: np.ndarray, base: Base, exact: list[tuple[float, int]]) ->
 
 
 def _usable_logs(
-    blocks: Iterable[np.ndarray], base: Base
-) -> tuple[np.ndarray, DigitHistogram, int, int]:
+    blocks: Iterable[np.ndarray], base: Base, logs: bool = True
+) -> tuple[np.ndarray | None, DigitHistogram, int, int]:
     """(u, histogram, n_nonpos, n_nonfinite) of the usable values of
     float64 blocks: u = log_b s of their significands s, and the digit
-    histogram of s.
+    histogram of s.  With logs false, u is None: the significands are
+    counted and not mapped, and no part is kept.
 
     Each block is filtered and decomposed on its own, and its significands
     go through _fold while they are in cache; only their u is kept.  The
@@ -232,8 +233,7 @@ def _usable_logs(
     only full-length arrays are the parts and their join.  No usable value
     in any block is EmptyData, raised only once the blocks are exhausted,
     so an error of whatever yields them comes first.  u is left in block
-    order, as digit_histogram has no use for a sort; _sorted_logs sorts
-    it for the statistics.
+    order; _sorted_logs sorts it for the statistics.
     """
     tally = _DigitCounts(base)
     parts: list[np.ndarray] = []
@@ -242,12 +242,20 @@ def _usable_logs(
         usable, nonpos, nonfinite = _split_usable(block)
         n_nonpos += nonpos
         n_nonfinite += nonfinite
-        if usable.size:
-            parts.append(_fold(decompose_array(usable, base).significand, tally))
-    if not parts:
+        if not usable.size:
+            continue
+        s = decompose_array(usable, base).significand
+        if logs:
+            parts.append(_fold(s, tally))
+        else:
+            tally.add(s)
+    hist = tally.histogram()
+    if not hist.total:
         raise EmptyData("no usable entries after skipping nonpositive/nonfinite")
+    if not logs:
+        return None, hist, n_nonpos, n_nonfinite
     u = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return u, tally.histogram(), n_nonpos, n_nonfinite
+    return u, hist, n_nonpos, n_nonfinite
 
 
 def _sorted_logs(
@@ -291,7 +299,7 @@ def digit_histogram(
 
     Returns (histogram, n_skipped_nonpositive, n_skipped_nonfinite).
     """
-    return _usable_logs(_slices(data), base)[1:]
+    return _usable_logs(_slices(data), base, logs=False)[1:]
 
 
 def _sum(terms: np.ndarray) -> float:

@@ -165,7 +165,7 @@ def _trapezoid_integrals(
     batch_g, batch_h = g_and_h(*_nodes(base.b, min(2 * n_a, _MAX_NODES)))
 
     n = _FIRST_NODES
-    sum_g, sum_h = float(np.sum(batch_g[:n])), float(np.sum(batch_h[:n]))
+    sum_g, sum_h = float(batch_g[:n].sum()), float(batch_h[:n].sum())
     h_prev = math.nan  # no change to compare before the first doubling
     while True:
         h_u = sum_h * (L / n)
@@ -182,8 +182,8 @@ def _trapezoid_integrals(
             g, h = batch_g[n : 2 * n], batch_h[n : 2 * n]
         else:
             g, h = g_and_h(*_exp_log(_midpoints(L, n)))
-        sum_g += float(np.sum(g))
-        sum_h += float(np.sum(h))
+        sum_g += float(g.sum())
+        sum_h += float(h.sum())
         n *= 2
         h_prev = h_u
     norm = sum_g * (L / n)

@@ -266,15 +266,23 @@ def _lognormal_trunc(s: float, L: float, tol: float, limit: int) -> int | None:
 def _block_sum(n: int, ks: np.ndarray, terms: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """sum_k terms(k) at n points, adding the terms one by one in the order
     of ks, for _BLOCK elements of (k, point) at a time; terms maps a run of
-    orders to their (run length, n) array, one row per order, and each row
-    is added in place to the running total of all n points.  Every point
+    orders to a new (run length, n) array, one row per order.  The running
+    total is added to a block's first row, and np.add.reduce adds the rows
+    down axis 0 into the total, row after row, for n >= 2; a single point's
+    column is reduced pairwise, so it is added row by row here.  Every point
     sees the same sequence of operations whatever n, so an array result
     equals the elementwise scalar results bit for bit."""
     rows = max(1, _BLOCK // max(1, n))
     total = np.zeros(n)
     for i in range(0, ks.size, rows):
-        for row in terms(ks[i : i + rows]):
-            total += row
+        block = terms(ks[i : i + rows])
+        if n == 1:
+            for row in block:
+                total += row
+            continue
+        block[0] += total
+        np.add.reduce(block, axis=0, out=total)
+        del block  # so that no two blocks are held at once
     return total
 
 
@@ -296,7 +304,11 @@ def _wl_pdf_at(
         z /= -2.0 * s * s
         return np.exp(z, out=z)
 
-    return _block_sum(x.size, np.arange(-K, K + 1), terms) / (x * s * _SQRT2PI)
+    total = _block_sum(x.size, np.arange(-K, K + 1), terms)
+    scale = x * s
+    scale *= _SQRT2PI
+    total /= scale
+    return total
 
 
 def _dual_rate(s: float, L: float) -> float:
@@ -344,7 +356,11 @@ def _dual_at(x: np.ndarray, m: float, s: float, L: float, J: int, u: np.ndarray)
         z *= np.exp(-a * (k * k))[:, None]
         return z
 
-    return (1.0 + 2.0 * _block_sum(x.size, np.arange(J, 0, -1), terms)) / (x * L)
+    total = _block_sum(x.size, np.arange(J, 0, -1), terms)
+    total *= 2.0
+    total += 1.0
+    total /= x * L
+    return total
 
 
 class _Series(NamedTuple):
@@ -423,7 +439,7 @@ class _WrappedLogNormal(NamedTuple):
             if c.J:
                 k = np.arange(c.J, 0, -1)
                 terms = np.exp(-a * (k * k)) * np.sin((2.0 * math.pi * c.m / L) * k)
-                acc += c.w * float(np.sum(terms / k))
+                acc += c.w * float((terms / k).sum())
             err += c.w * math.exp(-a * n * n) / (n * -math.expm1(-2.0 * a * n))
         return 0.5 * L - (L / math.pi) * acc, (L / math.pi) * err
 
@@ -471,34 +487,51 @@ def euler_maclaurin_leading(x: float, p: LogNormalParams, base: Base) -> float:
 
 
 class _Grid(NamedTuple):
-    """A log-map grid on [1, b): its points x, u = np.log(x), and the law
-    1/(x ln b) on them by nb_pdf's expression; read-only arrays."""
+    """The log-map grids of one wrap call on [1, b): the _DISTANCE_GRID
+    points that the distances are taken on, then the n points of its
+    table.  Its points x and u = np.log(x); read-only arrays."""
 
     x: np.ndarray
     u: np.ndarray
-    law: np.ndarray
 
 
 @_table
 def _grid(b: int, n: int) -> _Grid:
-    """The grid of the n points b**((i + 0.5) / n), i = 0..n-1: the
-    midpoints of n equal cells of the log-map coordinate on [1, b).
+    """The points b**((i + 0.5) / m), i = 0..m-1, for m = _DISTANCE_GRID
+    and then m = n: the midpoints of m equal cells of the log-map
+    coordinate on [1, b), so that one evaluation serves the distances and
+    the table.
 
-    Kept per (b, n) in the per-process table cache up to 10920 points, so
-    repeat calls return the same record; larger ones are built per call.
+    Kept per (b, n) in the per-process table cache up to 16380 points in
+    all, n = 14332, so repeat calls return the same record; larger ones are
+    built per call.
     """
     fb = float(b)
     # Python's pow, not numpy's, which differs from it in the last ulp
-    x = np.array([fb ** ((i + 0.5) / n) for i in range(n)])
-    return _Grid(x, np.log(x), 1.0 / (x * math.log(b)))
+    points = (fb ** ((i + 0.5) / m) for m in (_DISTANCE_GRID, n) for i in range(m))
+    x = np.fromiter(points, np.float64, _DISTANCE_GRID + n)
+    return _Grid(x, np.log(x))
 
 
-def _distances(wl: _WrappedLogNormal, base: Base) -> tuple[float, float]:
-    """distance_to_nb of the planned density wl."""
+def _law(x: np.ndarray, base: Base) -> np.ndarray:
+    """The law 1/(x ln b) at points x of a _grid, by nb_pdf's expression.
+
+    It is not kept in the grid record: with it, records half again as
+    large made the CI cache memory test read about 0.4 MiB more growth.
+    """
+    return 1.0 / (x * base.ln)
+
+
+def _distances(
+    wl: _WrappedLogNormal, base: Base, grid: _Grid
+) -> tuple[float, float, np.ndarray]:
+    """distance_to_nb of the planned density wl, and wl on the table points
+    of grid, a _grid of base, from one evaluation over the whole grid."""
+    pdf = wl.pdf(*grid)
     n = _DISTANCE_GRID
-    x, u, law = _grid(base.b, n)
-    diff = np.abs(wl.pdf(x, u) - law)
-    return float(diff.max()), float(np.sum(diff * x)) * 0.5 * base.ln / n
+    x = grid.x[:n]
+    diff = np.abs(pdf[:n] - _law(x, base))
+    return float(diff.max()), float(np.sum(diff * x)) * 0.5 * base.ln / n, pdf[n:]
 
 
 def distance_to_nb(
@@ -511,7 +544,7 @@ def distance_to_nb(
     coordinate, where the densities are smoothest; the TV integral uses the
     midpoint rule in that coordinate.
     """
-    return _distances(_WrappedLogNormal.of(params, base, tol), base)
+    return _distances(_WrappedLogNormal.of(params, base, tol), base, _grid(base.b, 0))[:2]
 
 
 def wrap_mixture_pdf(

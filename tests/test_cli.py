@@ -1419,6 +1419,14 @@ def _emit_oracle(records) -> str:
     return "".join(" ".join(_fmt_oracle(v) for v in rec) + "\n" for rec in records)
 
 
+def _human_oracle(name, rows) -> str:
+    """The aligned rows of a table of record name, rendered value by value."""
+    specs = [">16" if kind == "int" else "16.12f" for kind in _RECORD_FIELDS[name]]
+    return "".join(
+        "  ".join(format(v, spec) for v, spec in zip(row, specs)) + "\n" for row in rows
+    )
+
+
 # st.floats() draws NaN, infinities and subnormals too; the list pins the
 # edge cases of 12-digit rendering
 _FLOATS = st.floats() | st.sampled_from(
@@ -1467,15 +1475,58 @@ class TestRenderer:
     def test_table_matches_its_rows(self, name, data):
         # int columns are int64 arrays, float columns float64 ones
         kinds = _RECORD_FIELDS[name]
-        n = data.draw(st.integers(1, 20))
+        n = data.draw(st.integers(1, 20) | st.sampled_from([1, 3, 4]))
         values = [
             data.draw(st.lists(_COLUMN_VALUES[k], min_size=n, max_size=n)) for k in kinds
         ]
         columns = tuple(np.array(v, dtype=_COLUMN_DTYPES[k]) for k, v in zip(kinds, values))
+        table = cli._Table(name, columns)
         rows = [(name, *row) for row in zip(*values)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_TABLE_ROWS", 3)  # blocks of 3 rows, the last one short
-            assert emit_records([cli._Table(name, columns)]) == _emit_oracle(rows)
+            assert emit_records([table]) == _emit_oracle(rows)
+            human = "".join(cli._table_chunks(table, human=True))
+            assert human == _human_oracle(name, zip(*values))
+
+    # each _Constant column by the kind of its record's field
+    CONSTANTS = {
+        "row": ("x", None, "nb_pdf", None),
+        "bin": ("digit", None, None, "nb_prob"),
+        "digit": ("digit", "nb_prob"),
+    }
+
+    T, F = cli._TABLE_ROWS, cli._FORMAT_ROWS
+
+    @pytest.mark.parametrize("name", sorted(cli._TABLE_HEADERS))
+    @pytest.mark.parametrize("human", [False, True])
+    @pytest.mark.parametrize(
+        "block, n", [(5, 1), (5, 5), (5, 6), (T, 1), (T, F), (T, F + 1), (T, T), (T, T + 1)]
+    )
+    @pytest.mark.parametrize("limit", [None, 0, T + 1])  # None: the real _FORMAT_ROWS
+    def test_chunks_equal_per_row_rendering(self, name, human, block, n, limit, monkeypatch):
+        # a table of _TABLE_ROWS row chunks, each rendered by one % on the
+        # row template repeated per row or by one % per row, gives the text
+        # of _Constant columns and the values of arrays row by row
+        b = n + 1  # a digit table has b - 1 rows
+        rng = np.random.default_rng(n)
+        columns, values = [], []
+        for kind, constant in zip(_RECORD_FIELDS[name], self.CONSTANTS[name]):
+            if constant is not None:
+                columns.append(cli._Constant(constant, b, n))
+                values.append(cli._CONSTANT_VALUES[constant](b, n).tolist())
+            elif kind == "int":
+                columns.append(rng.integers(0, 10**6, n))
+                values.append(columns[-1].tolist())
+            else:
+                columns.append(rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n))
+                values.append(columns[-1].tolist())
+        monkeypatch.setattr(cli, "_TABLE_ROWS", block)
+        if limit is not None:
+            monkeypatch.setattr(cli, "_FORMAT_ROWS", limit)
+        got = "".join(cli._table_chunks(cli._Table(name, tuple(columns)), human))
+        rows = list(zip(*values))
+        want = _human_oracle(name, rows) if human else _emit_oracle((name, *r) for r in rows)
+        assert got == want
 
 
 class TestCachedText:
@@ -1530,13 +1581,12 @@ class TestCachedText:
             for a in (value if isinstance(value, tuple) else (value,))
             if isinstance(a, np.ndarray)
         ]
-        # the grids, trapezoid nodes and digit tables of every base
-        assert len(arrays) >= 3 * (2 * 3 + 2 + 1)
+        # the wrap grid, trapezoid nodes and digit tables of every base
+        assert len(arrays) >= 3 * (2 + 2 + 1)
         assert not any(a.flags.writeable for a in arrays)
         for b in (2, 10, 1000):
-            for n in (256, wrapping_module._DISTANCE_GRID):
-                grid = wrapping_module._grid(b, n)
-                assert any(value is grid for value in tables)
+            grid = wrapping_module._grid(b, 256)
+            assert any(value is grid for value in tables)
             assert any(value is first_digit_probs(Base(b)) for value in tables)
         # column text is a tuple of strings, immutable by its type
         assert type(cli._constant_text("x", 10, 256, "%.12g")) is tuple
@@ -1584,12 +1634,33 @@ class TestWrap:
         monkeypatch.undo()
         params, base = cli._parse_dist(dist, ("mixture",)), Base(10)
         recs = records_of(out)
-        pdf = wrapped_lognormal_pdf(cli._grid(base.b, 16).x, params, base)
+        pdf = wrapped_lognormal_pdf(cli._grid(base.b, 16).x[cli._DISTANCE_GRID :], params, base)
         assert [r[2] for r in recs if r[0] == "row"] == [_printed(v) for v in pdf.tolist()]
         sup, tv = distance_to_nb(params, base)
         assert field(recs, "sup_distance") + field(recs, "tv_distance") == (
             _printed(sup),
             _printed(tv),
+        )
+
+    # a mixture of direct and dual components; the fewest table points
+    # whose grid record, the distance points then the table's, passes the
+    # table cache's cap
+    MIX = ["mixture", "0.2", "0.4", "0.1", "0.5", "-2.2", "0.9", "0.3", "5.0", "3.0"]
+    PAST_CAP = (significand._TABLE_BYTES // 16 - 56) // 16 + 1 - cli._DISTANCE_GRID
+
+    @pytest.mark.parametrize("b", [2, 10, 1000, 10**6])
+    @pytest.mark.parametrize("n", [1, 256, 2048, PAST_CAP])
+    def test_one_evaluation_equals_the_public_functions_bitwise(self, b, n):
+        # the distances and the table read one evaluation over one grid
+        args = argparse.Namespace(base=b, dist=self.MIX, tol=1e-9, grid_points=n)
+        recs = cli._cmd_wrap(args)
+        table = next(r for r in recs if isinstance(r, cli._Table))
+        params, base = cli._parse_dist(self.MIX, ("mixture",)), Base(b)
+        x = np.array([float(b) ** ((i + 0.5) / n) for i in range(n)])
+        assert cli._grid(b, n).x[cli._DISTANCE_GRID :].tobytes() == x.tobytes()
+        assert table.columns[1].tobytes() == wrapped_lognormal_pdf(x, params, base).tobytes()
+        assert (field(recs, "sup_distance") + field(recs, "tv_distance")) == distance_to_nb(
+            params, base
         )
 
     def test_summary_small_for_wide_scale(self, capsys):

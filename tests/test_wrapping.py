@@ -35,13 +35,17 @@ from benford.wrapping import (
     _BLOCK,
     _DISTANCE_GRID,
     _WrappedLogNormal,
+    _block_sum,
     _dual_at,
     _dual_order,
     _dual_rate,
     _grid,
+    _law,
     _lognormal_trunc,
     _wl_pdf_at,
 )
+
+wrapping = importlib.import_module("benford.wrapping")
 
 B10 = Base(10)
 B2 = Base(2)
@@ -497,6 +501,16 @@ class TestArrayContract:
         ((0.3, LogNormalParams(-1.0, 0.2)), (0.7, LogNormalParams(2.0, 3.0)))
     )
 
+    @staticmethod
+    def deep(base):
+        """A mixture whose direct component sums 17 orders and whose dual
+        one 19, at a tolerance of 1e-300, in every base of BASES: blocks of
+        9 or more rows, which a pairwise sum would add in another order."""
+        L = base.ln
+        return MixtureParams(
+            ((0.5, LogNormalParams(0.3, 0.15 * L)), (0.5, LogNormalParams(1.1, 0.3 * L)))
+        )
+
     def densities(self, base):
         dist = NBDistribution(base)
         return [
@@ -504,6 +518,7 @@ class TestArrayContract:
             lambda x: wrapped_lognormal_pdf(x, self.P, base),
             lambda x: wrap_mixture_pdf(x, self.MIX, base),
             lambda x: wrapped_lognormal_pdf(x, self.MIX, base),
+            lambda x: wrapped_lognormal_pdf(x, self.deep(base), base, 1e-300),
         ]
 
     @pytest.mark.parametrize("b", BASES)
@@ -528,6 +543,9 @@ class TestArrayContract:
 
     @pytest.mark.parametrize("b", BASES)
     def test_array_equals_scalar_calls_bitwise(self, b):
+        direct, dual = _WrappedLogNormal.of(self.deep(Base(b)), Base(b), 1e-300).series
+        assert direct.K is not None and 2 * direct.K + 1 >= 9
+        assert dual.K is None and dual.J >= 9
         x = np.append(log_grid(b), [1.0, math.nextafter(float(b), 0.0)])
         for f in self.densities(Base(b)):
             arr = f(x)
@@ -563,7 +581,7 @@ class TestArrayContract:
         # in base 2 the direct sum at s = 1000 needs K ~ 9300 and the dual at
         # s = 1e-4 needs J ~ 10200: a full term matrix on the 2048-point
         # distance grid would take about 300 MB and 170 MB
-        x, u, _ = _grid(2, _DISTANCE_GRID)
+        x, u = _grid(2, 0)
         K = _lognormal_trunc(1000.0, B2.ln, 1e-9, K_MAX)
         J = _dual_order(1e-4, B2.ln, 1e-16)
         assert K > 9000 and J > 9000
@@ -634,16 +652,51 @@ class TestSummationOrder:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def row_by_row(n, ks, terms):
+    """sum_k terms(k) at n points, one row added after another."""
+    total = np.zeros(n)
+    for row in terms(ks):
+        total = total + row
+    return total
+
+
+class TestBlockSum:
+    """_block_sum adds a block's rows in C in the order of a plain
+    row-by-row sum, across blocks and at a single point."""
+
+    # rows of 20 decades of magnitude and both signs, so that another
+    # order of addition rounds differently
+    ROWS = np.random.default_rng(7).standard_normal((70, 2304)) * 10.0 ** np.linspace(
+        -10, 10, 70
+    )[:, None]
+
+    @pytest.mark.parametrize("n", [*range(1, 17), 256, 2048, 2304])
+    @pytest.mark.parametrize("rows", [None, 1, 3, 8, 9, 32])  # None: the real _BLOCK
+    def test_equals_row_by_row_sum_bitwise(self, n, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(wrapping, "_BLOCK", rows * n)
+        rng = np.random.default_rng(n)
+        terms = lambda k: self.ROWS[k, :n]  # noqa: E731  a new array per run
+        for orders in range(71):
+            ks = rng.permutation(70)[:orders]
+            got = _block_sum(n, ks, terms)
+            want = row_by_row(n, ks, terms)
+            assert got.tobytes() == want.tobytes(), (n, rows, orders)
+
+
 class TestLogGrid:
-    @pytest.mark.parametrize("b, n", [(2, 1), (10, 256), (16, GRID), (1000, 64), (10**6, 7)])
+    @pytest.mark.parametrize(
+        "b, n", [(2, 1), (10, 256), (16, GRID), (1000, 64), (10**6, 7), (10, 0)]
+    )
     def test_equals_python_pow_and_is_shared(self, b, n):
+        # the distance grid, then the table's n points
         grid = _grid(b, n)
         x = grid.x
         assert x.dtype == np.float64
-        assert x.tolist() == log_grid(b, n).tolist()
-        # the logs and the law by numpy's log and nb_pdf, bit for bit
+        assert x.tolist() == log_grid(b, GRID).tolist() + log_grid(b, n).tolist()
+        # the logs by numpy's log, and the law by nb_pdf, bit for bit
         assert grid.u.tobytes() == np.log(x).tobytes()
-        assert grid.law.tobytes() == nb_pdf(x, NBDistribution(Base(b))).tobytes()
+        assert _law(x, Base(b)).tobytes() == nb_pdf(x, NBDistribution(Base(b))).tobytes()
         for a in grid:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -651,15 +704,16 @@ class TestLogGrid:
         assert _grid(b, n) is grid
 
     def test_grid_larger_than_distance_grid_is_not_retained(self):
-        # the smallest grid whose three arrays and record pass the table
+        # the smallest grid whose two arrays and record pass the table
         # cache's cap of _TABLE_BYTES // 16 bytes
-        n = (significand._TABLE_BYTES // 16 - 64) // 24 + 1
+        n = (significand._TABLE_BYTES // 16 - 56) // 16 + 1 - GRID
         assert _grid(10, n - 1) is _grid(10, n - 1)
         held = list(significand._table.entries), significand._table.held
         x = _grid(10, n)
         y = _grid(10, n)
         assert x is not y
-        assert x.x.tolist() == y.x.tolist() == log_grid(10, n).tolist()
+        want = log_grid(10, GRID).tolist() + log_grid(10, n).tolist()
+        assert x.x.tolist() == y.x.tolist() == want
         assert not any(a.flags.writeable for a in x)
         assert (list(significand._table.entries), significand._table.held) == held
 
@@ -713,7 +767,7 @@ class TestSharedLog:
     )
     def test_equals_per_component_logs(self, b, comps, n, size, points):
         wl = _planned(b, comps)
-        x, u, _ = _grid(b, n)
+        x, u = _grid(b, n)
         want = per_component_pdf(wl, x).tobytes()
         assert wl.pdf(x, u).tobytes() == wl.pdf(x).tobytes() == want
         x, ln_x = importlib.import_module("benford.entropy")._nodes(b, size)
@@ -725,5 +779,5 @@ class TestSharedLog:
     def test_direct_and_dual_components_in_one_mixture(self, b):
         wl = _planned(b, [(0.3, 0.4, 0.05), (0.3, -1.0, 4.0), (0.4, 2.0, 0.1)])
         assert [c.K is None for c in wl.series] == [False, True, False]
-        x, u, _ = _grid(b, _DISTANCE_GRID)
+        x, u = _grid(b, _DISTANCE_GRID)
         assert wl.pdf(x, u).tobytes() == per_component_pdf(wl, x).tobytes()
