@@ -38,7 +38,7 @@ from .conformance import (
     SEQUENCE_KINDS,
     _report,
     _sequence_logs,
-    _sorted_logs,
+    _usable_logs,
 )
 from .entropy import analyze_entropy
 from .errors import (
@@ -790,7 +790,7 @@ def _cmd_digits(args) -> list[tuple]:
 
 def _cmd_fit(args) -> list[tuple]:
     base = Base(args.base)
-    report = _report(base, *_sorted_logs(_value_blocks(args), base))
+    report = _report(base, *_usable_logs(_value_blocks(args), base))
     return [
         ("param", "input", args.path),
         ("param", "input_format", args.input_format),

@@ -53,8 +53,8 @@ _FACTORIAL_CAP = 10_000
 # most 10**_FACTORIAL_SPAN, below DBL_MAX; see _factorial.
 _FACTORIAL_SPAN = 300
 
-# The log-linear kernel (pow2, geometric, fibonacci) takes terms in blocks
-# of 2**14; see _kernel.
+# The log-linear kernel (pow2, geometric, fibonacci) takes terms, and its
+# phase table holds them, in blocks of 2**14; see _kernel.
 _BLOCK = 1 << 14
 # bound on |u - frac(log_b term)| of a kernel term: the phase errs by
 # under 3 * 2**-53 + 2**-80 (see _log_linear), the offset by 2**-54 and
@@ -67,9 +67,9 @@ _EXP_ERR = 2.0**-50
 _DEC_PREC = 60
 _DEC_TIE = Decimal("1e-40")  # see _settle
 _FIB_EXACT = 78  # F_78 < 2**53: the first Fibonacci terms are exact doubles
-# The library's data are decomposed and log-mapped, and KS walks u, in
-# slices of this many elements, so that their temporaries stay in cache;
-# see _slices and _ks.
+# The library's data and the factorial's and rational logs' significands
+# are counted and log-mapped, and KS walks u, in slices of this many
+# elements, so that their temporaries stay in cache; see _slices and _ks.
 _STAT_BLOCK = 2**13
 
 
@@ -139,53 +139,13 @@ def _slices(data: np.ndarray | Iterable[float]) -> Iterator[np.ndarray]:
     return (x[start : start + _STAT_BLOCK] for start in range(0, x.size, _STAT_BLOCK))
 
 
-class _DigitCounts:
-    """First-digit counts of significand blocks in one base.
-
-    A significand's digit is its integer part.  The digits wait in one
-    int64 buffer of max(_BLOCK, b) until it is full, and only then does a
-    bincount of length b add them up, so no bincount covers fewer digits
-    than it has cells: at base 10**6, one per 16 K-term block would zero
-    and add 8 MB each time.  _fold counts here for the producers whose
-    significands may sit within an ulp of a digit edge: the library's
-    data, the factorial and rational logs.  The log-linear kernel's terms
-    are counted from their sorted u instead; see _arc_histogram.
-    """
-
-    def __init__(self, base: Base) -> None:
-        self.base = base
-        self._counts = np.zeros(base.b, dtype=np.int64)
-        self._digits = np.empty(max(_BLOCK, base.b), dtype=np.int64)
-        self._fill = self._total = 0
-
-    def add(self, s: np.ndarray) -> None:
-        """Count the digits of the significands s, each in [1, b)."""
-        self._total += s.size
-        size = self._digits.size
-        for start in range(0, s.size, size):
-            part = s[start : start + size]
-            if self._fill + part.size > size:
-                self._flush()
-            # truncation toward zero, which is the integer part as s >= 1
-            np.copyto(self._digits[self._fill : self._fill + part.size], part, casting="unsafe")
-            self._fill += part.size
-
-    def _flush(self) -> None:
-        self._counts += np.bincount(self._digits[: self._fill], minlength=self.base.b)
-        self._fill = 0
-
-    def histogram(self) -> DigitHistogram:
-        """The histogram of the digits counted so far."""
-        self._flush()
-        return DigitHistogram(self.base, self._counts[1:], self._total)
-
-
-def _fold(s: np.ndarray, tally: _DigitCounts) -> np.ndarray:
-    """Count the digits of the significands s, then map s in place to
-    u = ln s / ln b, which it returns."""
-    tally.add(s)
+def _fold(s: np.ndarray, counts: np.ndarray, lnb: float) -> np.ndarray:
+    """Add one to counts[d] per significand s in [1, b) with integer part d
+    (the cast truncates), then map s in place to u = ln s / ln b, which it
+    returns."""
+    np.add.at(counts, s.astype(np.intp), 1)
     np.log(s, out=s)
-    s /= tally.base.ln
+    s /= lnb
     return s
 
 
@@ -207,7 +167,8 @@ def _arc_histogram(u: np.ndarray, base: Base, exact: list[tuple[float, int]]) ->
     _digit_edges, one binary search per edge.  Each (u, d) of exact,
     a term whose u may lie on or beside an edge, or at 1 (ln s / ln b of
     a settled s just below b rounds up to it), is then moved from the arc
-    its u falls in to its exact digit d.
+    its u falls in to its exact digit d.  The sort the KS needs anyway lets
+    b - 1 binary searches count every term, where _fold adds one per term.
     """
     edges = _digit_edges(base.b)
     counts = np.diff(u.searchsorted(edges), append=u.size)
@@ -222,20 +183,20 @@ def _usable_logs(
     blocks: Iterable[np.ndarray], base: Base, logs: bool = True
 ) -> tuple[np.ndarray | None, DigitHistogram, int, int]:
     """(u, histogram, n_nonpos, n_nonfinite) of the usable values of
-    float64 blocks: u = log_b s of their significands s, and the digit
-    histogram of s.  With logs false, u is None: the significands are
-    counted and not mapped, and no part is kept.
+    float64 blocks: u = log_b s of their significands s, sorted ascending,
+    and the digit histogram of s.  With logs false, u is None: the
+    significands are counted and not mapped, and no part is kept.
 
     Each block is filtered and decomposed on its own, and its significands
-    go through _fold while they are in cache; only their u is kept.  The
-    parts are joined once, after the last block, into a new float64 array
-    that the caller owns and that shares no memory with any block.  So the
-    only full-length arrays are the parts and their join.  No usable value
-    in any block is EmptyData, raised only once the blocks are exhausted,
-    so an error of whatever yields them comes first.  u is left in block
-    order; _sorted_logs sorts it for the statistics.
+    go through _fold, into one count array of b cells, while they are in
+    cache; only their u is kept.  The parts are joined once, after the last
+    block, into a new float64 array that the caller owns and that shares no
+    memory with any block, and sorted in place, as _report and _ks read it.
+    So the only full-length arrays are the parts and their join.  No usable
+    value in any block is EmptyData, raised only once the blocks are
+    exhausted, so an error of whatever yields them comes first.
     """
-    tally = _DigitCounts(base)
+    counts = np.zeros(base.b, dtype=np.int64)
     parts: list[np.ndarray] = []
     n_nonpos = n_nonfinite = 0
     for block in blocks:
@@ -246,23 +207,16 @@ def _usable_logs(
             continue
         s = decompose_array(usable, base).significand
         if logs:
-            parts.append(_fold(s, tally))
+            parts.append(_fold(s, counts, base.ln))
         else:
-            tally.add(s)
-    hist = tally.histogram()
-    if not hist.total:
+            np.add.at(counts, s.astype(np.intp), 1)
+    total = int(counts.sum())
+    if not total:
         raise EmptyData("no usable entries after skipping nonpositive/nonfinite")
+    hist = DigitHistogram(base, counts[1:], total)
     if not logs:
         return None, hist, n_nonpos, n_nonfinite
     u = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return u, hist, n_nonpos, n_nonfinite
-
-
-def _sorted_logs(
-    blocks: Iterable[np.ndarray], base: Base
-) -> tuple[np.ndarray, DigitHistogram, int, int]:
-    """_usable_logs, with u sorted in place, as _report and _ks read it."""
-    u, hist, n_nonpos, n_nonfinite = _usable_logs(blocks, base)
     u.sort()
     return u, hist, n_nonpos, n_nonfinite
 
@@ -334,7 +288,7 @@ def ks_uniform(data: np.ndarray | Iterable[float], base: Base) -> float:
     Exact sorted-sample form: max over i of max(i/n - u_(i), u_(i) - (i-1)/n).
     Nonpositive and nonfinite entries are skipped as in digit_histogram.
     """
-    return _ks(_sorted_logs(_slices(data), base)[0])
+    return _ks(_usable_logs(_slices(data), base)[0])
 
 
 def tv_to_nb(hist: DigitHistogram) -> float:
@@ -350,12 +304,13 @@ def tv_to_nb(hist: DigitHistogram) -> float:
 def analyze(data: np.ndarray | Iterable[float], base: Base) -> ConformanceReport:
     """Full conformance pipeline: histogram, chi-square, KS, TV, skips.
 
-    The data are filtered, decomposed and log-mapped slice by slice, and
-    _report reads the one array of u = log_b s that makes, sorted.  The
-    data themselves are left as they are: u is a new array.  The CLI's ``fit``
-    verb feeds the same fold the blocks its readers yield.
+    The data are filtered, decomposed, counted and log-mapped slice by
+    slice in _usable_logs, and _report reads the one sorted array of
+    u = log_b s that makes.  The data themselves are left as they are: u
+    is a new array.  The CLI's ``fit`` verb feeds _usable_logs the blocks
+    its readers yield.
     """
-    return _report(base, *_sorted_logs(_slices(data), base))
+    return _report(base, *_usable_logs(_slices(data), base))
 
 
 def _report(
@@ -365,10 +320,10 @@ def _report(
     digit histogram of the same significands s, with their skip counts.
 
     The caller hands over the float64 buffer u, which KS reads as it is,
-    so no other full-length array is made.  Every caller owns that
-    buffer and sorts it: ``analyze`` and the CLI's ``fit`` verb pass that
-    of _sorted_logs, and the ``sequence`` verb that of _sequence_logs,
-    whose sort also serves its digit counts.
+    so no other full-length array is made.  Every caller owns that buffer,
+    sorted by whatever made it: ``analyze`` and the CLI's ``fit`` verb
+    pass that of _usable_logs, and the ``sequence`` verb that of
+    _sequence_logs, whose sort also serves the kernel's digit counts.
     """
     stat, pvalue = chi_square(hist)
     return ConformanceReport(
@@ -692,9 +647,11 @@ def _source(
     _check_ratio(r, base)
     rational = _rational_log(r, base.b)
     if rational is not None:
-        # r**y = b**k: term t has significand c**((t k) mod y), period y
+        # r**y = b**k: term t has significand c**((t k) mod y), period y;
+        # np.tile, as np.resize builds a tuple of n / y references first
         c, k, y = rational
-        return np.resize([float(c ** (t * k % y)) for t in range(1, y + 1)], n), n, None
+        period = [float(c ** (t * k % y)) for t in range(1, y + 1)]
+        return np.tile(period, -(-n // y))[:n], n, None
     return np.empty(n), 0, _log_linear(base.b, r)
 
 
@@ -724,14 +681,16 @@ def _sequence_logs(
     moves the terms the kernel settled and Fibonacci's exact first terms
     into their exact digits.  The factorial's and the rational logs'
     significands may lie within an ulp of a digit edge, so _fold counts
-    their integer parts before it maps them to u.
+    their integer parts before it maps them to u, through views _slices of
+    s in place, so no temporary grows past _STAT_BLOCK values.
     """
     s, head, seq = _source(kind, n, base, ratio)
     if seq is None:
-        tally = _DigitCounts(base)
-        u = _fold(s, tally)
-        u.sort()
-        return u, tally.histogram()
+        counts = np.zeros(base.b, dtype=np.int64)
+        for part in _slices(s):
+            _fold(part, counts, base.ln)
+        s.sort()
+        return s, DigitHistogram(base, counts[1:], n)
     u = s  # mapped in place: the head here, the rest by the kernel
     digits = u[:head].astype(np.int64).tolist()
     np.log(u[:head], out=u[:head])

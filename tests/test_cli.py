@@ -1841,9 +1841,9 @@ def _power_ratio_texts(b: int):
 
 
 class TestLargeBaseCounts:
-    # in a base above 2**14 the digits of several fit blocks wait in one
-    # buffer of b before each bincount of b cells, and the sequence kernel
-    # counts its sorted u against edges built for the call; the bin table
+    # in a base above 2**14 each fit block adds its digits into the b cells
+    # of one count array, and the sequence kernel counts its sorted u
+    # against edges built for the call; the bin table
     # must still count every term and value once, in its exact cell.  The
     # CLI runs in base 40000, where 200000 terms meet chi-square's
     # 5 (b - 1); base 10**6, which would need 4999995, runs through the

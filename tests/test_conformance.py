@@ -251,11 +251,9 @@ class TestStatisticBlocks:
         assert struct.pack("<d", got) == struct.pack("<d", expected)
         assert u.tobytes() == want
 
-    @pytest.mark.parametrize("b", [2, 10, 1000, 100003])
+    @pytest.mark.parametrize("b", [2, 10, 1000, 100003, 10**6])
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1, 250_000])
     def test_blocked_histogram_matches_bincount(self, b, n, monkeypatch):
-        # the data go to the digit counts in slices, and the slices' digits
-        # in one buffer of max(2**14, b), so b = 100003 spans many slices
         sig = decompose_array(sample_nb(n, Base(b), seed=n + b), Base(b))
         expected = np.bincount(sig.significand.astype(np.int64), minlength=b)[1:]
 
@@ -267,27 +265,45 @@ class TestStatisticBlocks:
         assert np.array_equal(hist.counts, expected)
         assert hist.total == n
 
+    @pytest.mark.parametrize("logs", [False, True])
+    def test_large_base_counts_need_no_buffer_but_the_counts(self, logs):
+        # one int64 count per cell, 8 MB at b = 10**6, and the histogram's
+        # copy of it: no buffer of digits waits for a count of b cells
+        b, n = 10**6, 10**5
+        x = sample_nb(n, Base(b), seed=7)
+        conformance._usable_logs(conformance._slices(x[:100]), Base(b), logs)
+        tracemalloc.start()
+        try:
+            conformance._usable_logs(conformance._slices(x), Base(b), logs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 8 * b + (16 * n if logs else 0)
+
     @settings(max_examples=60, deadline=None)
     @given(
         b=st.sampled_from([2, 10, 1000, 2**15 + 1]),
         cuts=st.lists(st.integers(0, 3 * 2**14 + 5), max_size=12),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(b=10, cuts=[2**14, 2**15], seed=0)  # blocks that fill the buffer exactly
+    @example(b=10, cuts=[2**14, 2**15], seed=0)
     @example(b=2**15 + 1, cuts=[1, 2**15 + 1, 2**15 + 2], seed=1)
     def test_fold_of_any_blocking_matches_one_whole_array_pass(self, b, cuts, seed):
         n = 3 * 2**14 + 5
         s = decompose_array(sample_nb(n, Base(b), seed=seed), Base(b)).significand
-        whole = conformance._DigitCounts(Base(b))
-        u_whole = conformance._fold(s.copy(), whole)
-        tally = conformance._DigitCounts(Base(b))
+        whole = np.zeros(b, dtype=np.int64)
+        u_whole = conformance._fold(s.copy(), whole, Base(b).ln)
+        counts = np.zeros(b, dtype=np.int64)
         edges = [0, *sorted(cuts), n]
         u = np.concatenate(
-            [conformance._fold(s[lo:hi].copy(), tally) for lo, hi in zip(edges, edges[1:])]
+            [
+                conformance._fold(s[lo:hi].copy(), counts, Base(b).ln)
+                for lo, hi in zip(edges, edges[1:])
+            ]
         )
-        hist = tally.histogram()
+        hist = DigitHistogram(Base(b), counts[1:], n)
         assert np.array_equal(hist.counts, np.bincount(s.astype(np.int64), minlength=b)[1:])
-        assert hist == whole.histogram() and hist.total == n
+        assert hist == DigitHistogram(Base(b), whole[1:], n) and counts[0] == whole[0] == 0
         assert u.tobytes() == u_whole.tobytes()
         assert u_whole.tobytes() == (np.log(s) / math.log(b)).tobytes()
 
@@ -1017,9 +1033,9 @@ class TestSequenceCost:
 
 
 class TestBufferOwnership:
-    # _report sorts the u it is given in place, and _fold takes the log of
-    # significands in place, so every producer must hand over a buffer of
-    # its own
+    # _fold takes the log of significands in place, _usable_logs and
+    # _sequence_logs sort their u in place, and _report reads the u it is
+    # handed as it is, so every producer must hand over a buffer of its own
 
     @pytest.mark.parametrize(
         "kind, n, b, ratio",

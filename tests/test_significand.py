@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -659,17 +660,20 @@ def round_numbers(draw):
     b = draw(st.sampled_from(SETTLE_BASES))
     kmin, kmax = _exponent_range(b)
     triples = st.tuples(st.integers(1, b - 1), st.integers(kmin, kmax), st.integers(-3, 3))
-    xs = []
-    for d, k, offset in draw(st.lists(triples, min_size=1, max_size=20)):
-        try:
-            x = float(d * Fraction(b) ** k)
-        except OverflowError:
-            x = DBL_MAX
-        for _ in range(abs(offset)):
-            x = math.nextafter(x, math.inf if offset > 0 else 0.0)
-        # out of range round numbers and steps past the ends stay at the ends
-        xs.append(min(max(x, 5e-324), DBL_MAX))
-    return b, np.array(xs)
+    drawn = draw(st.lists(triples, min_size=1, max_size=20))
+    return b, np.array([_moved(d * Fraction(b) ** k, offset) for d, k, offset in drawn])
+
+
+def _moved(q: Fraction, offset: int) -> float:
+    """q correctly rounded, then moved offset ulps; out of range round
+    numbers and steps past the ends stay at the ends."""
+    try:
+        x = float(q)
+    except OverflowError:
+        x = DBL_MAX
+    for _ in range(abs(offset)):
+        x = math.nextafter(x, math.inf if offset > 0 else 0.0)
+    return min(max(x, 5e-324), DBL_MAX)
 
 
 @settings(deadline=None)
@@ -683,6 +687,62 @@ def test_property_round_numbers_match_the_per_value_loop(bxs):
         d = decompose_array(xs, Base(b))
     for x, s, k in zip(xs.tolist(), d.significand.tolist(), d.exponent.tolist()):
         assert_exact(x, b, s, k)
+
+
+# --------------------------------------------------------------------------
+# one decomposition against another: B_{b**J}+ is a subgroup of B_b+, so the
+# first digit in base b is the leading base-b digit of the base-b**J digit
+# --------------------------------------------------------------------------
+
+# every (b, J) with b**J at most the CLI's largest base, 10**6
+POWER_BASE_PAIRS = [(b, J) for b in range(2, 1001) for J in range(2, 20) if b**J <= 10**6]
+
+
+def assert_digit_is_leading_digit_of_power_base_digit(xs: np.ndarray, b: int, J: int) -> None:
+    """int(s) of decompose_array in base b is the leading base-b digit of
+    the digit D of decompose_array in base b**J, and the base-b exponent is
+    J K plus D's further base-b digits.  Every edge of base b is an integer
+    in [1, b**J), and each base settles its flagged values at its own
+    edges, so each decomposition checks the other."""
+    fine = decompose_array(xs, Base(b))
+    coarse = decompose_array(xs, Base(b**J))
+    lead, more = coarse.significand.astype(np.int64), np.zeros(xs.size, dtype=np.int64)
+    while (big := lead >= b).any():
+        lead[big] //= b
+        more[big] += 1
+    assert np.array_equal(fine.significand.astype(np.int64), lead), (b, J)
+    assert np.array_equal(fine.exponent, J * coarse.exponent + more), (b, J)
+
+
+@st.composite
+def power_base_edges(draw):
+    """(b, J, xs): a pair of POWER_BASE_PAIRS and values m * b**k, correctly
+    rounded, then moved up to 3 ulps, for integers m below b (edges of base
+    b) or below b**J (edges of base b**J, each some m * b**k)."""
+    pairs = st.sampled_from([(10, 3), (10, 6), (3, 2), (16, 2)])
+    b, J = draw(pairs | st.sampled_from(POWER_BASE_PAIRS))
+    kmin, kmax = _exponent_range(b)
+    ms = st.integers(1, b - 1) | st.integers(1, b**J - 1)
+    triples = st.tuples(ms, st.integers(kmin, kmax), st.integers(-3, 3))
+    drawn = draw(st.lists(triples, min_size=1, max_size=20))
+    return b, J, np.array([_moved(m * Fraction(b) ** k, offset) for m, k, offset in drawn])
+
+
+@settings(deadline=None)
+@given(power_base_edges())
+def test_property_digit_is_leading_digit_of_power_base_digit(bjxs):
+    b, J, xs = bjxs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(significand, "_SETTLE_MIN", 1)  # any number settles in numpy
+        assert_digit_is_leading_digit_of_power_base_digit(xs, b, J)
+
+
+@pytest.mark.parametrize("b, J", [(10, 3), (10, 6), (2, 4), (2, 16), (3, 2), (16, 2), (1000, 2)])
+def test_boundary_corpora_digit_is_leading_digit_of_power_base_digit(b, J):
+    path = Path(__file__).parent / "data" / "golden" / "boundary.csv"
+    golden = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1)
+    corpora = [golden] + [c(base) for base in (b, b**J) for c in (boundary_corpus, dbl_min_corpus)]
+    assert_digit_is_leading_digit_of_power_base_digit(np.concatenate(corpora), b, J)
 
 
 @pytest.mark.parametrize("b", [6, 10, 208, 314, 416, 628, 1000])
