@@ -64,6 +64,10 @@ _U_ERR = 2.0**-50
 # mpmath on 20 000 points u ln b in each of six bases from 2 to 2**53 - 1
 # is 1.15 * 2**-53 (numpy 2.4, AVX-512), and a test checks a seeded sample
 _EXP_ERR = 2.0**-50
+# a kernel term that _near_integer flags has its u within 5.1 * 2**-50 of
+# an edge log_b d as _digit_edges computes it, or of 1 (see _kernel);
+# _sequence_logs applies the rule only to the u this close to an edge
+_EDGE_WIN = 2.0**-44
 _DEC_PREC = 60
 _DEC_TIE = Decimal("1e-40")  # see _settle
 _FIB_EXACT = 78  # F_78 < 2**53: the first Fibonacci terms are exact doubles
@@ -161,22 +165,58 @@ def _digit_edges(b: int) -> np.ndarray:
     return np.log(np.arange(1.0, b)) / np.log(float(b))
 
 
-def _arc_histogram(u: np.ndarray, base: Base, exact: list[tuple[float, int]]) -> DigitHistogram:
-    """The digit histogram of the log-linear kernel's terms, from their u
-    sorted ascending: digit d counts the u in the arc [e_d, e_d+1) of
-    _digit_edges, one binary search per edge.  Each (u, d) of exact,
-    a term whose u may lie on or beside an edge, or at 1 (ln s / ln b of
-    a settled s just below b rounds up to it), is then moved from the arc
-    its u falls in to its exact digit d.  The sort the KS needs anyway lets
-    b - 1 binary searches count every term, where _fold adds one per term.
+def _arc_histogram(
+    base: Base, edges: np.ndarray, cuts: np.ndarray, n: int, exact: list[tuple[float, int]]
+) -> DigitHistogram:
+    """The digit histogram of n terms from the cuts u.searchsorted(edges)
+    of their u, sorted ascending, at the edges of _digit_edges: digit d
+    counts the u in the arc [e_d, e_d+1), so b - 1 binary searches in the
+    sort the KS needs anyway count every term, where _fold adds one per
+    term.  Each (u, d) of exact, a term whose u may lie on or beside an
+    edge, is then moved from the arc its u falls in to its exact digit d.
     """
-    edges = _digit_edges(base.b)
-    counts = np.diff(u.searchsorted(edges), append=u.size)
+    counts = np.diff(cuts, append=n)
     if exact:
         eu, ed = zip(*exact)
         np.subtract.at(counts, edges.searchsorted(eu, side="right") - 1, 1)
         np.add.at(counts, np.array(ed) - 1, 1)
-    return DigitHistogram(base, counts, u.size)
+    return DigitHistogram(base, counts, n)
+
+
+def _near_edges(u: np.ndarray, edges: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The distinct values of u, sorted ascending, that lie within
+    _EDGE_WIN of an edge of _digit_edges or of 1, from the cuts
+    u.searchsorted(edges).  An edge has such a value only if the first u
+    at or above it or the last below it is one, so two gathers of b - 1
+    values, _STAT_BLOCK edges at a time, find the edges, and one binary
+    search on either side of each takes its values."""
+    near = []
+    for start in range(0, edges.size, _STAT_BLOCK):
+        e, c = edges[start : start + _STAT_BLOCK], cuts[start : start + _STAT_BLOCK]
+        above = np.abs(u.take(c, mode="clip") - e)
+        below = np.abs(u.take(c - 1, mode="clip") - e)
+        near.append(e[np.minimum(above, below, out=above) <= _EDGE_WIN])
+    if u[-1] >= 1.0 - _EDGE_WIN:
+        near.append(np.ones(1))
+    e = np.concatenate(near)
+    lo = u.searchsorted(e - _EDGE_WIN).tolist()
+    hi = u.searchsorted(e + _EDGE_WIN, side="right").tolist()
+    v = np.concatenate([u[a:z] for a, z in zip(lo, hi)] + [u[:0]])
+    v.sort()  # windows of close edges may overlap
+    return v[np.diff(v, prepend=-math.inf) > 0.0]  # not np.unique, which imports numpy.ma
+
+
+def _replace(u: np.ndarray, v: float, w: float) -> None:
+    """Replace one element v of u, sorted ascending, by w, shifting the
+    elements between them by one place, so u stays sorted."""
+    i = int(u.searchsorted(v))
+    if w > v:
+        j = int(u.searchsorted(w)) - 1
+        u[i:j] = u[i + 1 : j + 1]
+    else:
+        j = int(u.searchsorted(w))
+        u[j + 1 : i + 1] = u[j:i]
+    u[j] = w
 
 
 def _usable_logs(
@@ -416,6 +456,7 @@ class _LogLinear(NamedTuple):
     c: Decimal
     lnb: Decimal
     phase: np.ndarray  # frac(j L) for j < _BLOCK, read-only
+    order: np.ndarray  # int16 argsort of phase, read-only
 
     def log(self, t: int) -> Decimal:
         """log_b of term t, to about 50 digits; call inside a 60-digit context."""
@@ -437,7 +478,9 @@ class _LogLinear(NamedTuple):
 def _log_linear(b: int, ratio: float | None) -> _LogLinear:
     """The sequence r**t in base b, or Fibonacci's for ratio None, with
     the phase frac(j L), j < _BLOCK, that _kernel adds to each block's
-    offset.
+    offset, and the phase's argsort, by which _settle_near_edges finds the
+    j of a term from its u.  The phase takes 128 KiB and its int16 argsort
+    32 KiB, so the entry stays under _table's cap on what it keeps.
 
     With L = hi + lo in doubles and j hi = p + err exactly (_two_product),
     the phase is frac(p) + err + j lo, folded into [0, 1).  |L| <= 1074,
@@ -462,7 +505,8 @@ def _log_linear(b: int, ratio: float | None) -> _LogLinear:
     j *= lo
     phase += j
     phase -= np.floor(phase)
-    return _LogLinear(Base(b), ratio, L, c, lnb, phase)
+    order = np.argsort(phase).astype(np.int16)
+    return _LogLinear(Base(b), ratio, L, c, lnb, phase, order)
 
 
 def _settle(seq: _LogLinear, t: int) -> float:
@@ -487,12 +531,21 @@ def _settle(seq: _LogLinear, t: int) -> float:
     return _in_cell(q, d)
 
 
-def _kernel(
-    seq: _LogLinear, t0: int, out: np.ndarray, exact: list[tuple[float, int]] | None
-) -> None:
-    """Terms t0, t0 + 1, ... of a log-linear sequence, one to an element of
-    out: without a list exact, their significands s; with one, u = log_b s,
-    and (u, d) of each term it settles, d its digit, goes to exact.
+def _near_integer(s: np.ndarray, lnb: float) -> np.ndarray:
+    """Indices of the kernel's s = exp(fl(u ln b)), lnb = base.ln, that lie
+    within tol * s of an integer, tol = ln b (_U_ERR + 2**-53) + _EXP_ERR:
+    the terms whose digit their u may not give, which _settle redoes (see
+    _kernel)."""
+    tol = lnb * (_U_ERR + 2.0**-53) + _EXP_ERR
+    gap = np.rint(s)
+    gap -= s
+    np.abs(gap, out=gap)
+    return np.flatnonzero(gap <= tol * s)
+
+
+def _kernel(seq: _LogLinear, t0: int, out: np.ndarray) -> np.ndarray:
+    """u = frac(log_b term) of terms t0, t0 + 1, ... of a log-linear
+    sequence, one to an element of out; returns the offset of each block.
 
     Term t = t0 + start + j, for a block start and j < _BLOCK, has
     log_b = x0 + j L with x0 = (t0 + start) L - c.  The block's
@@ -500,54 +553,88 @@ def _kernel(
     phase frac(j L), the same for every block (see _log_linear).  The sum
     u = frac(offset + phase) errs by under 5 * 2**-53 <= _U_ERR.
 
-    The block's significands s = exp(fl(u ln b)) live in a block-sized
-    temporary.  ln b is base.ln, within 2**-52 of the exact value
-    (relative), and the product rounds once, so with u < 1 the exponent
-    errs by under (5 + 2 + 1) 2**-53 ln b = _U_ERR ln b; the further
-    2**-53 ln b in tol covers the second-order terms, and _EXP_ERR the
-    error of np.exp.  So s lies within tol * s of the exact significand,
-    and a term whose s lies that close to an integer may have the wrong
-    leading digit, or lie outside [1, b): _settle redoes it, and its u
-    becomes ln s / ln b of the settled s.
+    The kernel only writes u.  Which terms need exact arithmetic is the
+    flag rule of _near_integer on s = exp(fl(u ln b)).  ln b is base.ln,
+    within 2**-52 of the exact value (relative), and the product rounds
+    once, so with u < 1 the exponent errs by under (5 + 2 + 1) 2**-53
+    ln b = _U_ERR ln b; the further 2**-53 ln b in tol covers the
+    second-order terms, and _EXP_ERR the error of np.exp.  So s lies
+    within tol * s of the exact significand, and a term whose s lies that
+    close to an integer may have the wrong leading digit, or lie outside
+    [1, b): _settle redoes it, and its u becomes ln s / ln b of the settled
+    s.  gen_sequence applies the rule to every term, as it needs every s.
 
     Every other term's digit is the arc its u falls in.  Such a term has
-    |s - d| > tol * s for every integer d, with tol = ln b (2**-50 +
-    2**-53) + 2**-50, and s = b**u (1 + eta) with |eta| <= 3 * 2**-53 ln b
-    + _EXP_ERR (base.ln, the product and np.exp, against this u).  So its
-    u lies more than about 6 * 2**-53 from every log_b d, and the edges of
-    _digit_edges err by under 5 * 2**-53, so #{d : e_d <= u} equals
-    int(s).  A settled term's u may lie on or beside an edge, which is
-    why it goes to exact.
+    |s - d| > tol * s for every integer d, and s = b**u (1 + eta) with
+    |eta| <= 3 * 2**-53 ln b + _EXP_ERR (base.ln, the product and np.exp,
+    against this u).  So its u lies more than about 6 * 2**-53 from every
+    log_b d, and the edges of _digit_edges err by under 5 * 2**-53, so
+    #{d : e_d <= u} equals int(s).
+
+    The window.  A term the rule flags has |s - D| <= tol * s for the
+    integer D = rint(s), 1 <= D <= b, so |ln s - ln D| <= tol / (1 - tol),
+    and |ln s - u ln b| <= |eta| as above.  Divided by ln b >= ln 2, u lies
+    within (4 * 2**-53 + _U_ERR + 2 _EXP_ERR / ln 2)(1 + 2**-40), under
+    4.4 * 2**-50, of log_b D: the edge 0 for D = 1, 1 for D = b, and
+    within 5 * 2**-53 of e_D otherwise.  So every u the rule can flag lies
+    within 5.1 * 2**-50 of an edge of _digit_edges or of 1, and
+    _EDGE_WIN = 2**-44 is more than 12 times that: _sequence_logs applies
+    the rule only to the u its sort finds within _EDGE_WIN of an edge.
     """
     n = len(out)
-    m = min(n, _BLOCK)
-    lnb = seq.base.ln
-    tol = lnb * (_U_ERR + 2.0**-53) + _EXP_ERR
-    sig, gap = np.empty(m), np.empty(m)  # block temporaries
-    for start in range(0, n, m):
-        stop = min(start + m, n)
+    offsets = np.empty(-(-n // _BLOCK))
+    whole = np.empty(min(n, _BLOCK))  # block temporary
+    for q, start in enumerate(range(0, n, _BLOCK)):
+        stop = min(start + _BLOCK, n)
         with localcontext() as ctx:
             ctx.prec = _DEC_PREC
             x0 = (t0 + start) * seq.L - seq.c
-            offset = float(x0 - x0.to_integral_value(rounding=ROUND_FLOOR))
-        u, s, g = out[start:stop], sig[: stop - start], gap[: stop - start]
-        np.add(seq.phase[: stop - start], offset, out=u)
+            offsets[q] = float(x0 - x0.to_integral_value(rounding=ROUND_FLOOR))
+        u, g = out[start:stop], whole[: stop - start]
+        np.add(seq.phase[: stop - start], offsets[q], out=u)
         np.floor(u, out=g)
         u -= g
-        np.multiply(u, lnb, out=s)
-        np.exp(s, out=s)
-        np.rint(s, out=g)
-        g -= s
-        np.abs(g, out=g)
-        flagged = np.flatnonzero(g <= tol * s)
-        if flagged.size:
-            settled = [_settle(seq, t0 + start + i) for i in flagged.tolist()]
-            s[flagged] = settled
-            u[flagged] = np.log(s[flagged]) / lnb
-            if exact is not None:
-                exact.extend(zip(u[flagged].tolist(), map(int, settled)))
-        if exact is None:
-            u[:] = s
+    return offsets
+
+
+def _settle_near_edges(
+    seq: _LogLinear, t0: int, n: int, offsets: np.ndarray, values: np.ndarray
+) -> list[tuple[float, float, int]]:
+    """(v, w, d) for each of the n kernel terms t0, t0 + 1, ... whose u,
+    as _kernel wrote it with these block offsets, is v, one of values that
+    _near_integer flags: w = ln s / ln b of its settled s, and d its
+    digit.  A flagged value no kernel term has, such as one of Fibonacci's
+    exact first terms, is skipped.
+
+    Term t0 + q _BLOCK + j has u = fl(phase_j + offset_q) - floor, the
+    sum rounded by up to 2**-53 and the floor taken exactly, so the key
+    frac(v - offset_q), two more roundings of up to 2**-54, lies within
+    2**-52 of phase_j modulo 1.  One binary search of the phase's argsort,
+    for every value and block at once, takes the phases within 2**-50 of
+    the key and of the key one turn down and up, since a phase near 0 may
+    have its key near 1 and the other way round.  Each phase found is
+    added to its offset as _kernel adds it, and kept where that gives v.
+    """
+    lnb = seq.base.ln
+    values = values[_near_integer(np.exp(values * lnb), lnb)]
+    win = 2.0**-50
+    keys = values[:, None] - offsets
+    keys -= np.floor(keys)
+    keys = keys[..., None] + np.array([-1.0, 0.0, 1.0])
+    lo = seq.phase.searchsorted(keys - win, sorter=seq.order)
+    hi = seq.phase.searchsorted(keys + win, side="right", sorter=seq.order)
+    i, q, _ = np.nonzero(hi > lo)
+    lo, size = lo[hi > lo], (hi - lo)[hi > lo]
+    # the places lo, lo + 1, ..., hi - 1 of the argsort, hit after hit
+    place = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
+    j, q, i = seq.order[place], np.repeat(q, size), np.repeat(i, size)
+    u = seq.phase[j] + offsets[q]
+    u -= np.floor(u)
+    t = q * _BLOCK + j
+    keep = (t < n) & (u == values[i])
+    settled = [_settle(seq, t0 + k) for k in t[keep].tolist()]
+    w = np.log(settled) / lnb
+    return list(zip(u[keep].tolist(), w.tolist(), map(int, settled)))
 
 
 def _factorial(n: int, base: Base) -> np.ndarray:
@@ -664,8 +751,16 @@ def gen_sequence(kind: str, n: int, base: Base, ratio: float | None = None) -> n
     the digit is its integer part.
     """
     s, head, seq = _source(kind, n, base, ratio)
-    if seq is not None:
-        _kernel(seq, head + 1, s[head:], None)
+    if seq is None:
+        return s
+    _kernel(seq, head + 1, s[head:])
+    lnb = base.ln
+    for start in range(head, n, _BLOCK):
+        block = s[start : start + _BLOCK]
+        block *= lnb
+        np.exp(block, out=block)
+        for i in _near_integer(block, lnb).tolist():
+            block[i] = _settle(seq, start + i + 1)
     return s
 
 
@@ -676,10 +771,14 @@ def _sequence_logs(
     _report: u = log_b s of their significands s, sorted ascending, in a
     new float64 array the caller owns, and the digit histogram of s.
 
-    Where the log-linear kernel makes the terms, the one sort serves both
-    the KS and the digit counts: _arc_histogram counts the sorted u, and
-    moves the terms the kernel settled and Fibonacci's exact first terms
-    into their exact digits.  The factorial's and the rational logs'
+    Where the log-linear kernel makes the terms, it writes only their u,
+    and the one sort serves the KS, the digit counts and the search for
+    the terms to settle.  The one binary search of the sorted u at the
+    edges gives _arc_histogram its counts and _near_edges the few u near
+    an edge.  _settle_near_edges settles the kernel terms among those that
+    the flag rule picks, and each settled u replaces the kernel's in place.
+    _arc_histogram then moves them and Fibonacci's exact first terms into
+    their exact digits.  The factorial's and the rational logs'
     significands may lie within an ulp of a digit edge, so _fold counts
     their integer parts before it maps them to u, through views _slices of
     s in place, so no temporary grows past _STAT_BLOCK values.
@@ -696,9 +795,15 @@ def _sequence_logs(
     np.log(u[:head], out=u[:head])
     u[:head] /= base.ln
     exact = list(zip(u[:head].tolist(), digits))
-    _kernel(seq, head + 1, u[head:], exact)
+    offsets = _kernel(seq, head + 1, u[head:])
     u.sort()
-    return u, _arc_histogram(u, base, exact)
+    edges = _digit_edges(base.b)
+    cuts = u.searchsorted(edges)
+    near = _near_edges(u, edges, cuts)
+    for v, w, d in _settle_near_edges(seq, head + 1, n - head, offsets, near):
+        _replace(u, v, w)
+        exact.append((v, d))
+    return u, _arc_histogram(base, edges, cuts, n, exact)
 
 
 def _exponents(kind: str, sig: np.ndarray, base: Base, ratio: float | None) -> np.ndarray:

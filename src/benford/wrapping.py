@@ -56,6 +56,9 @@ K_MAX = 10_000
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _DISTANCE_GRID = 2048
 _BLOCK = 1 << 15  # elements per temporary of the series evaluator, for any K
+# np.exp is +0.0 at and below this exponent (e**-745.2 is under half the
+# least subnormal, 2**-1074); a test checks it on a dense sample
+_EXP_ZERO = -745.2
 # the dual series is summed to a tail near the rounding level of x rho(x),
 # about 1/ln b, whatever tol: its order grows only like sqrt(ln(1/tail)),
 # so the margin costs little
@@ -295,16 +298,35 @@ def _wl_pdf_at(
     The terms are added in increasing k by _block_sum.  They are positive,
     so the sum's relative rounding error stays below (2K + 1) machine
     epsilons.
+
+    Orders at either end of -K..K whose exponent is at most _EXP_ZERO at
+    every point are skipped: each of their terms is +0.0, which leaves
+    every partial sum as it is.  An order's u + k L - m and exponent are
+    taken in Python floats, by the terms' own operations, at the least
+    and the greatest u.  Each rounding keeps them monotone in u, so where
+    u + k L - m has one sign at both, every point's exponent is at most
+    the greater of the two.
     """
+    c = -2.0 * s * s
+    ends = (float(u.min(initial=math.inf)), float(u.max(initial=-math.inf)))
+
+    def zero(k: int) -> bool:
+        t = [v + k * L - m for v in ends]
+        return (t[0] > 0.0 or t[1] < 0.0) and max(t[0] * t[0] / c, t[1] * t[1] / c) <= _EXP_ZERO
 
     def terms(k: np.ndarray) -> np.ndarray:
         z = u + (k * L)[:, None]
         z -= m
         z *= z
-        z /= -2.0 * s * s
+        z /= c
         return np.exp(z, out=z)
 
-    total = _block_sum(x.size, np.arange(-K, K + 1), terms)
+    lo, hi = -K, K
+    while lo <= hi and zero(lo):
+        lo += 1
+    while hi > lo and zero(hi):
+        hi -= 1
+    total = _block_sum(x.size, np.arange(lo, hi + 1), terms)
     scale = x * s
     scale *= _SQRT2PI
     total /= scale

@@ -63,6 +63,13 @@ for _b in (10, 16, 1000):
              ["sequence", "geometric", "--n", "10000", "--base", str(_b),
               "--ratio", repr(_ratio)])
         )
+# ratios whose kernel settles many terms: the phase of DBL_MAX sits within
+# 2**-40 of 0 and 1 in base 16, and nextafter(1, 2) barely turns it
+for _tag, _ratio in (("dblmax", sys.float_info.max), ("1ulp", math.nextafter(1.0, 2.0))):
+    GOLDEN_CALLS.append(
+        (f"sequence_geometric{_tag}_b16",
+         ["sequence", "geometric", "--ratio", repr(_ratio), "--base", "16", "--n", "100000"])
+    )
 
 # wrap and entropy: log-normals at small, medium and large s, and 2- and
 # 3-component mixtures, in each base

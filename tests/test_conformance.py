@@ -891,7 +891,7 @@ class TestKernelBounds:
         rng = np.random.default_rng(b % 2**32)
         for start, n in spans:
             u = np.empty(n)
-            conformance._kernel(seq, start, u, [])
+            conformance._kernel(seq, start, u)
             assert ((0.0 <= u) & (u < 1.0)).all()
             picks = sorted(set(rng.integers(0, n, 150).tolist()) | {0, n - 1})
             with localcontext() as ctx:
@@ -923,6 +923,34 @@ class TestKernelBounds:
         assert seq.phase.size == conformance._BLOCK and not seq.phase.flags.writeable
         with pytest.raises(ValueError):
             seq.phase[0] = 0.5
+        # the phase's argsort, by which the terms near an edge are found
+        assert seq.order.dtype == np.int16 and not seq.order.flags.writeable
+        assert np.array_equal(np.sort(seq.order), np.arange(conformance._BLOCK))
+        assert (np.diff(seq.phase[seq.order]) >= 0.0).all()
+        with pytest.raises(ValueError):
+            seq.order[0] = 0
+
+    @pytest.mark.parametrize("b", [2, 3, 10, 16, 1000, 40_000, 10**6])
+    def test_flagged_u_lies_within_the_edge_window(self, b):
+        # u drawn at 2**-54 to 2**-40 either side of the computed edges,
+        # 0 and 1: every u the flag rule picks must lie within _EDGE_WIN of
+        # an edge, as the window proof in _kernel's docstring claims, since
+        # _sequence_logs applies the rule to no other u
+        lnb = Base(b).ln
+        edges = np.append(conformance._digit_edges(b), 1.0)
+        if b > 1000:
+            picks = np.random.default_rng(b).integers(0, b, 3000)
+            edges = edges[np.union1d(picks, [0, 1, b - 2, b - 1])]
+        steps = 2.0 ** -np.arange(40.0, 54.5, 0.5)
+        u = (edges[:, None] + np.concatenate([-steps, [0.0], steps])).ravel()
+        u = u[(u >= 0.0) & (u < 1.0)]
+        flagged = u[conformance._near_integer(np.exp(u * lnb), lnb)]
+        assert flagged.size
+        cut = edges.searchsorted(flagged)
+        above = np.abs(flagged - edges.take(cut, mode="clip"))
+        below = np.abs(flagged - edges.take(cut - 1, mode="clip"))
+        gap = np.minimum(above, below)
+        assert gap.max() <= conformance._EDGE_WIN, flagged[gap.argmax()]
 
     @pytest.mark.parametrize(
         "kind, b, ratio",
@@ -930,8 +958,8 @@ class TestKernelBounds:
     )
     def test_settled_u_is_the_log_of_the_settled_significand(self, monkeypatch, kind, b, ratio):
         # 2**3 = 8 in base 12 and 1 + t * 2**-52 near 1 settle; their u must
-        # be that of their settled s, as _fold makes it, and the kernel
-        # records each with its exact digit
+        # be that of their settled s, as _fold makes it, and _settle_near_edges
+        # returns each with its kernel u and its exact digit
         settled = []
         settle = conformance._settle
 
@@ -942,13 +970,15 @@ class TestKernelBounds:
         monkeypatch.setattr(conformance, "_settle", counting)
         n = 3000
         seq = conformance._log_linear(b, 2.0 if kind == "pow2" else ratio)
-        u, exact = np.empty(n), []
-        conformance._kernel(seq, 1, u, exact)
+        u = np.empty(n)
+        offsets = conformance._kernel(seq, 1, u)
+        found = conformance._settle_near_edges(seq, 1, n, offsets, np.unique(u))
         idx = np.array(sorted(set(settled)), dtype=np.int64) - 1
-        assert idx.size
+        assert found and len(found) == len(settled) == idx.size
         s = gen_sequence(kind, n, Base(b), ratio)
-        assert u[idx].tobytes() == (np.log(s[idx]) / Base(b).ln).tobytes()
-        assert exact == list(zip(u[idx].tolist(), s[idx].astype(np.int64).tolist()))
+        want = zip(u[idx].tolist(), (np.log(s[idx]) / Base(b).ln).tolist(),
+                   s[idx].astype(np.int64).tolist())
+        assert sorted(found) == sorted(want)
 
 
 class TestArcCounts:
@@ -987,6 +1017,57 @@ class TestArcCounts:
         assert np.array_equal(hist.counts, np.bincount(s.astype(np.int64), minlength=b)[1:])
         assert hist.total == n
         assert (u[1:] >= u[:-1]).all()
+
+
+def _settle_every_flagged(kind, n, b, ratio):
+    """(u, settled terms) of a reference that applies the flag rule to
+    every kernel term, settles the flagged ones, and then sorts."""
+    s, head, seq = conformance._source(kind, n, Base(b), ratio)
+    lnb = Base(b).ln
+    u = np.empty(n)
+    u[:head] = np.log(s[:head]) / lnb
+    conformance._kernel(seq, head + 1, u[head:])
+    flagged = conformance._near_integer(np.exp(u[head:] * lnb), lnb) + head
+    terms = (flagged + 1).tolist()
+    u[flagged] = np.log([conformance._settle(seq, t) for t in terms]) / lnb
+    u.sort()
+    return u, terms
+
+
+REFERENCE_RATIOS = [1.1, 0.3, 0.999, NEXT_UP, sys.float_info.max, 5e-324]
+REFERENCE_CASES = [
+    (kind, b, ratio, 3000)
+    for kind, ratio in [("pow2", None), ("fibonacci", None)]
+    + [("geometric", r) for r in REFERENCE_RATIOS]
+    for b in [2, 3, 10, 16, 1000, 40_000]
+    # a ratio with a rational log_b, a power of b among them, has no kernel
+    if kind == "fibonacci"
+    or conformance._rational_log(2.0 if kind == "pow2" else ratio, b) is None
+] + [("geometric", 16, sys.float_info.max, 10**5), ("geometric", 16, NEXT_UP, 10**5)]
+
+
+class TestNearEdgePath:
+    @pytest.mark.parametrize(
+        "kind, b, ratio, n",
+        REFERENCE_CASES,
+        ids=[f"{_case_id(c[:3])}-n{c[3]}" for c in REFERENCE_CASES],
+    )
+    def test_settles_what_the_rule_flags_over_every_term(self, monkeypatch, kind, b, ratio, n):
+        # _sequence_logs applies the flag rule only to the u its sort finds
+        # near an edge; it must settle the same terms as the rule applied to
+        # every kernel term, and leave the same sorted u, byte for byte
+        want, want_terms = _settle_every_flagged(kind, n, b, ratio)
+        settled = []
+        settle = conformance._settle
+
+        def counting(seq, t):
+            settled.append(t)
+            return settle(seq, t)
+
+        monkeypatch.setattr(conformance, "_settle", counting)
+        u, _ = conformance._sequence_logs(kind, n, Base(b), ratio)
+        assert sorted(settled) == want_terms
+        assert u.tobytes() == want.tobytes()
 
 
 class TestSequenceCost:

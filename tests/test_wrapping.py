@@ -640,6 +640,34 @@ class TestSummationOrder:
         assert np.all(want > 0.0)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("b", (2, 10, 1000))
+    @pytest.mark.parametrize("n", (1, 7, GRID))
+    @pytest.mark.parametrize("s", (0.05, 0.3, 1.0))
+    def test_orders_of_zeros_are_skipped_bitwise(self, b, n, s, monkeypatch):
+        # at small s most orders are +0.0 at every point, and _wl_pdf_at
+        # skips them; the sum must equal the one over every order, and a
+        # point at either end of the cell makes the first and last u count
+        L = math.log(b)
+        x = np.concatenate([[1.0], log_grid(b, n)[1:-1], [math.nextafter(b, 0.0)]])[:n]
+        K = 60
+        orders = []
+
+        def block_sum(n, ks, terms):
+            orders.append(ks.size)
+            return _block_sum(n, ks, terms)
+
+        monkeypatch.setattr(wrapping, "_block_sum", block_sum)
+        for m in (0.0, 0.3 * L, L - 1e-9):
+            got = _wl_pdf_at(x, m, s, L, K, np.log(x))
+            want = point_major_direct(x, m, s, L, K)
+            assert orders.pop() < 2 * K + 1
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), m
+
+    def test_exp_is_zero_at_and_below_the_skip_exponent(self):
+        z = np.concatenate([np.linspace(-800.0, wrapping._EXP_ZERO, 200_001), [-1e300, -np.inf]])
+        assert wrapping._EXP_ZERO == -745.2
+        assert not np.exp(z).view(np.int64).any()  # +0.0 in every lane, no -0.0
+
     @pytest.mark.parametrize("b", (2, 10))
     @pytest.mark.parametrize("n", SIZES)
     def test_dual_sum_equals_point_major_reference_bitwise(self, b, n):
