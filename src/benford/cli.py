@@ -775,17 +775,11 @@ def _conformance_records(report: ConformanceReport, base: Base) -> list[tuple]:
     ]
 
 
-@_table
-def _digit_sum(b: int) -> float:
-    """The sum of first_digit_probs of base b, correctly rounded."""
-    return math.fsum(first_digit_probs(Base(b)).tolist())
-
-
 def _cmd_digits(args) -> list[tuple]:
     b = args.base
     probs = first_digit_probs(Base(b))
     columns = (_column("digit", b, np.arange(1, b)), _column("nb_prob", b, probs))
-    return [_Table("digit", columns), ("digit_sum", _digit_sum(b))]
+    return [_Table("digit", columns), ("digit_sum", math.fsum(probs))]
 
 
 def _cmd_fit(args) -> list[tuple]:
@@ -881,7 +875,8 @@ class _Parser(argparse.ArgumentParser):
     negative number in decimal or exponent notation as a value, and refuse
     any argument with a newline, which would end a record it is echoed in.
 
-    ``verbs`` holds the parser of each verb, as build_parser fills it in.
+    ``verbs`` maps each verb to its parser: build_parser sets it to the
+    ``choices`` of its subparsers action, argparse's own map.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -929,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    digits = sub.add_parser("digits", parents=[common], help="print the first-digit table")
+    sub.add_parser("digits", parents=[common], help="print the first-digit table")
 
     fit = sub.add_parser(
         "fit", parents=[common], help="test a dataset for conformance", epilog=_KS_HELP
@@ -978,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     seq.add_argument("--ratio", type=float, default=None, help="geometric ratio")
 
-    parser.verbs = {"digits": digits, "fit": fit, "wrap": wrap, "entropy": ent, "sequence": seq}
+    parser.verbs = sub.choices
     return parser
 
 

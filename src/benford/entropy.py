@@ -118,8 +118,8 @@ def _nodes(b: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """_exp_log of the size nodes in u of every stage of the trapezoidal
     rule on [0, ln b) below size, laid out stage after stage: the
     _FIRST_NODES nodes jL/N of the first, then the N midpoints of stage N
-    as entries N to 2N; read-only arrays, kept per (b, size) in the
-    per-process table cache up to 8192 nodes."""
+    as entries N to 2N; read-only arrays, kept per (b, size) in the table
+    cache under the size rule of significand._Memo."""
     L = math.log(b)
     n, stages = _FIRST_NODES, [np.arange(_FIRST_NODES) * (L / _FIRST_NODES)]
     while n < size:

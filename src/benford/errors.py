@@ -1,5 +1,17 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "BenfordError",
+    "DomainError",
+    "EmptyData",
+    "InsufficientData",
+    "NonPositiveInput",
+    "NotNormalized",
+    "QuadratureError",
+    "TruncationError",
+    "UnsupportedRatio",
+]
+
 
 class BenfordError(Exception):
     """Base class for every error raised by this package."""

@@ -140,9 +140,8 @@ def _probs(b: int) -> np.ndarray:
 
 def first_digit_probs(base: Base) -> np.ndarray:
     """first_digit_prob for d = 1..b-1 as a read-only float64 array: the
-    same floats.  The table of a base up to 32769 is kept in the table
-    cache, so later calls return the same array; a larger one, 8 MB near
-    the CLI's cap of 10**6, is built per call."""
+    same floats, kept per base in the table cache under the size rule of
+    significand._Memo."""
     return _probs(base.b)
 
 

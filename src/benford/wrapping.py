@@ -524,9 +524,8 @@ def _grid(b: int, n: int) -> _Grid:
     coordinate on [1, b), so that one evaluation serves the distances and
     the table.
 
-    Kept per (b, n) in the per-process table cache up to 16380 points in
-    all, n = 14332, so repeat calls return the same record; larger ones are
-    built per call.
+    Kept per (b, n) in the table cache under the size rule of
+    significand._Memo.
     """
     fb = float(b)
     # Python's pow, not numpy's, which differs from it in the last ulp

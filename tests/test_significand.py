@@ -17,7 +17,6 @@ from benford import (
     Base,
     DomainError,
     NonPositiveInput,
-    cli,
     decompose,
     decompose_array,
     first_digit,
@@ -298,15 +297,18 @@ class TestTable:
     """significand._table, the one per-process cache of every module's
     tables, under a budget of _TABLE_BYTES."""
 
-    def test_many_tiny_entries_stay_within_the_budget(self, memo, monkeypatch):
-        # 10**4 digit sums, a float each keyed by one int, from short tables
-        monkeypatch.setattr(cli, "first_digit_probs", lambda base: np.ones(base.b % 7 + 1))
+    def test_many_tiny_entries_stay_within_the_budget(self, memo):
+        # 10**4 sums, a float each keyed by one int, of short tables
+        @significand._table
+        def table_sum(b):
+            return math.fsum(np.ones(b % 7 + 1))
+
         gc.collect()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             for b in range(2, 10**4 + 2):
-                assert cli._digit_sum(b) == b % 7 + 1
+                assert table_sum(b) == b % 7 + 1
             gc.collect()
             grown = tracemalloc.get_traced_memory()[0] - start
         finally:
